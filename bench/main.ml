@@ -86,9 +86,9 @@ let bench_linearizability =
          | Error e -> failwith e))
 
 let bench_codec =
-  (* Scratch-buffer encode of a typical phase-2 message: the per-message cost
-     of the wire codec on the UDP send path. *)
-  let scratch = Cp_proto.Codec.create_scratch () in
+  (* Zero-copy frame encode of a typical phase-2 message into a reused
+     buffer: the per-message cost of the wire codec on the UDP send path. *)
+  let buf = Bytes.create 512 in
   let msg =
     Cp_proto.Types.P2a
       {
@@ -97,8 +97,8 @@ let bench_codec =
         entry = Cp_proto.Types.App { client = 1007; seq = 93; op = "PUT k17 v_payload" };
       }
   in
-  Test.make ~name:"codec/encode-p2a-scratch"
-    (Staged.stage (fun () -> ignore (Cp_proto.Codec.encode_with scratch msg)))
+  Test.make ~name:"codec/encode-p2a-into"
+    (Staged.stage (fun () -> ignore (Cp_proto.Codec.encode_into buf ~pos:0 ~gid:0 ~tid:1 msg)))
 
 let bench_commit =
   (* End-to-end: a fresh f=1 Cheap Paxos cluster commits 20 commands. *)
@@ -352,10 +352,7 @@ let write_reads_snapshot () =
   let quiescent = match S.aux_quiescent leased with Ok () -> true | Error _ -> false in
   (* Wire cost per operation on each path, measured with the real codec. *)
   let wire msgs =
-    let scratch = Cp_proto.Codec.create_scratch () in
-    List.fold_left
-      (fun acc m -> acc + String.length (Cp_proto.Codec.encode_with scratch m))
-      0 msgs
+    List.fold_left (fun acc m -> acc + String.length (Cp_proto.Codec.encode m)) 0 msgs
   in
   let cmd = { Cp_proto.Types.client = 1007; seq = 93; op = "GET k17" } in
   let ballot = Cp_proto.Ballot.make ~round:1 ~leader:0 in
@@ -954,16 +951,12 @@ let write_wire_snapshot () =
     let dt = Unix.gettimeofday () -. t0 in
     (dt, !syscalls, !bytes, !copies, Gc.minor_words () -. minor0)
   in
-  let scratch = Cp_proto.Codec.create_scratch () in
   let unbatched =
     run_leg (fun s ->
         List.iter
           (fun dst ->
             for j = 0 to frames_per_peer - 1 do
-              let payload =
-                Cp_proto.Codec.encode_traced_with scratch ~tid:(s land 0xffff)
-                  (msg ((s * frames_per_peer) + j))
-              in
+              let payload = Cp_proto.Codec.encode (msg ((s * frames_per_peer) + j)) in
               let buf = Bytes.of_string payload in
               incr copies;
               sendto buf ~off:0 ~len:(Bytes.length buf) dst
@@ -978,11 +971,10 @@ let write_wire_snapshot () =
         List.iter
           (fun dst ->
             for j = 0 to frames_per_peer - 1 do
-              let encode buf ~pos =
-                Cp_proto.Codec.encode_traced_into buf ~pos ~tid:(s land 0xffff)
+              match
+                Cp_transport.Outbox.append outbox ~dst ~gid:0 ~tid:(s land 0xffff)
                   (msg ((s * frames_per_peer) + j))
-              in
-              match Cp_transport.Outbox.append outbox ~dst ~encode with
+              with
               | (_ : int) -> ()
               | exception Cp_proto.Codec.Overflow -> incr copies
             done)
@@ -1045,7 +1037,6 @@ let write_wire_snapshot () =
 let write_storage_snapshot () =
   let module Storage = Cp_storage.Storage in
   let module Wal = Cp_storage.Wal in
-  let module Stable = Cp_sim.Stable in
   let base =
     let p = Filename.temp_file "cp_bench_storage" "" in
     Unix.unlink p;
@@ -1069,12 +1060,12 @@ let write_storage_snapshot () =
   let s = Wal.store per_record_dir in
   let t0 = Unix.gettimeofday () in
   for i = 0 to ops - 1 do
-    Stable.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
-    Stable.flush s
+    Storage.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
+    Storage.flush s
   done;
   let per_record_s = Unix.gettimeofday () -. t0 in
-  let a = Stable.stats s in
-  Stable.close s;
+  let a = Storage.stats s in
+  Storage.close s;
   (* Mode B: group commit — the interpreter's one flush per effect batch. *)
   let group_dir = Filename.concat base "group" in
   let s = Wal.store group_dir in
@@ -1082,14 +1073,14 @@ let write_storage_snapshot () =
   for b = 0 to batches - 1 do
     for j = 0 to depth - 1 do
       let i = (b * depth) + j in
-      Stable.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i)
+      Storage.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i)
     done;
-    Stable.flush s
+    Storage.flush s
   done;
   let group_s = Unix.gettimeofday () -. t0 in
-  let g = Stable.stats s in
+  let g = Storage.stats s in
   let live_bytes = g.Storage.bytes_used in
-  Stable.close s;
+  Storage.close s;
   let a_per_op = float_of_int a.Storage.fsyncs /. float_of_int ops in
   let g_per_op = float_of_int g.Storage.fsyncs /. float_of_int ops in
   let fsync_ratio = a_per_op /. Float.max g_per_op 1e-9 in
@@ -1106,10 +1097,10 @@ let write_storage_snapshot () =
   let disk_amplification = float_of_int (disk_bytes group_dir) /. float_of_int live_bytes in
   (* Cold recovery: reopen the group-commit directory, real segment replay. *)
   let s = Wal.store group_dir in
-  let r = Stable.stats s in
-  let recovered = List.length (Stable.keys s) in
+  let r = Storage.stats s in
+  let recovered = List.length (Storage.keys s) in
   let recovery_ms = r.Storage.recovery_ms in
-  Stable.close s;
+  Storage.close s;
   let recovery_ok = recovered = 256 in
   (* Torn tail: cut the power mid-stream at a byte offset (not a record
      boundary) and require recovery to a clean prefix, no exception. *)
@@ -1121,15 +1112,15 @@ let write_storage_snapshot () =
   in
   (try
      for i = 0 to ops - 1 do
-       Stable.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
-       if i mod depth = depth - 1 then Stable.flush s
+       Storage.put s (Printf.sprintf "log.%d" (i mod 256)) (payload i);
+       if i mod depth = depth - 1 then Storage.flush s
      done
    with Cp_storage.Faulty.Crash -> ());
   let torn_ok =
     match Wal.store torn_dir with
     | s ->
-      let n = List.length (Stable.keys s) in
-      Stable.close s;
+      let n = List.length (Storage.keys s) in
+      Storage.close s;
       n > 0 && n <= 256
     | exception _ -> false
   in

@@ -5,6 +5,22 @@ open Cmdliner
 module Experiments = Cp_harness.Experiments
 module Outcome = Cp_harness.Outcome
 
+(* Every file the CLI writes goes through here: an unwritable path is a
+   usage error (exit 2 with a one-line message), not an uncaught
+   [Sys_error]. *)
+let write_file path contents =
+  match Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents) with
+  | () -> ()
+  | exception Sys_error e ->
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix e then
+        String.sub e (String.length prefix) (String.length e - String.length prefix)
+      else e
+    in
+    Printf.eprintf "error: cannot write %s: %s\n" path reason;
+    exit 2
+
 let run_experiments quick only csv_dir =
   let exps =
     match only with
@@ -25,9 +41,7 @@ let run_experiments quick only csv_dir =
     | Some dir ->
       (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       let path = Filename.concat dir (String.lowercase_ascii name ^ ".csv") in
-      let oc = open_out path in
-      output_string oc (Cp_util.Table.to_csv table);
-      close_out oc;
+      write_file path (Cp_util.Table.to_csv table);
       Printf.printf "wrote %s\n" path
   in
   let outcomes =
@@ -109,7 +123,7 @@ let print_storage_summary spec engine ids =
   match spec with
   | `Mem -> ()
   | `Wal dir ->
-    let stats = List.map (fun id -> Cp_sim.Stable.stats (Cp_sim.Engine.stable engine id)) ids in
+    let stats = List.map (fun id -> Cp_storage.Storage.stats (Cp_sim.Engine.stable engine id)) ids in
     let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
     Printf.printf
       "storage: wal at %s — fsyncs=%d appended=%d bytes live=%d bytes segments=%d\n" dir
@@ -166,10 +180,8 @@ let run_fleet_demo seed trace trace_jsonl trace_chrome params ?conflict_keys ~st
     (Fleet.aux_group_recv fleet);
   let dump path render what =
     let records = Cp_obs.Trace.merge (Engine.traces (Fleet.engine fleet)) in
-    let oc = open_out path in
-    output_string oc (render records);
-    Printf.printf "wrote %s trace for %d records to %s\n" what (List.length records) path;
-    close_out oc
+    write_file path (render records);
+    Printf.printf "wrote %s trace for %d records to %s\n" what (List.length records) path
   in
   Option.iter (fun p -> dump p Cp_obs.Trace.to_jsonl "jsonl") trace_jsonl;
   Option.iter (fun p -> dump p Cp_obs.Timeline.to_chrome "Chrome") trace_chrome;
@@ -237,17 +249,13 @@ let run_demo seed trace trace_jsonl trace_chrome batch pipeline linger read_rati
   | None -> ()
   | Some path ->
     let records = Cp_runtime.Inspect.trace_dump cluster in
-    let oc = open_out path in
-    output_string oc (Cp_obs.Trace.to_jsonl records);
-    close_out oc;
+    write_file path (Cp_obs.Trace.to_jsonl records);
     Printf.printf "wrote %d trace records to %s\n" (List.length records) path);
   (match trace_chrome with
   | None -> ()
   | Some path ->
     let records = Cp_runtime.Inspect.trace_dump cluster in
-    let oc = open_out path in
-    output_string oc (Cp_obs.Timeline.to_chrome records);
-    close_out oc;
+    write_file path (Cp_obs.Timeline.to_chrome records);
     Printf.printf
       "wrote Chrome trace for %d records to %s (load at https://ui.perfetto.dev)\n"
       (List.length records) path);
@@ -558,14 +566,11 @@ let run_mc_deep ~max_states ~json =
   (match json with
   | None -> ()
   | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"checker\":\"mc_replica\",\"states\":%d,\"max_depth\":%d,\"max_states\":%d,\"n_commands\":%d,\"max_ticks\":%d,\"violation\":%s}\n"
-      r.D.states r.D.max_depth max_states spec.D.n_commands spec.D.max_ticks
-      (match r.D.violation with
-      | None -> "null"
-      | Some why -> Printf.sprintf "%S" why);
-    close_out oc;
+    write_file path
+      (Printf.sprintf
+         "{\"checker\":\"mc_replica\",\"states\":%d,\"max_depth\":%d,\"max_states\":%d,\"n_commands\":%d,\"max_ticks\":%d,\"violation\":%s}\n"
+         r.D.states r.D.max_depth max_states spec.D.n_commands spec.D.max_ticks
+         (match r.D.violation with None -> "null" | Some why -> Printf.sprintf "%S" why));
     Printf.printf "wrote %s\n" path);
   if r.D.violation = None && r.D.states > 0 then 0 else 1
 

@@ -8,7 +8,7 @@
     (paper §"auxiliary storage", experiment E5).
 
     Purity makes the module directly property-testable; the replica layers
-    persistence on top by writing the whole state to {!Cp_sim.Stable} after
+    persistence on top by writing the whole state to {!Cp_storage.Storage} after
     each mutation. *)
 
 type t

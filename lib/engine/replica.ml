@@ -9,7 +9,7 @@
 
 open Cp_proto
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Metrics = Cp_sim.Metrics
 module Obs = Cp_obs
 
@@ -35,12 +35,12 @@ let interpret_one t (eff : Effect.t) =
   match eff with
   | Effect.Send (dst, msg) -> t.ctx.Engine.send dst msg
   | Effect.Persist_acceptor image ->
-    Stable.put t.ctx.Engine.stable "acceptor" (Codec.encode_acceptor_image image)
+    Storage.put t.ctx.Engine.stable "acceptor" (Codec.encode_acceptor_image image)
   | Effect.Persist_log (i, entry) ->
-    Stable.put t.ctx.Engine.stable (log_key i) (Codec.encode_stable_entry entry)
+    Storage.put t.ctx.Engine.stable (log_key i) (Codec.encode_stable_entry entry)
   | Effect.Persist_snapshot snap ->
-    Stable.put t.ctx.Engine.stable "snapshot" (Codec.encode_stable_snapshot snap)
-  | Effect.Drop_log i -> Stable.remove t.ctx.Engine.stable (log_key i)
+    Storage.put t.ctx.Engine.stable "snapshot" (Codec.encode_stable_snapshot snap)
+  | Effect.Drop_log i -> Storage.remove t.ctx.Engine.stable (log_key i)
   | Effect.Set_timer (tag, delay) -> ignore (t.ctx.Engine.set_timer ~tag delay)
   | Effect.Emit ev -> t.ctx.Engine.emit ev
   | Effect.Metric (name, by) -> Metrics.incr t.ctx.Engine.metrics ~by name
@@ -71,8 +71,8 @@ let interpret t effects =
   else List.iter (interpret_one t) effects;
   if List.exists is_persist effects then
     if Obs.Prof.enabled t.prof then
-      Obs.Prof.time t.prof "exec_persist" (fun () -> Stable.flush t.ctx.Engine.stable)
-    else Stable.flush t.ctx.Engine.stable
+      Obs.Prof.time t.prof "exec_persist" (fun () -> Storage.flush t.ctx.Engine.stable)
+    else Storage.flush t.ctx.Engine.stable
 
 (* ------------------------------------------------------------------ *)
 (* Construction: read the recovery image, build the core               *)
@@ -83,7 +83,7 @@ let interpret t effects =
    absent rather than crashing the replica — the protocol then behaves as
    if that write never became durable, which is the safe direction. *)
 let get_decoded stable key decode =
-  match Stable.get stable key with
+  match Storage.get stable key with
   | None -> None
   | Some bytes -> ( match decode bytes with Ok v -> Some v | Error _ -> None)
 
@@ -91,7 +91,7 @@ let get_decoded stable key decode =
    and sorts against its post-snapshot log base. *)
 let scan_log stable =
   let prefix = "log." in
-  Stable.keys stable
+  Storage.keys stable
   |> List.filter_map (fun k ->
          if
            String.length k > String.length prefix
@@ -117,7 +117,7 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
         (if role = Main then get_decoded stable "snapshot" Codec.decode_stable_snapshot
          else None);
       r_log = (if role = Main then scan_log stable else []);
-      r_had_state = Stable.mem stable "acceptor";
+      r_had_state = Storage.mem stable "acceptor";
     }
   in
   let core, effects =

@@ -5,9 +5,8 @@
    auxiliaries — but each machine hosts a {!Group_mux} of N independent
    replica groups, and clients route every command to its key's group
    through the {!Router}. The wire type is [(gid, msg)], the simulator
-   analogue of the grouped frames {!Cp_proto.Codec.encode_grouped} puts on
-   UDP; [size_of] charges the real framing overhead so byte metrics match
-   what the socket transport would carry.
+   analogue of the group id every {!Cp_proto.Codec} frame carries on UDP;
+   [size_of] charges for it on top of the message.
 
    This is the fleet's economy argument made runnable: the auxiliaries —
    already idle in steady state for one group — are shared by all N groups,
@@ -32,7 +31,9 @@ type t = {
   mutable next_client : int;
 }
 
-(* Wire cost of the group prefix: marker byte + zig-zag varint of gid. *)
+(* Bytes charged for the group id on top of [Types.size_of]: one plus the
+   zig-zag varint of gid. Unchanged since first calibrated, so fleet byte
+   metrics stay comparable across releases. *)
 let group_overhead gid =
   let rec digits n acc = if n < 0x80 then acc else digits (n lsr 7) (acc + 1) in
   1 + digits (gid lsl 1) 1

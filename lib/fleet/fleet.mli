@@ -20,7 +20,7 @@ val create :
   ?router:Router.t ->
   ?wheel_tick:float ->
   ?conflict_keys:(string -> string list) ->
-  ?storage:(int -> Cp_sim.Stable.t) ->
+  ?storage:(int -> Cp_storage.Storage.t) ->
   groups:int ->
   policy:Cp_engine.Policy.t ->
   initial:Config.t ->

@@ -4,8 +4,8 @@
 
    The schedule is a pure function of its seed: a driver node emits bursts
    of mixed protocol messages (single frames and multi-frame bursts, so the
-   UDP outbox exercises both its bare single-frame path and its packed
-   datagrams) toward three recorder endpoints. Each recorder logs every
+   UDP outbox sends both one-frame and many-frame datagrams) toward three
+   recorder endpoints. Each recorder logs every
    delivery into its own obs ring with {e logical} coordinates — the
    per-node delivery index as the timestamp, the message's canonical
    encoding ([Codec.encode]) for the byte count, and an FNV-1a fingerprint
@@ -57,7 +57,7 @@ let mk_msg rng i =
       { entries = [ (i, Types.Noop); (i + 1, Types.App (cmd (i + 1))) ]; snapshot = None }
 
 (* Bursts of 1-6 messages; destinations drawn per message, so one burst can
-   fan out over several receivers (several packed datagrams) or stack
+   fan out over several receivers (several datagrams) or stack
    multiple frames onto one. *)
 let schedule ~seed ~rounds =
   let rng = Rng.create seed in

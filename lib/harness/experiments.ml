@@ -7,7 +7,7 @@ module Faults = Cp_runtime.Faults
 module Inspect = Cp_runtime.Inspect
 module Replica = Cp_engine.Replica
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Workload = Cp_workload.Workload
 
 type exp = {
@@ -358,7 +358,7 @@ let e5_run ~quick =
       Engine.at eng at (fun () ->
           let aux_bytes =
             List.fold_left
-              (fun acc id -> max acc (Stable.bytes_used (Engine.stable eng id)))
+              (fun acc id -> max acc (Storage.bytes_used (Engine.stable eng id)))
               0 (Cluster.auxes cluster)
           in
           let aux_votes =
@@ -371,7 +371,7 @@ let e5_run ~quick =
           in
           let main_bytes =
             List.fold_left
-              (fun acc id -> max acc (Stable.bytes_used (Engine.stable eng id)))
+              (fun acc id -> max acc (Storage.bytes_used (Engine.stable eng id)))
               0 (Cluster.mains cluster)
           in
           samples := (at, aux_bytes, aux_votes, main_bytes) :: !samples;

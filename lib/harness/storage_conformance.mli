@@ -17,7 +17,7 @@ type outcome = {
 }
 
 val run :
-  ?seed:int -> ?ops:int -> ?storage:(int -> Cp_sim.Stable.t) -> unit -> outcome
+  ?seed:int -> ?ops:int -> ?storage:(int -> Cp_storage.Storage.t) -> unit -> outcome
 (** Run the seeded schedule over the given backend factory (default: the
     in-memory store). Deterministic in [seed] for a fixed backend. *)
 
@@ -26,7 +26,7 @@ val wal_factory :
   ?compact_min:int ->
   dir:string ->
   unit ->
-  (int -> Cp_sim.Stable.t) * (unit -> unit)
+  (int -> Cp_storage.Storage.t) * (unit -> unit)
 (** Per-machine WAL roots under [dir]/n<id>; returns the factory and a
     closer sealing every handle it produced. *)
 

@@ -1,40 +1,28 @@
 module Engine = Cp_sim.Engine
 module Types = Cp_proto.Types
 module Codec = Cp_proto.Codec
+module Metrics = Cp_sim.Metrics
+module Storage = Cp_storage.Storage
 module Wheel = Cp_fleet.Wheel
 module Obs = Cp_obs
-module Transport = Cp_transport.Transport
 module Outbox = Cp_transport.Outbox
+module Imap = Map.Make (Int)
 
-(* One hosted replica group. Group 0 is the node's primary (built by
-   [create]; its frames stay in the ungrouped pre-fleet format, so a plain
-   node and a fleet node interoperate); further groups are added with
-   [add_group] and speak grouped frames. [g_tctx] is the group's minting
-   origin for fresh causal chains — for group 0 it IS the node's ambient
-   context, for others a namespaced one (see {!Cp_obs.Traceid.namespace}).
-
-   In single-lock mode [g_lock] is unused and [g_metrics]/[g_scratch] alias
-   the node's; in pool mode each group owns private ones so handlers on
-   different worker domains never share mutable state. *)
+(* One hosted replica group. Group 0 is built by [create]; its lock,
+   metrics, outbox, and trace context are the node's own ([with_lock],
+   [metrics]). Groups added with [add_group] own private ones. Every
+   handler invocation runs under its group's lock, and the group's outbox
+   is flushed before the lock is released. [g_tctx] is the group's ambient
+   causal trace context: group 0's origin is the node id, the others' a
+   namespaced one ({!Cp_obs.Traceid.namespace}). *)
 type group = {
-  g_handlers : Types.msg Engine.handlers;
-  g_tctx : Obs.Traceid.t;
+  g_gid : int;
   g_lock : Mutex.t;
-  g_metrics : Cp_sim.Metrics.t;
-  g_scratch : Codec.scratch;
+  g_metrics : Metrics.t;
   g_outbox : Outbox.t;
-}
-
-(* Parallel-dispatch state ([create ~exec_domains] > 1). The pool is
-   private to the node — never the process-shared applier pool — because a
-   handler may itself fan a command window out to the shared pool and wait
-   for it: if group dispatch queued on the same workers, a window sub-task
-   could land behind the very handler that is waiting on it. *)
-type exec_state = {
-  pool : Cp_exec.Pool.t;
-  workers : int; (* >= 1 even when the pool is sequential (size 0) *)
-  trace_mu : Mutex.t; (* the trace ring, shared by all groups *)
-  wheel_mu : Mutex.t; (* the timer wheel, shared by all groups *)
+  g_tctx : Obs.Traceid.t;
+  g_store : Storage.t;
+  mutable g_handlers : Types.msg Engine.handlers; (* set once [build] returns *)
 }
 
 type t = {
@@ -43,22 +31,29 @@ type t = {
   sock : Unix.file_descr;
   addr_of : int -> Unix.sockaddr;
   id_of_port : int -> int;
-  lock : Mutex.t;
-  cond : Condition.t; (* wakes the timer thread when an earlier timer lands *)
+  start : float;
+  storage : int -> Storage.t; (* per-group store factory, keyed by gid *)
+  g0 : group;
+  groups : group Imap.t Atomic.t; (* copy-on-write, so lookups take no lock *)
+  (* Handler tasks run on this pool: group [gid] on worker [gid mod
+     workers], whose FIFO queue keeps the group's handlers in arrival
+     order. With no workers, tasks run inline on the receive or timer
+     thread. The pool is private to the node — never the process-shared
+     applier pool — because a handler may fan a command window out to the
+     shared pool and wait for it: queued on the same workers, a window
+     sub-task could land behind the very handler waiting on it. *)
+  pool : Cp_exec.Pool.t;
+  workers : int; (* requested width, reported even when the backend runs inline *)
+  wheel_mu : Mutex.t; (* guards [wheel] and [armed] *)
+  cond : Condition.t; (* with [wheel_mu]: wakes the timer thread *)
   wheel : (int * string) Wheel.t; (* all groups' timers; payload (gid, tag) *)
-  groups : (int, group) Hashtbl.t;
+  armed : (int, unit) Hashtbl.t; (* fired by the wheel, handler not yet run *)
+  shared_mu : Mutex.t; (* guards [trace_] and [rx] *)
+  trace_ : Obs.Trace.t;
+  rx : Metrics.t; (* the receive thread's counters for input no group owns *)
+  admin_sock : Unix.file_descr option; (* TCP listener for /metrics etc. *)
   mutable stopping : bool;
   mutable threads : Thread.t list;
-  start : float;
-  metrics : Cp_sim.Metrics.t;
-  trace_ : Obs.Trace.t;
-  tctx : Obs.Traceid.t; (* ambient causal trace id; guarded by [lock] *)
-  scratch : Codec.scratch; (* guarded by [lock]; senders hold it already *)
-  outbox : Outbox.t; (* guarded by [lock]; flush-coalescing send buffers *)
-  admin_sock : Unix.file_descr option; (* TCP listener for /metrics etc. *)
-  exec : exec_state option; (* None = the original single-lock runtime *)
-  storage : int -> Cp_sim.Stable.t; (* per-group store factory, keyed by gid *)
-  stores : (int, Cp_sim.Stable.t) Hashtbl.t; (* guarded by [lock] *)
 }
 
 let now t = Unix.gettimeofday () -. t.start
@@ -73,295 +68,222 @@ let send_max_retries = 8
 
 let sendto_retry ~sock ~metrics buf ~off ~len addr =
   let rec go attempts =
-    Cp_sim.Metrics.incr metrics "wire_syscalls";
+    Metrics.incr metrics "wire_syscalls";
     match Unix.sendto sock buf off len [] addr with
-    | _ -> Cp_sim.Metrics.incr metrics ~by:len "wire_bytes"
+    | _ -> Metrics.incr metrics ~by:len "wire_bytes"
     | exception Unix.Unix_error (EINTR, _, _) ->
       if attempts < send_max_retries then go (attempts + 1)
-      else Cp_sim.Metrics.incr metrics "send_drops"
+      else Metrics.incr metrics "send_drops"
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-      Cp_sim.Metrics.incr metrics "send_retries";
+      Metrics.incr metrics "send_retries";
       if attempts < send_max_retries then begin
         Thread.yield ();
         go (attempts + 1)
       end
-      else Cp_sim.Metrics.incr metrics "send_drops"
-    | exception Unix.Unix_error (_, _, _) -> Cp_sim.Metrics.incr metrics "send_drops"
+      else Metrics.incr metrics "send_drops"
+    | exception Unix.Unix_error (_, _, _) -> Metrics.incr metrics "send_drops"
   in
   go 0
 
-(* A flush-coalescing outbox whose flushes hit the wire through the retrying
-   sender above; built per lock domain (the node in single-lock mode, each
-   group in pool mode) so flushes touch only that domain's metrics. *)
-let mk_outbox ~sock ~addr_of ~metrics =
-  Outbox.create
-    ~send:(fun ~dst buf ~off ~len -> sendto_retry ~sock ~metrics buf ~off ~len (addr_of dst))
-    ()
-
-let with_lock t f =
-  Mutex.lock t.lock;
+(* Run [f] under [g]'s lock. Whatever it sent leaves in one datagram per
+   destination before the lock is released; no-op when nothing pends. *)
+let locked g f =
+  Mutex.lock g.g_lock;
   Fun.protect
     ~finally:(fun () ->
-      (* Anything [f] sent (client submissions, test drivers poking protocol
-         state) leaves in one datagram per destination, before the lock is
-         released. No-op when nothing pends. *)
-      Outbox.flush t.outbox;
-      Mutex.unlock t.lock)
+      Outbox.flush g.g_outbox;
+      Mutex.unlock g.g_lock)
     f
 
-let parallel_dispatch t = Option.is_some t.exec
+let with_lock t f = locked t.g0 f
 
-(* Record into the node's ring, stamped with the ambient trace id; count
-   overwrites of unread records so ring loss is observable. Lock required
-   (every caller — handlers, receive loop, timer loop — already holds it). *)
-let emit_ev t ev =
-  let tid = Obs.Traceid.current t.tctx in
+let find_group t gid = Imap.find_opt gid (Atomic.get t.groups)
+
+let with_group t ~gid f =
+  match find_group t gid with
+  | None -> invalid_arg (Printf.sprintf "Node.with_group: unknown gid %d" gid)
+  | Some g -> locked g f
+
+let group_metrics t gid =
+  match find_group t gid with
+  | None -> invalid_arg (Printf.sprintf "Node.group_metrics: unknown gid %d" gid)
+  | Some g -> g.g_metrics
+
+(* Record into the trace ring every group shares, counting an overwrite of
+   an unread record in [metrics] (the caller's, which it holds). *)
+let record t ~tid ~metrics ev =
+  Mutex.lock t.shared_mu;
   let dropped0 = Obs.Trace.dropped t.trace_ in
   Obs.Trace.emit ~tid t.trace_ ~at:(now t) ~node:t.id ev;
-  if Obs.Trace.dropped t.trace_ > dropped0 then
-    Cp_sim.Metrics.incr t.metrics "ring_dropped"
+  if Obs.Trace.dropped t.trace_ > dropped0 then Metrics.incr metrics "ring_dropped";
+  Mutex.unlock t.shared_mu
 
-(* Pool-mode emit: any domain may record, so the ring gets its own mutex;
-   the drop counter lands in the caller's metrics (held by its lock). *)
-let emit_pool t ex ~tid ~metrics ev =
-  Mutex.lock ex.trace_mu;
-  let dropped0 = Obs.Trace.dropped t.trace_ in
-  Obs.Trace.emit ~tid t.trace_ ~at:(now t) ~node:t.id ev;
-  let dropped = Obs.Trace.dropped t.trace_ > dropped0 in
-  Mutex.unlock ex.trace_mu;
-  if dropped then Cp_sim.Metrics.incr metrics "ring_dropped"
+let emit t g ev = record t ~tid:(Obs.Traceid.current g.g_tctx) ~metrics:g.g_metrics ev
 
-(* Start a fresh causal chain minted from a group's origin and make it the
-   node's ambient id (a no-op re-set for group 0, whose origin IS the
-   ambient context). *)
-let fresh_chain t g_tctx =
-  let id = Obs.Traceid.mint g_tctx in
-  Obs.Traceid.set t.tctx id;
-  id
+(* The receive thread counts what it drops before any group sees it under
+   its own mutex, never a group's: taking group 0's lock here would
+   serialize every group behind group 0. *)
+let rx_count t ?(by = 1) name =
+  Mutex.lock t.shared_mu;
+  Metrics.incr t.rx ~by name;
+  Mutex.unlock t.shared_mu
 
-(* The zero-copy send path, shared by both runtimes: serialize the traced
-   (or grouped) frame directly into the outbox's preallocated per-peer
-   buffer — no intermediate string, no per-send copy, no syscall yet. The
-   burst one handler invocation emits leaves at the next flush as one
-   datagram per destination. A frame too large for a whole datagram buffer
-   (never in steady state) takes the old string path, and [wire_copies]
-   counts it so the bench gate can pin the count at zero. *)
-let append_frame ~outbox ~scratch ~sock ~addr_of ~metrics ~gid ~tid ~kind dst msg =
-  Cp_sim.Metrics.incr metrics "msgs_sent";
-  Cp_sim.Metrics.incr metrics ("sent." ^ kind);
-  match
-    Outbox.append outbox ~dst ~encode:(fun buf ~pos ->
-        if gid = 0 then Codec.encode_traced_into buf ~pos ~tid msg
-        else Codec.encode_grouped_into buf ~pos ~gid ~tid msg)
-  with
-  | len ->
-    Cp_sim.Metrics.incr metrics ~by:len "bytes_sent";
-    Cp_sim.Metrics.incr metrics ~by:len "encoded_bytes"
-  | exception Codec.Overflow ->
-    Cp_sim.Metrics.incr metrics "wire_copies";
-    let payload =
-      if gid = 0 then Codec.encode_traced_with scratch ~tid msg
-      else Codec.encode_grouped_with scratch ~gid ~tid msg
-    in
-    let len = String.length payload in
-    Cp_sim.Metrics.incr metrics ~by:len "bytes_sent";
-    Cp_sim.Metrics.incr metrics ~by:len "encoded_bytes";
-    sendto_retry ~sock ~metrics (Bytes.of_string payload) ~off:0 ~len (addr_of dst)
+(* An exception escaping a protocol handler must not kill the thread or
+   worker running it: count it and carry on. Caller holds [g]'s lock. *)
+let guard t g ~where f =
+  try f ()
+  with exn ->
+    Metrics.incr g.g_metrics "handler_errors";
+    emit t g (Obs.Event.Debug (Printf.sprintf "%s raised: %s" where (Printexc.to_string exn)))
 
-let send t ~gid ~g_tctx dst msg =
+let count_sent m len =
+  Metrics.incr m ~by:len "bytes_sent";
+  Metrics.incr m ~by:len "encoded_bytes"
+
+(* The zero-copy send path: serialize the frame directly into the group's
+   outbox buffer for [dst] — no intermediate string, no per-send copy, no
+   syscall yet. The burst one handler invocation emits leaves when [locked]
+   flushes, as one datagram per destination. A frame too large for an
+   outbox buffer (never in steady state) goes out alone through a one-off
+   buffer of the UDP maximum, and [wire_copies] counts it so the bench gate
+   can pin the count at zero. Caller holds [g]'s lock. *)
+let send t g dst msg =
+  let kind = Types.classify msg in
   (* Client submissions start a fresh causal chain; everything else carries
-     the chain of the event being handled. The id rides the wire as a
-     traced-frame suffix; non-zero groups additionally prefix their group
-     id (see {!Cp_proto.Codec.encode_grouped}). *)
+     the chain of the event being handled. *)
   let tid =
-    match Types.classify msg with
-    | "client_req" | "client_read" -> fresh_chain t g_tctx
-    | _ -> Obs.Traceid.current t.tctx
-  in
-  append_frame ~outbox:t.outbox ~scratch:t.scratch ~sock:t.sock ~addr_of:t.addr_of
-    ~metrics:t.metrics ~gid ~tid ~kind:(Types.classify msg) dst msg
-
-(* Pool-mode send: caller holds the group's lock, so the group's own
-   outbox, scratch, ambient context, and metrics are safe; concurrent
-   sendto on one UDP socket is kernel-atomic per datagram. *)
-let send_pool t ~gid ~(g : group) dst msg =
-  let tid =
-    match Types.classify msg with
+    match kind with
     | "client_req" | "client_read" -> Obs.Traceid.mint g.g_tctx
     | _ -> Obs.Traceid.current g.g_tctx
   in
-  append_frame ~outbox:g.g_outbox ~scratch:g.g_scratch ~sock:t.sock ~addr_of:t.addr_of
-    ~metrics:g.g_metrics ~gid ~tid ~kind:(Types.classify msg) dst msg
+  let m = g.g_metrics in
+  Metrics.incr m "msgs_sent";
+  Metrics.incr m ("sent." ^ kind);
+  match Outbox.append g.g_outbox ~dst ~gid:g.g_gid ~tid msg with
+  | len -> count_sent m len
+  | exception Codec.Overflow -> (
+    Metrics.incr m "wire_copies";
+    let buf = Bytes.create 65507 in
+    match Codec.encode_into buf ~pos:0 ~gid:g.g_gid ~tid msg with
+    | len ->
+      count_sent m len;
+      sendto_retry ~sock:t.sock ~metrics:m buf ~off:0 ~len (t.addr_of dst)
+    | exception Codec.Overflow -> Metrics.incr m "send_drops")
 
-(* Must be called with the lock held. All groups share the wheel: adding or
-   cancelling a timer is O(1) however many groups the node hosts, and the
-   timer thread sleeps toward one deadline — the wheel's next — instead of
-   scanning a per-group structure. *)
-let set_timer t ~gid ?(tag = "") delay =
+(* All groups share the wheel: adding or cancelling a timer is O(1) however
+   many groups the node hosts, and the timer thread sleeps toward one
+   deadline — the wheel's next. *)
+let set_timer t ~gid ~tag delay =
+  Mutex.lock t.wheel_mu;
   let wid = Wheel.add t.wheel ~at:(now t +. Float.max 0. delay) (gid, tag) in
   Condition.signal t.cond;
+  Mutex.unlock t.wheel_mu;
   wid
 
-let cancel_timer t wid = Wheel.cancel t.wheel wid
-
-(* Pool-mode timers: the wheel gets its own mutex so a handler setting a
-   timer never touches the node lock (a worker blocked on [lock] while the
-   timer thread submits into that worker's full queue would wedge both).
-   The pool timer thread polls; no condition variable needed. *)
-let set_timer_pool t ex ~gid ?(tag = "") delay =
-  Mutex.lock ex.wheel_mu;
-  let wid = Wheel.add t.wheel ~at:(now t +. Float.max 0. delay) (gid, tag) in
-  Mutex.unlock ex.wheel_mu;
-  wid
-
-let cancel_timer_pool t ex wid =
-  Mutex.lock ex.wheel_mu;
+let cancel_timer t wid =
+  Mutex.lock t.wheel_mu;
   Wheel.cancel t.wheel wid;
-  Mutex.unlock ex.wheel_mu
+  Hashtbl.remove t.armed wid;
+  Mutex.unlock t.wheel_mu
 
-(* Must be called with the lock held. An exception escaping a protocol
-   handler (or the port→id map) must not kill the dispatch thread — and in
-   the timer loop it would also leave the node lock poisoned, deadlocking
-   every other thread. Record it and carry on. *)
-let guard t ~where f =
-  try f ()
-  with exn ->
-    Cp_sim.Metrics.incr t.metrics "handler_errors";
-    emit_ev t
-      (Obs.Event.Debug (Printf.sprintf "%s raised: %s" where (Printexc.to_string exn)))
+(* Claim a timer the wheel fired for its handler: false if it was cancelled
+   in between, so a cancel always wins over a firing not yet run. *)
+let disarm t wid =
+  Mutex.lock t.wheel_mu;
+  let live = Hashtbl.mem t.armed wid in
+  Hashtbl.remove t.armed wid;
+  Mutex.unlock t.wheel_mu;
+  live
 
-(* Pool-mode guard: caller holds [g.g_lock]. *)
-let guard_pool t ex ~(g : group) ~where f =
-  try f ()
-  with exn ->
-    Cp_sim.Metrics.incr g.g_metrics "handler_errors";
-    emit_pool t ex ~tid:(Obs.Traceid.current g.g_tctx) ~metrics:g.g_metrics
-      (Obs.Event.Debug (Printf.sprintf "%s raised: %s" where (Printexc.to_string exn)))
+let submit t g task = Cp_exec.Pool.submit t.pool ~worker:g.g_gid (fun () -> locked g task)
 
-let fire_timer t wid (gid, tag) =
-  match Hashtbl.find_opt t.groups gid with
-  | None -> () (* group removed: stale timer *)
-  | Some g ->
-    (* A timer step starts a fresh causal chain, as in the sim — minted
-       from the owning group's origin. *)
-    ignore (fresh_chain t g.g_tctx);
-    guard t ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
-        g.g_handlers.Engine.on_timer ~tid:wid ~tag);
-    (* One timer step's burst leaves as one datagram per destination. *)
-    Outbox.flush t.outbox
+let fire_timer t g wid tag () =
+  if disarm t wid then begin
+    (* A timer step starts a fresh causal chain, as in the sim. *)
+    ignore (Obs.Traceid.mint g.g_tctx);
+    guard t g ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
+        g.g_handlers.Engine.on_timer ~tid:wid ~tag)
+  end
 
+(* Sleep toward the wheel's next deadline in slices of at most 2 ms (so
+   cancellation and shutdown stay timely; Condition has no timed wait in
+   the stdlib), then fire what came due — one task per timer, submitted
+   after releasing the wheel, since a handler sets timers of its own. *)
 let timer_loop t =
-  Mutex.lock t.lock;
+  Mutex.lock t.wheel_mu;
   while not t.stopping do
     match Wheel.next_deadline t.wheel with
-    | None -> Condition.wait t.cond t.lock
+    | None -> Condition.wait t.cond t.wheel_mu
     | Some deadline ->
       let wait = deadline -. now t in
       if wait > 0. then begin
-        (* Sleep in small slices so cancellation and shutdown stay timely;
-           Condition has no timed wait in the stdlib. *)
-        Mutex.unlock t.lock;
+        Mutex.unlock t.wheel_mu;
         Thread.delay (Float.min wait 2e-3);
-        Mutex.lock t.lock
+        Mutex.lock t.wheel_mu
       end
-      else Wheel.advance t.wheel ~now:(now t) ~fire:(fun wid p -> fire_timer t wid p)
+      else begin
+        let due = ref [] in
+        Wheel.advance t.wheel ~now:(now t) ~fire:(fun wid p ->
+            Hashtbl.replace t.armed wid ();
+            due := (wid, p) :: !due);
+        Mutex.unlock t.wheel_mu;
+        List.iter
+          (fun (wid, (gid, tag)) ->
+            match find_group t gid with
+            | Some g -> submit t g (fire_timer t g wid tag)
+            | None -> () (* unreachable: groups are never removed *))
+          (List.rev !due);
+        Mutex.lock t.wheel_mu
+      end
   done;
-  Mutex.unlock t.lock
+  Mutex.unlock t.wheel_mu
 
-(* Pool mode routes every handler invocation for group [gid] to worker
-   [gid mod workers]: per-worker queues are FIFO, so one group's handlers
-   stay strictly serialized (and in arrival order) without any group ever
-   waiting on another's — the run-to-completion semantics the engine
-   promises, per group instead of per node. *)
-let dispatch_timer t ex wid (gid, tag) =
-  match with_lock t (fun () -> Hashtbl.find_opt t.groups gid) with
-  | None -> () (* group removed: stale timer *)
-  | Some g ->
-    Cp_exec.Pool.submit ex.pool ~worker:(gid mod ex.workers) (fun () ->
-        Mutex.lock g.g_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock g.g_lock)
-          (fun () ->
-            ignore (Obs.Traceid.mint g.g_tctx);
-            guard_pool t ex ~g ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
-                g.g_handlers.Engine.on_timer ~tid:wid ~tag);
-            Outbox.flush g.g_outbox))
+(* One datagram's frames for one group. The receive-path counters land in
+   the group's metrics; the decode time is charged once per datagram, to
+   its first group. *)
+let deliver t g ~src ~decode_ns frames () =
+  let m = g.g_metrics in
+  Metrics.incr m ~by:decode_ns "prof.decode.ns";
+  if decode_ns > 0 then Metrics.incr m "prof.decode.n";
+  List.iter
+    (fun (f : Codec.framed) ->
+      let kind = Types.classify f.f_msg in
+      Metrics.incr m "msgs_recv";
+      Metrics.incr m ~by:f.f_bytes "bytes_recv";
+      Metrics.incr m ("recv." ^ kind);
+      (* Everything the handler emits/sends continues the frame's causal
+         chain. *)
+      Obs.Traceid.adopt g.g_tctx f.f_tid;
+      emit t g (Obs.Event.Msg_recv { src; kind; bytes = f.f_bytes });
+      guard t g ~where:("on_message " ^ kind) (fun () ->
+          g.g_handlers.Engine.on_message ~src f.f_msg))
+    frames
 
-let timer_loop_pool t ex =
-  while not t.stopping do
-    let fired = ref [] in
-    Mutex.lock ex.wheel_mu;
-    (match Wheel.next_deadline t.wheel with
-    | Some deadline when deadline <= now t ->
-      Wheel.advance t.wheel ~now:(now t) ~fire:(fun wid p -> fired := (wid, p) :: !fired)
-    | _ -> ());
-    Mutex.unlock ex.wheel_mu;
-    (* Submit only after releasing the wheel mutex: a fire task may itself
-       set timers from its worker. *)
-    List.iter (fun (wid, p) -> dispatch_timer t ex wid p) (List.rev !fired);
-    if !fired = [] then Thread.delay 1e-3
-  done
+(* Hand each group its share of a datagram, in wire order, as one task: the
+   replies the whole share provokes leave together when the task's lock is
+   released. Frames for a group this node does not host are counted and
+   dropped. *)
+let rec dispatch t ~src ~decode_ns = function
+  | [] -> ()
+  | (f : Codec.framed) :: _ as frames ->
+    let mine, rest = List.partition (fun (f' : Codec.framed) -> f'.f_gid = f.f_gid) frames in
+    (match find_group t f.f_gid with
+    | Some g -> submit t g (deliver t g ~src ~decode_ns mine)
+    | None -> rx_count t ~by:(List.length mine) "mux_unknown_group");
+    dispatch t ~src ~decode_ns:0 rest
 
-(* Pool-mode delivery of one decoded frame. Node-level counters stay on
-   the node's metrics under the node lock (brief, never held across a
-   submit); everything group-level runs on the group's worker. *)
-let recv_dispatch_pool t ex ~src ~decode_ns ~(f : Codec.framed) =
-  let gid = f.Codec.f_gid and msg = f.Codec.f_msg in
-  let len = f.Codec.f_bytes in
-  let kind = Types.classify msg in
-  let g =
-    with_lock t (fun () ->
-        match Hashtbl.find_opt t.groups gid with
-        | None ->
-          Cp_sim.Metrics.incr t.metrics "mux_unknown_group";
-          None
-        | Some g ->
-          Cp_sim.Metrics.incr t.metrics ~by:decode_ns "prof.decode.ns";
-          if decode_ns > 0 then Cp_sim.Metrics.incr t.metrics "prof.decode.n";
-          Cp_sim.Metrics.incr t.metrics "msgs_recv";
-          Cp_sim.Metrics.incr t.metrics ~by:len "bytes_recv";
-          Cp_sim.Metrics.incr t.metrics ("recv." ^ kind);
-          Some g)
-  in
-  match g with
-  | None -> ()
-  | Some g ->
-    Cp_exec.Pool.submit ex.pool ~worker:(gid mod ex.workers) (fun () ->
-        Mutex.lock g.g_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock g.g_lock)
-          (fun () ->
-            (* Everything the handler emits/sends continues the
-               frame's causal chain. *)
-            Obs.Traceid.adopt g.g_tctx f.Codec.f_tid;
-            emit_pool t ex ~tid:(Obs.Traceid.current g.g_tctx) ~metrics:g.g_metrics
-              (Obs.Event.Msg_recv { src; kind; bytes = len });
-            guard_pool t ex ~g ~where:("on_message " ^ kind) (fun () ->
-                g.g_handlers.Engine.on_message ~src msg);
-            Outbox.flush g.g_outbox))
-
-(* Single-lock delivery of one decoded frame; caller holds the node lock
-   and flushes the outbox after the whole datagram. *)
-let recv_dispatch_locked t ~src ~decode_ns ~(f : Codec.framed) =
-  match Hashtbl.find_opt t.groups f.Codec.f_gid with
-  | None ->
-    (* Misrouted or not-yet-added group: count and drop. *)
-    Cp_sim.Metrics.incr t.metrics "mux_unknown_group"
-  | Some g ->
-    let msg = f.Codec.f_msg in
-    let len = f.Codec.f_bytes in
-    let kind = Types.classify msg in
-    Cp_sim.Metrics.incr t.metrics ~by:decode_ns "prof.decode.ns";
-    if decode_ns > 0 then Cp_sim.Metrics.incr t.metrics "prof.decode.n";
-    Cp_sim.Metrics.incr t.metrics "msgs_recv";
-    Cp_sim.Metrics.incr t.metrics ~by:len "bytes_recv";
-    Cp_sim.Metrics.incr t.metrics ("recv." ^ kind);
-    (* Everything the handler emits/sends continues the frame's causal
-       chain. *)
-    Obs.Traceid.adopt t.tctx f.Codec.f_tid;
-    emit_ev t (Obs.Event.Msg_recv { src; kind; bytes = len });
-    guard t ~where:("on_message " ^ kind) (fun () ->
-        g.g_handlers.Engine.on_message ~src msg)
+(* [id_of_port] is user-supplied: a datagram from an unmapped port must be
+   dropped, not kill the receive thread. *)
+let source t = function
+  | Unix.ADDR_UNIX _ -> Some (-1)
+  | Unix.ADDR_INET (_, port) -> (
+    try Some (t.id_of_port port)
+    with exn ->
+      rx_count t "handler_errors";
+      record t ~tid:Obs.Traceid.none ~metrics:t.rx
+        (Obs.Event.Debug
+           (Printf.sprintf "id_of_port %d raised: %s" port (Printexc.to_string exn)));
+      None)
 
 let recv_loop t =
   let buf = Bytes.create 65536 in
@@ -371,170 +293,85 @@ let recv_loop t =
          socket does not wake a blocked recvfrom on Linux, so the loop must
          come up for air to observe [stopping]. *)
       match Unix.recvfrom t.sock buf 0 (Bytes.length buf) [] with
-      | exception Unix.Unix_error ((EBADF | EINTR), _, _) -> ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> loop ()
-      | exception Unix.Unix_error _ -> loop ()
+      | exception Unix.Unix_error (EBADF, _, _) -> ()
+      | exception Unix.Unix_error _ -> loop () (* timeout, EINTR *)
       | len, peer ->
-        (* Decode outside the lock (it touches no shared state); charge the
-           duration to the "decode" profiler stage once per datagram. A
-           packed datagram carries a whole send burst; bare grouped/traced/
-           plain frames decode as a one-frame burst (see
-           {!Cp_proto.Codec.decode_frames}). The sender is resolved once
-           per datagram: every frame inside shares the source socket. *)
+        (* Decode before any lock (it touches no shared state), in place:
+           the decoder copies out every string it returns, and nothing
+           writes [buf] until the next recvfrom. Undecodable input is
+           counted and dropped. *)
         let d0 = Unix.gettimeofday () in
-        let decoded = Codec.decode_frames (Bytes.sub_string buf 0 len) in
-        let decode_ns = int_of_float ((Unix.gettimeofday () -. d0) *. 1e9) in
-        (match decoded with
-        | Error _ -> () (* junk datagram: drop *)
+        (match Codec.decode_frames ~len (Bytes.unsafe_to_string buf) with
+        | Error _ -> rx_count t "wire_decode_errors"
         | Ok frames -> (
-          let src =
-            match peer with
-            | Unix.ADDR_INET (_, port) -> (
-              (* A user-supplied map: a datagram from an unmapped port
-                 must be dropped, not kill the receive thread. *)
-              try Some (t.id_of_port port)
-              with exn ->
-                let line =
-                  Printf.sprintf "id_of_port %d raised: %s" port (Printexc.to_string exn)
-                in
-                (match t.exec with
-                | Some ex ->
-                  with_lock t (fun () -> Cp_sim.Metrics.incr t.metrics "handler_errors");
-                  emit_pool t ex ~tid:Obs.Traceid.none ~metrics:t.metrics
-                    (Obs.Event.Debug line)
-                | None ->
-                  with_lock t (fun () ->
-                      Cp_sim.Metrics.incr t.metrics "handler_errors";
-                      emit_ev t (Obs.Event.Debug line)));
-                None)
-            | Unix.ADDR_UNIX _ -> Some (-1)
-          in
-          match src with
-          | None -> () (* unknown peer: drop *)
-          | Some src -> (
-            match t.exec with
-            | Some ex ->
-              List.iteri
-                (fun i f ->
-                  recv_dispatch_pool t ex ~src ~decode_ns:(if i = 0 then decode_ns else 0) ~f)
-                frames
-            | None ->
-              Mutex.lock t.lock;
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock t.lock)
-                (fun () ->
-                  List.iteri
-                    (fun i f ->
-                      recv_dispatch_locked t ~src
-                        ~decode_ns:(if i = 0 then decode_ns else 0)
-                        ~f)
-                    frames;
-                  (* The handlers' reply bursts leave as one datagram per
-                     destination. *)
-                  Outbox.flush t.outbox))));
+          let decode_ns = int_of_float ((Unix.gettimeofday () -. d0) *. 1e9) in
+          match source t peer with
+          | Some src -> dispatch t ~src ~decode_ns frames
+          | None -> ()));
         loop ()
     end
   in
   loop ()
 
-(* Snapshot with pool-mode merging: counters are summed across the node
-   store and every group store (so dashboard names like [msgs_sent] keep
-   meaning the node total); per-group observation series are prefixed
-   [g<gid>_]; the pool contributes per-domain utilization counters. *)
-(* Storage counters for one group's store, namespaced like the group's
-   other series: bare names for the primary group, [g<gid>_] otherwise. *)
-let storage_counters ~gid store =
-  List.map
-    (fun (n, v) -> ((if gid = 0 then n else Printf.sprintf "g%d_%s" gid n), v))
-    (Cp_sim.Stable.counter_list store)
+(* A group's series and storage counters: bare names for group 0,
+   [g<gid>_]-prefixed otherwise. *)
+let prefixed ~gid name = if gid = 0 then name else Printf.sprintf "g%d_%s" gid name
 
+(* Counters are summed across every group, the receive thread, and the
+   pool's per-domain utilization (so [msgs_sent] keeps meaning the node
+   total); observation series keep group 0's names and get a [g<gid>_]
+   prefix elsewhere. Each group is read under its own lock. *)
 let merged_snapshot t =
-  match t.exec with
-  | None ->
-    with_lock t (fun () ->
-        let snap = Cp_sim.Metrics.snapshot t.metrics in
-        let storage =
-          Hashtbl.fold (fun gid s acc -> storage_counters ~gid s @ acc) t.stores []
+  let tbl = Hashtbl.create 64 in
+  let add (name, v) =
+    Hashtbl.replace tbl name (v + Option.value (Hashtbl.find_opt tbl name) ~default:0)
+  in
+  let summaries =
+    Imap.fold
+      (fun gid g acc ->
+        let snap, store =
+          (* Storage stats too: handlers mutate the store only under the lock. *)
+          locked g (fun () -> (Metrics.snapshot g.g_metrics, Storage.counter_list g.g_store))
         in
-        {
-          snap with
-          Cp_sim.Metrics.counters =
-            List.sort compare (snap.Cp_sim.Metrics.counters @ storage);
-        })
-  | Some ex ->
-    let node_snap = with_lock t (fun () -> Cp_sim.Metrics.snapshot t.metrics) in
-    let gs =
-      with_lock t (fun () ->
-          Hashtbl.fold
-            (fun gid g acc -> (gid, g, Hashtbl.find_opt t.stores gid) :: acc)
-            t.groups [])
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    in
-    let gsnaps =
-      List.map
-        (fun (gid, g, store) ->
-          Mutex.lock g.g_lock;
-          let s = Cp_sim.Metrics.snapshot g.g_metrics in
-          (* Stats under the group lock: handlers mutate the store only
-             while holding it. *)
-          let st = Option.map (storage_counters ~gid) store in
-          Mutex.unlock g.g_lock;
-          (gid, s, Option.value st ~default:[]))
-        gs
-    in
-    let tbl = Hashtbl.create 64 in
-    let add (name, v) =
-      Hashtbl.replace tbl name
-        (v + Option.value (Hashtbl.find_opt tbl name) ~default:0)
-    in
-    List.iter add node_snap.Cp_sim.Metrics.counters;
-    List.iter
-      (fun (_, s, st) ->
-        List.iter add s.Cp_sim.Metrics.counters;
-        List.iter add st)
-      gsnaps;
-    let st = Cp_exec.Pool.stats ex.pool in
-    add ("exec.domains", ex.workers);
-    for i = 0 to min ex.workers (Array.length st.Cp_exec.Pool.busy_ns) - 1 do
+        List.iter add snap.Metrics.counters;
+        List.iter (fun (n, v) -> add (prefixed ~gid n, v)) store;
+        acc @ List.map (fun (n, s) -> (prefixed ~gid n, s)) snap.Metrics.summaries)
+      (Atomic.get t.groups) []
+  in
+  Mutex.lock t.shared_mu;
+  List.iter add (Metrics.counters t.rx);
+  Mutex.unlock t.shared_mu;
+  if t.workers > 0 then begin
+    let st = Cp_exec.Pool.stats t.pool in
+    add ("exec.domains", t.workers);
+    for i = 0 to min t.workers (Array.length st.Cp_exec.Pool.busy_ns) - 1 do
       add (Printf.sprintf "exec.domain%d.busy_ns" i, st.Cp_exec.Pool.busy_ns.(i));
       add (Printf.sprintf "exec.domain%d.tasks" i, st.Cp_exec.Pool.tasks.(i));
       if st.Cp_exec.Pool.errors.(i) > 0 then
         add (Printf.sprintf "exec.domain%d.errors" i, st.Cp_exec.Pool.errors.(i))
-    done;
-    let counters =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-    in
-    let summaries =
-      node_snap.Cp_sim.Metrics.summaries
-      @ List.concat_map
-          (fun (gid, s, _) ->
-            List.map
-              (fun (n, sum) -> (Printf.sprintf "g%d_%s" gid n, sum))
-              s.Cp_sim.Metrics.summaries)
-          gsnaps
-    in
-    { Cp_sim.Metrics.counters; summaries }
+    done
+  end;
+  {
+    Metrics.counters = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []);
+    summaries;
+  }
 
 let counter t name =
   let snap = merged_snapshot t in
-  match List.assoc_opt name snap.Cp_sim.Metrics.counters with Some v -> v | None -> 0
+  match List.assoc_opt name snap.Metrics.counters with Some v -> v | None -> 0
 
 let metrics_text t =
   let snap = merged_snapshot t in
-  Obs.Prom.render ~counters:snap.Cp_sim.Metrics.counters
-    ~summaries:snap.Cp_sim.Metrics.summaries ()
-  ^ Obs.Prof.render snap.Cp_sim.Metrics.counters
+  Obs.Prom.render ~counters:snap.Metrics.counters ~summaries:snap.Metrics.summaries ()
+  ^ Obs.Prof.render snap.Metrics.counters
 
 (* --- admin endpoint ---------------------------------------------------- *)
 
 let trace_records t =
-  match t.exec with
-  | None -> with_lock t (fun () -> Obs.Trace.records t.trace_)
-  | Some ex ->
-    Mutex.lock ex.trace_mu;
-    let r = Obs.Trace.records t.trace_ in
-    Mutex.unlock ex.trace_mu;
-    r
+  Mutex.lock t.shared_mu;
+  let r = Obs.Trace.records t.trace_ in
+  Mutex.unlock t.shared_mu;
+  r
 
 let admin_response t path =
   match path with
@@ -599,145 +436,65 @@ let admin_loop t sock =
       (try Unix.close client with Unix.Unix_error _ -> ())
   done
 
-(* The UDP runtime as a {!Cp_transport.Transport.S} instance: a handle is
-   one hosted group on one node, and each capability dispatches on the
-   node's runtime mode. Each group gets its own RNG stream and in-memory
-   stable store; [now], the trace ring, and the socket are the node's. In
-   pool mode metrics/emit/send go through the group's own stores
-   (serialized by its lock); in single-lock mode they are the node's,
-   exactly as before. *)
-type handle = {
-  h_node : t;
-  h_gid : int;
-  h_group : group;
-  h_rng : Cp_util.Rng.t;
-  h_stable : Cp_sim.Stable.t;
-}
+(* --- groups -------------------------------------------------------------- *)
 
-module Udp_transport = struct
-  type nonrec t = handle
-
-  let self h = h.h_node.id
-
-  let now h = now h.h_node
-
-  let send h ~dst msg =
-    match h.h_node.exec with
-    | None -> send h.h_node ~gid:h.h_gid ~g_tctx:h.h_group.g_tctx dst msg
-    | Some _ -> send_pool h.h_node ~gid:h.h_gid ~g:h.h_group dst msg
-
-  let set_timer h ?tag delay =
-    match h.h_node.exec with
-    | None -> set_timer h.h_node ~gid:h.h_gid ?tag delay
-    | Some ex -> set_timer_pool h.h_node ex ~gid:h.h_gid ?tag delay
-
-  let cancel_timer h wid =
-    match h.h_node.exec with
-    | None -> cancel_timer h.h_node wid
-    | Some ex -> cancel_timer_pool h.h_node ex wid
-
-  let rng h = h.h_rng
-
-  let stable h = h.h_stable
-
-  let metrics h =
-    match h.h_node.exec with None -> h.h_node.metrics | Some _ -> h.h_group.g_metrics
-
-  let emit h ev =
-    match h.h_node.exec with
-    | None -> emit_ev h.h_node ev
-    | Some ex ->
-      emit_pool h.h_node ex
-        ~tid:(Obs.Traceid.current h.h_group.g_tctx)
-        ~metrics:h.h_group.g_metrics ev
-
-  let tctx h = h.h_group.g_tctx
-end
-
-(* The capability record for one hosted group, closed over the transport
-   instance above — the engine layer never sees the difference between the
-   simulator's record and this one. *)
-let make_ctx t ~gid ~(g : group) =
-  (* Reuse the group's store across re-derivation (callers of make_ctx hold
-     the node lock); a WAL handle in particular must be opened once. *)
-  let h_stable =
-    match Hashtbl.find_opt t.stores gid with
-    | Some s -> s
-    | None ->
-      let s = t.storage gid in
-      Hashtbl.replace t.stores gid s;
-      s
-  in
-  let h =
-    {
-      h_node = t;
-      h_gid = gid;
-      h_group = g;
-      h_rng = Cp_util.Rng.create ((t.seed * 1009) + t.id + (gid * 7919));
-      h_stable;
-    }
-  in
-  Transport.ctx (Transport.Packed ((module Udp_transport), h))
-
-(* Build a group's shared-state slots. The handlers cell is filled right
-   after [build] returns; the ctx closes over the record, so handler
-   effects during build (recovery sends, election timers) already work. *)
-let alloc_group t ~g_tctx =
-  let shared = Option.is_none t.exec in
-  let g_metrics = if shared then t.metrics else Cp_sim.Metrics.create () in
+(* The capability record for one hosted group: the engine layer cannot tell
+   it from the simulator's. Each group gets its own RNG stream. *)
+let ctx_of t g =
   {
-    g_handlers =
-      { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) };
-    g_tctx;
-    g_lock = Mutex.create ();
-    g_metrics;
-    g_scratch = (if shared then t.scratch else Codec.create_scratch ());
-    g_outbox =
-      (if shared then t.outbox
-       else mk_outbox ~sock:t.sock ~addr_of:t.addr_of ~metrics:g_metrics);
+    Engine.self = t.id;
+    now = (fun () -> now t);
+    send = (fun dst msg -> send t g dst msg);
+    set_timer = (fun ?(tag = "") delay -> set_timer t ~gid:g.g_gid ~tag delay);
+    cancel_timer = (fun wid -> cancel_timer t wid);
+    rng = Cp_util.Rng.create ((t.seed * 1009) + t.id + (g.g_gid * 7919));
+    stable = g.g_store;
+    metrics = g.g_metrics;
+    emit = (fun ev -> emit t g ev);
+    tctx = g.g_tctx;
   }
 
-let build_group t ~gid ~g_tctx ~build =
-  let g0 = alloc_group t ~g_tctx in
-  let ctx = make_ctx t ~gid ~g:g0 in
-  let handlers = build ctx in
-  (* Sends during build (recovery, election timers) leave immediately. *)
-  Outbox.flush g0.g_outbox;
-  { g0 with g_handlers = handlers }
+let new_group ~sock ~addr_of ~storage ~gid ~tctx =
+  let metrics = Metrics.create () in
+  {
+    g_gid = gid;
+    g_lock = Mutex.create ();
+    g_metrics = metrics;
+    g_outbox =
+      Outbox.create
+        ~send:(fun ~dst buf ~off ~len -> sendto_retry ~sock ~metrics buf ~off ~len (addr_of dst))
+        ();
+    g_tctx = tctx;
+    g_store = storage gid;
+    g_handlers = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) };
+  }
+
+(* Publish [g] and build its handlers, both under its lock: frames and
+   timers that reach the group meanwhile wait for the handlers instead of
+   being dropped, and whatever [build] sends (recovery, elections) leaves
+   on unlock. *)
+let install t g ~build =
+  locked g (fun () ->
+      let rec publish () =
+        let groups = Atomic.get t.groups in
+        if Imap.mem g.g_gid groups then
+          invalid_arg (Printf.sprintf "Node.add_group: duplicate gid %d" g.g_gid);
+        if not (Atomic.compare_and_set t.groups groups (Imap.add g.g_gid g groups)) then
+          publish ()
+      in
+      publish ();
+      g.g_handlers <- build (ctx_of t g))
 
 let add_group t ~gid ~build =
   if gid <= 0 then invalid_arg "Node.add_group: gid must be positive (0 is the primary)";
-  with_lock t (fun () ->
-      if Hashtbl.mem t.groups gid then
-        invalid_arg (Printf.sprintf "Node.add_group: duplicate gid %d" gid);
-      let g_tctx =
-        Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:t.id ~group:gid)
-      in
-      Hashtbl.replace t.groups gid (build_group t ~gid ~g_tctx ~build))
-
-let group_metrics t gid =
-  match with_lock t (fun () -> Hashtbl.find_opt t.groups gid) with
-  | None -> invalid_arg (Printf.sprintf "Node.group_metrics: unknown gid %d" gid)
-  | Some g -> g.g_metrics
-
-let with_group t ~gid f =
-  match with_lock t (fun () -> Hashtbl.find_opt t.groups gid) with
-  | None -> invalid_arg (Printf.sprintf "Node.with_group: unknown gid %d" gid)
-  | Some g -> (
-    match t.exec with
-    | None -> with_lock t f
-    | Some _ ->
-      Mutex.lock g.g_lock;
-      Fun.protect
-        ~finally:(fun () ->
-          Outbox.flush g.g_outbox;
-          Mutex.unlock g.g_lock)
-        f)
+  if Imap.mem gid (Atomic.get t.groups) then
+    invalid_arg (Printf.sprintf "Node.add_group: duplicate gid %d" gid);
+  let tctx = Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:t.id ~group:gid) in
+  install t (new_group ~sock:t.sock ~addr_of:t.addr_of ~storage:t.storage ~gid ~tctx) ~build
 
 let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
     ?admin_port ?(wheel_tick = 1e-3) ?(exec_domains = 0)
-    ?(storage = fun _ -> Cp_sim.Stable.create ()) ~port_of ~id_of_port ~id ~seed
-    ~build () =
+    ?(storage = fun _ -> Cp_storage.Mem.store ()) ~port_of ~id_of_port ~id ~seed ~build () =
   let inet = Unix.inet_addr_of_string host in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -758,24 +515,10 @@ let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
       Unix.listen s 8;
       Some s
   in
-  let exec =
-    if exec_domains > 1 then
-      (* A node-private pool (see [exec_state]); on the sequential backend
-         Pool.create yields size 0 and submits run inline on the caller —
-         same behaviour, one thread. *)
-      Some
-        {
-          pool =
-            Cp_exec.Pool.create ~clock:Unix.gettimeofday
-              ~domains:(min exec_domains 16) ();
-          workers = max 1 (min exec_domains 16);
-          trace_mu = Mutex.create ();
-          wheel_mu = Mutex.create ();
-        }
-    else None
-  in
   let addr_of dst = Unix.ADDR_INET (inet, port_of dst) in
-  let metrics = Cp_sim.Metrics.create () in
+  (* Up to 1 domain means no workers: every task runs inline on the thread
+     that dispatches it. *)
+  let workers = if exec_domains > 1 then min exec_domains 16 else 0 in
   let t =
     {
       id;
@@ -783,62 +526,53 @@ let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
       sock;
       addr_of;
       id_of_port;
-      lock = Mutex.create ();
+      start = Unix.gettimeofday ();
+      storage;
+      g0 = new_group ~sock ~addr_of ~storage ~gid:0 ~tctx:(Obs.Traceid.create ~origin:id);
+      groups = Atomic.make Imap.empty;
+      pool = Cp_exec.Pool.create ~clock:Unix.gettimeofday ~domains:workers ();
+      workers;
+      wheel_mu = Mutex.create ();
       cond = Condition.create ();
       wheel = Wheel.create ~tick:wheel_tick ~now:0. ();
-      groups = Hashtbl.create 4;
+      armed = Hashtbl.create 16;
+      shared_mu = Mutex.create ();
+      trace_ = Obs.Trace.create ~capacity:trace_capacity ();
+      rx = Metrics.create ();
+      admin_sock;
       stopping = false;
       threads = [];
-      start = Unix.gettimeofday ();
-      metrics;
-      trace_ = Obs.Trace.create ~capacity:trace_capacity ();
-      tctx = Obs.Traceid.create ~origin:id;
-      scratch = Codec.create_scratch ();
-      outbox = mk_outbox ~sock ~addr_of ~metrics;
-      admin_sock;
-      exec;
-      storage;
-      stores = Hashtbl.create 4;
     }
   in
-  Mutex.lock t.lock;
-  Hashtbl.replace t.groups 0 (build_group t ~gid:0 ~g_tctx:t.tctx ~build);
-  Mutex.unlock t.lock;
-  let timer_thread =
-    match t.exec with
-    | Some ex -> Thread.create (fun () -> timer_loop_pool t ex) ()
-    | None -> Thread.create timer_loop t
-  in
+  install t t.g0 ~build;
   t.threads <-
-    [ timer_thread; Thread.create recv_loop t ]
-    @ (match t.admin_sock with
-      | Some s -> [ Thread.create (admin_loop t) s ]
-      | None -> []);
+    [ Thread.create timer_loop t; Thread.create recv_loop t ]
+    @ (match admin_sock with Some s -> [ Thread.create (admin_loop t) s ] | None -> []);
   t
 
 let run_for _t seconds = Thread.delay seconds
 
-let metrics t = t.metrics
+let metrics t = t.g0.g_metrics
 
 let trace t = t.trace_
 
 let shutdown t =
   if not t.stopping then begin
-    Mutex.lock t.lock;
+    Mutex.lock t.wheel_mu;
     t.stopping <- true;
     Condition.signal t.cond;
-    Mutex.unlock t.lock;
+    Mutex.unlock t.wheel_mu;
     (* Receiver notices [stopping] within its receive timeout; timer thread
        within its sleep slice; admin thread within its accept timeout.
        Close only after all have exited. *)
     List.iter (fun th -> try Thread.join th with _ -> ()) t.threads;
     (* With the dispatch threads gone nothing submits anymore; stop the
        node's private pool (the shared applier pool is never ours to stop). *)
-    (match t.exec with Some ex -> Cp_exec.Pool.shutdown ex.pool | None -> ());
+    Cp_exec.Pool.shutdown t.pool;
     (match t.admin_sock with
     | Some s -> ( try Unix.close s with Unix.Unix_error _ -> ())
     | None -> ());
     (* Seal the stores (a WAL flushes and closes its segment fd). *)
-    Hashtbl.iter (fun _ s -> try Cp_sim.Stable.close s with _ -> ()) t.stores;
+    Imap.iter (fun _ g -> try Storage.close g.g_store with _ -> ()) (Atomic.get t.groups);
     try Unix.close t.sock with Unix.Unix_error _ -> ()
   end

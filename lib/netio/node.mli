@@ -2,12 +2,19 @@
     {!Cp_sim.Engine.ctx} — replicas, clients — over actual UDP sockets.
 
     The simulator's [ctx] is just a record of capabilities, so this module
-    fabricates one backed by the operating system instead of the event
-    queue: [send] encodes with {!Cp_proto.Codec} and writes a datagram,
-    [set_timer] goes through a per-node timer thread, [now] is wall-clock
-    time, and a receiver thread decodes datagrams and invokes the handlers.
-    One mutex per node serializes handler execution, matching the
-    simulator's run-to-completion semantics.
+    builds one backed by the operating system instead of the event queue:
+    [send] encodes with {!Cp_proto.Codec} into a per-destination outbox
+    ({!Cp_transport.Outbox}), [set_timer] goes through a per-node timer
+    thread, [now] is wall-clock time, and a receiver thread decodes
+    datagrams and dispatches the handlers.
+
+    Handlers run as tasks, one group at a time: every invocation of a
+    group's handlers holds that group's lock (run-to-completion, as in the
+    simulator), and the burst it sends leaves as one datagram per
+    destination when it returns. Wire-path health is observable via the
+    [wire_syscalls], [wire_bytes], [wire_copies], [send_retries], and
+    [send_drops] counters, and input that does not decode is counted in
+    [wire_decode_errors].
 
     UDP gives exactly the failure model the protocol is built for: loss,
     duplication, reordering. Nodes address each other by node id through a
@@ -17,28 +24,13 @@
 
 type t
 
-type handle
-(** One hosted group on one node — the endpoint handle of the UDP
-    transport instance below. *)
-
-module Udp_transport : Cp_transport.Transport.S with type t = handle
-(** The UDP runtime expressed as a transport instance: the ctx handed to
-    [build] is {!Cp_transport.Transport.ctx} over this module, so the UDP
-    node, the simulator, and the in-process ring fabric are interchangeable
-    behind one signature. Sends serialize zero-copy into per-destination
-    outbox buffers ({!Cp_transport.Outbox}) and the burst each handler
-    invocation emits is flushed as one datagram per destination
-    (single-frame flushes stay byte-identical to the unbatched format).
-    Wire-path health is observable via the [wire_syscalls], [wire_bytes],
-    [wire_copies], [send_retries], and [send_drops] counters. *)
-
 val create :
   ?host:string ->
   ?trace_capacity:int ->
   ?admin_port:int ->
   ?wheel_tick:float ->
   ?exec_domains:int ->
-  ?storage:(int -> Cp_sim.Stable.t) ->
+  ?storage:(int -> Cp_storage.Storage.t) ->
   port_of:(int -> int) ->
   id_of_port:(int -> int) ->
   id:int ->
@@ -49,47 +41,44 @@ val create :
 (** Bind [host:port_of id] (default host 127.0.0.1) and start the receiver
     and timer threads. [id_of_port] inverts [port_of] so that the [src]
     passed to handlers is a node id (datagrams carry no explicit sender
-    field). [build] receives the fabricated [ctx]; its stable storage comes
-    from [storage gid] (default: a fresh in-memory store per group — pass a
-    {!Cp_storage.Wal} factory for durable disks; {!shutdown} closes every
-    store, and storage counters appear in {!metrics_text} and the admin
-    [/metrics], namespaced [g<gid>_] for secondary groups), its RNG is
-    seeded from [seed] and [id], its [emit] records into a bounded per-node
-    trace ring of [trace_capacity] entries
+    field). [build] receives the capability record of group 0; its stable
+    storage comes from [storage gid] (default: a fresh in-memory store per
+    group — pass a {!Cp_storage.Wal} factory for durable disks; {!shutdown}
+    closes every store, and storage counters appear in {!metrics_text} and
+    the admin [/metrics], namespaced [g<gid>_] for groups other than 0),
+    its RNG is seeded from [seed] and [id], its [emit] records into a
+    bounded per-node trace ring of [trace_capacity] entries
     (default {!Cp_obs.Trace.default_capacity}).
 
     Timers of every hosted group share one {!Cp_fleet.Wheel} behind the
     timer thread — O(1) add/cancel regardless of group count — quantized
     to [wheel_tick] seconds (default 1e-3).
 
-    Outgoing frames carry the node's ambient causal trace id as a traced
-    suffix ({!Cp_proto.Codec.encode_traced}); incoming frames' ids are
-    adopted before the handler runs, so chains propagate across machines
-    exactly as in the simulator. [admin_port], when given, additionally
-    binds a TCP listener on [host:admin_port] serving a minimal HTTP
-    endpoint — see {!admin_response}.
+    Every frame carries its sender's ambient causal trace id
+    ({!Cp_proto.Codec.encode_into}); incoming frames' ids are adopted before
+    the handler runs, so chains propagate across machines exactly as in the
+    simulator. [admin_port], when given, additionally binds a TCP listener
+    on [host:admin_port] serving a minimal HTTP endpoint — see
+    {!admin_response}.
 
-    [exec_domains] (default 0) selects the dispatch runtime. At [<= 1] the
-    node keeps the original single-mutex runtime: one lock serializes every
-    handler, byte-identical behaviour to previous releases. At [> 1] the
-    node starts a private {!Cp_exec.Pool} of up to that many worker domains
-    and routes each group's handlers to worker [gid mod domains]: per-worker
-    FIFO queues keep every group strictly serialized in arrival order (the
-    engine's run-to-completion contract, per group), while distinct groups
-    execute concurrently on distinct domains. Each group then owns private
-    metrics, codec scratch, and ambient trace context under its own lock;
-    {!metrics_text} and {!counter} merge them back into node totals and add
-    [exec.domain<i>.busy_ns] / [exec.domain<i>.tasks] utilization counters
-    from the pool. On the pre-OCaml-5 backend the pool has no workers and
-    dispatch degrades to inline execution — same semantics, one domain. *)
+    [exec_domains] (default 0) sizes the node's private {!Cp_exec.Pool}.
+    At [<= 1] the pool has no workers and each task runs inline on the
+    receiver or timer thread that dispatched it — the single-threaded
+    runtime. At [> 1] the node starts up to that many worker domains and
+    routes group [gid]'s tasks to worker [gid mod domains]: per-worker FIFO
+    queues keep every group strictly serialized in arrival order, while
+    distinct groups execute concurrently. One datagram's frames for one
+    group form one task. {!metrics_text} and {!counter} then also report
+    [exec.domains] and per-domain [exec.domain<i>.busy_ns] /
+    [exec.domain<i>.tasks]. On the pre-OCaml-5 backend the pool has no
+    workers and dispatch runs inline — same semantics, one domain. *)
 
 val add_group : t -> gid:int -> build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> Cp_proto.Types.msg Cp_sim.Engine.handlers) -> unit
 (** Host an additional replica group on this node's socket, timer wheel,
-    and trace ring. The primary [build] of {!create} is group 0 and speaks
-    the ungrouped (pre-fleet) frame format; groups added here must have
-    [gid > 0] and exchange grouped frames ({!Cp_proto.Codec.encode_grouped})
-    with the same [gid] on their peers. Each group gets its own RNG stream,
-    in-memory stable store, and a namespaced trace-id origin
+    and trace ring. The primary [build] of {!create} is group 0; groups
+    added here must have [gid > 0] and exchange frames with the same [gid]
+    on their peers. Each group gets its own lock, metrics, outbox, RNG
+    stream, stable store, and a namespaced trace-id origin
     ({!Cp_obs.Traceid.namespace}), so {!Cp_obs.Timeline} joins distinguish
     co-hosted groups. Datagrams for group ids never added are counted
     ([mux_unknown_group]) and dropped. *)
@@ -102,45 +91,45 @@ val shutdown : t -> unit
 (** Stop threads and close the socket. Idempotent. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
-(** Run [f] under the node's handler mutex — for inspecting protocol state
-    owned by the node (e.g. a client handle) without racing its threads.
-    Under [exec_domains > 1] handlers run under per-group locks instead;
-    use {!with_group} to inspect a group's protocol state. *)
+(** Run [f] under group 0's lock — excluding group 0's handlers, in every
+    dispatch mode — for inspecting protocol state owned by the node (e.g.
+    a client handle) without racing its threads. Anything [f] sends through
+    group 0's ctx leaves when [f] returns. Other groups' handlers keep
+    running; use {!with_group} for them. *)
 
 val with_group : t -> gid:int -> (unit -> 'a) -> 'a
-(** Run [f] under the lock that serializes group [gid]'s handlers — the
-    node mutex in single-lock mode, the group's own lock in pool mode.
-    Raises [Invalid_argument] for a gid never added. *)
-
-val parallel_dispatch : t -> bool
-(** Whether this node runs the pool dispatch runtime ([exec_domains > 1]). *)
+(** {!with_lock} for group [gid]. Raises [Invalid_argument] for a gid never
+    added. *)
 
 val metrics : t -> Cp_sim.Metrics.t
-(** The node's metric store. The runtime feeds the same counters as the
+(** Group 0's metric store. The runtime feeds the same counters as the
     simulator's delivery path ([msgs_sent], [msgs_recv], [bytes_*],
     [sent.<kind>], [recv.<kind>]); protocol code adds its own through the
-    ctx. Take {!with_lock} before reading while threads are live. In pool
-    mode this store only holds the receive-path counters — use {!counter}
-    or {!group_metrics} for handler-side numbers. *)
+    ctx. Take {!with_lock} before reading while threads are live. Use
+    {!counter} for node-wide totals, which include the other groups and
+    the receive thread's drop counters. *)
 
 val counter : t -> string -> int
-(** One counter's node-wide total: the node store plus (in pool mode) every
-    group store, plus the pool's [exec.*] utilization counters. *)
+(** One counter's node-wide total: every group's store, the receive
+    thread's drop counters ([wire_decode_errors], [mux_unknown_group],
+    unmapped-port [handler_errors]), and the pool's [exec.*] utilization
+    counters. *)
 
 val group_metrics : t -> int -> Cp_sim.Metrics.t
-(** Group [gid]'s metric store — the node store itself in single-lock mode,
-    the group's private store in pool mode. Take {!with_group} before
-    reading while threads are live. *)
+(** Group [gid]'s metric store. Take {!with_group} before reading while
+    threads are live. *)
 
 val trace : t -> Cp_obs.Trace.t
-(** The node's bounded event-trace ring, fed by the ctx [emit] and by a
-    [Msg_recv] record per delivered datagram. *)
+(** The node's bounded event-trace ring, shared by every group, fed by the
+    ctx [emit] and by a [Msg_recv] record per delivered frame. *)
 
 val metrics_text : t -> string
-(** Prometheus text-exposition snapshot of {!metrics}: every counter as a
-    [counter] sample and every observation series as a summary with
-    p50/p90/p99 quantiles, followed by the pipeline-profile comment block
-    ({!Cp_obs.Prof.render}). Taken under the node's lock. *)
+(** Prometheus text-exposition snapshot of the node-wide counters (as
+    {!counter}) and of every group's observation series (group 0's bare,
+    the others prefixed [g<gid>_]) as summaries with p50/p90/p99
+    quantiles, followed by the pipeline-profile comment block
+    ({!Cp_obs.Prof.render}). Takes each group's lock in turn, so never call
+    it from a handler or inside {!with_lock}. *)
 
 val admin_response : t -> string -> int * string * string
 (** [(status, content_type, body)] for an admin request path — the pure

@@ -7,18 +7,11 @@
      list      := varint count, elements
    Decoding uses a cursor and returns Result; it never raises.
 
-   Frames compose outward: a plain frame may carry a trace-id suffix
-   (marker 0xf5), be prefixed by a group id (marker 0xf6), and several
-   complete frames may ride one datagram as a packed frame (marker 0xf7,
-   each inner frame preceded by a 16-bit little-endian length). All three
-   markers are outside the message tag range, so the four formats are
-   mutually unambiguous. *)
-
-let trace_marker = '\xf5'
-
-let group_marker = '\xf6'
-
-let packed_marker = '\xf7'
+   On the wire every message travels as one frame, and every datagram (or
+   ring record) is one or more length-prefixed frames, a lone frame
+   included:
+     frame     := varint gid, varint tid, msg
+     datagram  := (u16-le length, frame)+ *)
 
 (* --- writing ---------------------------------------------------------- *)
 
@@ -218,27 +211,6 @@ module Writer (Out : SINK) = struct
       varint out client;
       varint out seq;
       string_ out op
-
-  (* A traced frame is a plain frame followed by a marker byte and a varint
-     trace id. The marker cannot begin a valid message (tags stop at 16), so
-     [decode_traced] is unambiguous; frames from senders that predate tracing
-     simply have no suffix and decode with trace id 0 ("untraced"). A zero
-     trace id encodes to no suffix at all, keeping traced and plain encoders
-     byte-identical in the untraced case. *)
-  let traced out ~tid m =
-    msg out m;
-    if tid <> 0 then begin
-      Out.char out trace_marker;
-      varint out tid
-    end
-
-  (* A grouped frame is a marker byte, a varint group id, then a complete
-     traced frame — see the {!decode_grouped} doc below. *)
-  let grouped out ~gid ~tid m =
-    if gid < 0 then invalid_arg "Codec.encode_grouped: negative group id";
-    Out.char out group_marker;
-    varint out gid;
-    traced out ~tid m
 end
 
 module Buffer_sink = struct
@@ -255,44 +227,10 @@ let write_varint = BW.varint
 
 let write_string = BW.string_
 
-let encode_to_buffer = BW.msg
-
 let encode msg =
   let buf = Buffer.create 64 in
   BW.msg buf msg;
   Buffer.contents buf
-
-(* A reusable encode buffer. Hot send paths encode thousands of messages a
-   second; reusing one per-node buffer avoids a fresh [Buffer.t] (and its
-   backing bytes) per message. Not thread-safe: one scratch per sender. *)
-type scratch = Buffer.t
-
-let create_scratch ?(size = 256) () = Buffer.create size
-
-let encode_with scratch msg =
-  Buffer.clear scratch;
-  BW.msg scratch msg;
-  Buffer.contents scratch
-
-let encode_traced ~tid msg =
-  let buf = Buffer.create 64 in
-  BW.traced buf ~tid msg;
-  Buffer.contents buf
-
-let encode_traced_with (scratch : scratch) ~tid msg =
-  Buffer.clear scratch;
-  BW.traced scratch ~tid msg;
-  Buffer.contents scratch
-
-let encode_grouped ~gid ~tid msg =
-  let buf = Buffer.create 64 in
-  BW.grouped buf ~gid ~tid msg;
-  Buffer.contents buf
-
-let encode_grouped_with (scratch : scratch) ~gid ~tid msg =
-  Buffer.clear scratch;
-  BW.grouped scratch ~gid ~tid msg;
-  Buffer.contents scratch
 
 (* --- zero-copy writing ------------------------------------------------- *)
 
@@ -323,19 +261,18 @@ end
 
 module XW = Writer (Bytes_sink)
 
-let encode_into buf ~pos msg =
-  let c = { cbuf = buf; cpos = pos } in
+(* Write the frame after a 2-byte hole, then backfill its length: the
+   header goes in last, once every byte of the frame is known to fit. *)
+let encode_into buf ~pos ~gid ~tid msg =
+  if gid < 0 then invalid_arg "Codec.encode_into: negative group id";
+  let c = { cbuf = buf; cpos = pos + 2 } in
+  XW.varint c gid;
+  XW.varint c tid;
   XW.msg c msg;
-  c.cpos
-
-let encode_traced_into buf ~pos ~tid msg =
-  let c = { cbuf = buf; cpos = pos } in
-  XW.traced c ~tid msg;
-  c.cpos
-
-let encode_grouped_into buf ~pos ~gid ~tid msg =
-  let c = { cbuf = buf; cpos = pos } in
-  XW.grouped c ~gid ~tid msg;
+  let len = c.cpos - pos - 2 in
+  if len > 0xffff then raise Overflow;
+  Bytes.set buf pos (Char.unsafe_chr (len land 0xff));
+  Bytes.set buf (pos + 1) (Char.unsafe_chr (len lsr 8));
   c.cpos
 
 (* --- reading ------------------------------------------------------------ *)
@@ -486,9 +423,8 @@ let read_snapshot s ~pos =
   Ok ({ Types.next_instance; app_state; sessions; base_config; pending_configs }, pos)
 
 (* Parse one message starting at [pos]; returns the message and the cursor
-   past it. [decode] requires the cursor to land exactly on the end;
-   [decode_traced] allows a trace suffix after it, and [decode_grouped] a
-   group-id prefix before it. *)
+   past it. [decode] requires the cursor to land exactly on the end of the
+   string, a frame on the end of its length. *)
 let decode_prefix ?(pos = 0) s =
   let result =
     let* tag, pos = read_tag s ~pos in
@@ -582,95 +518,43 @@ let decode s =
   | Ok (msg, pos) ->
     if pos = String.length s then Ok msg else Error "msg: trailing bytes"
 
-(* --- trace suffix ----------------------------------------------------- *)
-
-(* [~stop] bounds the frame inside a larger buffer (a packed datagram, a
-   byte-ring record) so sub-frames decode without a per-frame [String.sub]
-   copy. A parse that strays past [stop] into a neighbouring frame fails
-   the exact-landing check, exactly as trailing bytes do in a lone frame. *)
-let decode_traced_sub s ~pos ~stop =
-  match decode_prefix ~pos s with
-  | Error m -> Error m
-  | Ok (msg, pos) ->
-    if pos = stop then Ok (msg, 0)
-    else if pos < stop && s.[pos] = trace_marker then
-      match read_varint s ~pos:(pos + 1) with
-      | Error m -> Error m
-      | Ok (tid, pos') ->
-        if pos' = stop then Ok (msg, tid) else Error "msg: trailing bytes"
-    else Error "msg: trailing bytes"
-
-let decode_traced s = decode_traced_sub s ~pos:0 ~stop:(String.length s)
-
-(* --- group framing ----------------------------------------------------- *)
-
-(* A grouped frame is a marker byte, a varint group id, then a complete
-   traced frame. The fleet runtimes use it to share one socket between many
-   replica groups: the receiver peels the group id off the front and
-   dispatches the inner frame to that group's core. The marker cannot begin
-   a valid message (tags stop at 16) and differs from {!trace_marker}, so
-   plain, traced, and grouped frames are mutually unambiguous;
-   [decode_grouped] accepts ungrouped frames as group 0, so a fleet node
-   interoperates with pre-fleet senders. *)
-
-let decode_grouped_sub s ~pos ~stop =
-  if pos < stop && s.[pos] = group_marker then
-    match read_varint s ~pos:(pos + 1) with
-    | Error m -> Error m
-    | Ok (gid, pos) ->
-      if gid < 0 then Error "group: negative id"
-      else begin
-        match decode_traced_sub s ~pos ~stop with
-        | Error m -> Error m
-        | Ok (msg, tid) -> Ok (gid, msg, tid)
-      end
-  else begin
-    match decode_traced_sub s ~pos ~stop with
-    | Error m -> Error m
-    | Ok (msg, tid) -> Ok (0, msg, tid)
-  end
-
-let decode_grouped s = decode_grouped_sub s ~pos:0 ~stop:(String.length s)
-
-(* --- packed datagrams --------------------------------------------------- *)
-
-(* A packed datagram carries the whole send burst one protocol step emitted
-   toward one destination: marker 0xf7, then each complete (plain, traced,
-   or grouped) frame preceded by its 16-bit little-endian byte length. The
-   flush-coalescing sender ({!Cp_transport.Outbox}) builds these so a
-   multi-message burst costs one syscall per peer per step; a lone frame is
-   sent bare, so unbatched traffic stays byte-identical to the pre-packing
-   wire format and old receivers interoperate until they see a real burst. *)
+(* --- frames and datagrams ---------------------------------------------- *)
 
 type framed = { f_gid : int; f_msg : Types.msg; f_tid : int; f_bytes : int }
 
-let decode_frames s =
-  let n = String.length s in
-  if n > 0 && s.[0] = packed_marker then begin
-    let rec go pos acc =
-      if pos = n then
-        match acc with [] -> Error "packed: no frames" | _ -> Ok (List.rev acc)
-      else if pos + 2 > n then Error "packed: truncated header"
-      else begin
-        let flen = Char.code s.[pos] lor (Char.code s.[pos + 1] lsl 8) in
-        let fpos = pos + 2 in
-        if flen = 0 then Error "packed: empty frame"
-        else if fpos + flen > n then Error "packed: truncated frame"
-        else begin
-          match decode_grouped_sub s ~pos:fpos ~stop:(fpos + flen) with
-          | Error m -> Error m
-          | Ok (f_gid, f_msg, f_tid) ->
-            go (fpos + flen) ({ f_gid; f_msg; f_tid; f_bytes = flen } :: acc)
-        end
-      end
-    in
-    go 1 []
-  end
-  else begin
-    match decode_grouped s with
-    | Error m -> Error m
-    | Ok (f_gid, f_msg, f_tid) -> Ok [ { f_gid; f_msg; f_tid; f_bytes = n } ]
-  end
+(* The frame occupying [\[pos, stop)] of [s], parsed in place (no per-frame
+   [String.sub]). A parse that strays past [stop] into the next frame fails
+   the exact-landing check, as trailing bytes inside the frame do. *)
+let decode_frame s ~pos ~stop =
+  let start = pos in
+  let* gid, pos = read_varint s ~pos in
+  if gid < 0 then Error "frame: negative group id"
+  else
+    let* tid, pos = read_varint s ~pos in
+    let* msg, pos = decode_prefix ~pos s in
+    if pos <> stop then Error "frame: trailing bytes"
+    else Ok { f_gid = gid; f_msg = msg; f_tid = tid; f_bytes = stop - start + 2 }
+
+let decode_frames ?(pos = 0) ?len s =
+  let stop = match len with Some n -> pos + n | None -> String.length s in
+  if pos < 0 || stop > String.length s || stop < pos then
+    invalid_arg "Codec.decode_frames: window out of bounds";
+  let rec go pos acc =
+    if pos = stop then
+      match acc with [] -> Error "datagram: no frames" | _ -> Ok (List.rev acc)
+    else if pos + 2 > stop then Error "datagram: truncated length"
+    else begin
+      let flen = Char.code s.[pos] lor (Char.code s.[pos + 1] lsl 8) in
+      let fpos = pos + 2 in
+      if flen = 0 then Error "datagram: empty frame"
+      else if fpos + flen > stop then Error "datagram: truncated frame"
+      else
+        match decode_frame s ~pos:fpos ~stop:(fpos + flen) with
+        | Error m -> Error m
+        | Ok f -> go (fpos + flen) (f :: acc)
+    end
+  in
+  go pos []
 
 (* --- stable records ----------------------------------------------------- *)
 

@@ -2,123 +2,57 @@
 
     A compact, self-describing binary format: one tag byte per constructor,
     varint-encoded integers, length-prefixed strings. The simulator does not
-    need it (messages travel as OCaml values), but the real-socket transport
-    ([cp_netio]) does, and it pins down an actual wire format — {!Types.size_of}
+    need it (messages travel as OCaml values), but the real-socket and ring
+    transports do, and it pins down an actual wire format — {!Types.size_of}
     is validated against it in the test suite.
 
-    Encoding has two sinks sharing one message grammar (so their output is
-    byte-identical): a growable [Buffer] for cold paths, and a zero-copy
-    cursor into a caller-owned [Bytes.t] ({!encode_into} and friends) for the
-    wire hot path — frames serialize directly into preallocated per-peer
-    output buffers, with no intermediate [string] and no per-send copy.
+    On the wire there is exactly one format. Every message travels as a
+    {e frame} carrying its replica group and causal trace id, and every UDP
+    datagram or ring record is a sequence of one or more length-prefixed
+    frames:
+    {v
+      frame    := varint gid | varint tid | msg
+      datagram := (u16-le length | frame)+
+    v}
+    The hot path is {!encode_into} and {!decode_frames}; {!encode} and
+    {!decode} give the bare message bytes (what {!Types.size_of} and the
+    conformance byte counts measure).
 
     Decoding is total: any input either decodes or yields [Error _]; decoding
     never raises. *)
 
 val encode : Types.msg -> string
+(** The bare message bytes (no frame header). *)
 
 val decode : string -> (Types.msg, string) result
-
-val encode_to_buffer : Buffer.t -> Types.msg -> unit
-(** Append the plain frame for a message to a buffer (no clear). *)
-
-(** {1 Scratch-buffer encoding}
-
-    [encode] allocates a fresh buffer per message; senders on hot paths should
-    hold one [scratch] and call {!encode_with}, which clears and reuses it.
-    A scratch must not be shared between threads. *)
-
-type scratch
-
-val create_scratch : ?size:int -> unit -> scratch
-(** [size] (default 256) is the initial backing capacity; the buffer grows as
-    needed and keeps its high-water capacity across messages. *)
-
-val encode_with : scratch -> Types.msg -> string
-(** Equal output to [encode msg] for every message. *)
-
-(** {1 Zero-copy encoding}
-
-    [encode_into buf ~pos msg] writes the plain frame for [msg] into [buf]
-    starting at [pos] and returns the position one past the last byte
-    written, raising {!Overflow} (leaving a partial write behind — the
-    caller's cursor must not advance) if the frame does not fit. The bytes
-    written are exactly [encode msg]; likewise for the traced and grouped
-    variants versus {!encode_traced} and {!encode_grouped}. *)
+(** Inverse of {!encode}; the message must end exactly at the end of the
+    string. *)
 
 exception Overflow
 
-val encode_into : Bytes.t -> pos:int -> Types.msg -> int
-
-val encode_traced_into : Bytes.t -> pos:int -> tid:int -> Types.msg -> int
-
-val encode_grouped_into : Bytes.t -> pos:int -> gid:int -> tid:int -> Types.msg -> int
-(** Raises [Invalid_argument] on a negative [gid]. *)
-
-(** {1 Traced frames}
-
-    A traced frame is a plain frame plus a trailing marker byte and a varint
-    trace id, so causal trace ids ride the existing wire format without a
-    version bump. [encode_traced ~tid:0] is byte-identical to [encode], and
-    {!decode_traced} accepts frames from senders that predate tracing
-    (no suffix decodes as trace id 0 = untraced). {!decode} continues to
-    reject the suffix as trailing bytes, so untraced receivers fail loudly
-    rather than mis-parse. *)
-
-val encode_traced : tid:int -> Types.msg -> string
-
-val encode_traced_with : scratch -> tid:int -> Types.msg -> string
-
-val decode_traced : string -> (Types.msg * int, string) result
-(** Returns the message and its trace id (0 when the frame has none). *)
-
-(** {1 Grouped frames}
-
-    A grouped frame is a marker byte, a varint group id, and then a complete
-    traced frame — the fleet multiplexers' wire format, letting every replica
-    group hosted by one process share a single socket. [decode_grouped]
-    accepts plain and traced frames as group 0, so fleet nodes interoperate
-    with pre-fleet senders; group 0 senders should keep emitting ungrouped
-    frames for the converse direction. *)
-
-val encode_grouped : gid:int -> tid:int -> Types.msg -> string
-(** Raises [Invalid_argument] on a negative [gid]. *)
-
-val encode_grouped_with : scratch -> gid:int -> tid:int -> Types.msg -> string
-
-val decode_grouped : string -> (int * Types.msg * int, string) result
-(** Returns (group id, message, trace id). *)
-
-val decode_grouped_sub : string -> pos:int -> stop:int -> (int * Types.msg * int, string) result
-(** [decode_grouped] on the frame occupying [\[pos, stop)] of a larger
-    buffer, without copying it out — how the ring transport decodes records
-    in place. The frame must end exactly at [stop]. *)
-
-(** {1 Packed datagrams}
-
-    A packed datagram is a marker byte followed by one or more complete
-    (plain, traced, or grouped) frames, each preceded by its 16-bit
-    little-endian byte length. The flush-coalescing sender
-    ({!Cp_transport.Outbox}) packs the whole send burst one protocol step
-    emits toward one destination into a single datagram — one syscall per
-    peer per step. A lone frame is sent bare (no packing overhead), so
-    unbatched traffic stays byte-identical to the pre-packing wire format. *)
-
-val packed_marker : char
-(** First byte of a packed datagram (['\xf7'] — outside the message tag
-    range and distinct from the trace and group markers). *)
+val encode_into : Bytes.t -> pos:int -> gid:int -> tid:int -> Types.msg -> int
+(** Write one length-prefixed frame ([u16-le length | varint gid | varint tid
+    | msg]) into [buf] at [pos] and return the position one past its last
+    byte. Any concatenation of such writes is a valid datagram. Zero-copy:
+    the bytes go straight into the caller's buffer. Raises {!Overflow} if the
+    frame does not fit before the end of [buf] or exceeds 65535 bytes (the
+    caller's cursor must not advance; bytes past [pos] may be clobbered),
+    and [Invalid_argument] on a negative [gid]. *)
 
 type framed = {
-  f_gid : int;  (** group id (0 for ungrouped frames) *)
+  f_gid : int;  (** replica group id *)
   f_msg : Types.msg;
-  f_tid : int;  (** trace id (0 = untraced) *)
-  f_bytes : int;  (** encoded frame length, excluding packing overhead *)
+  f_tid : int;  (** causal trace id (0 = untraced) *)
+  f_bytes : int;  (** bytes the frame occupies on the wire, its 2-byte length included *)
 }
 
-val decode_frames : string -> (framed list, string) result
-(** Decode a datagram into its frames: a packed datagram yields one [framed]
-    per inner frame (in wire order), any other valid frame yields a
-    singleton. Frames are decoded in place — no per-frame substring copy. *)
+val decode_frames : ?pos:int -> ?len:int -> string -> (framed list, string) result
+(** Decode the datagram occupying [len] bytes of [s] from [pos] (default: all
+    of [s]) into its frames, in wire order. Frames are decoded in place — no
+    per-frame substring copy — and the result shares no bytes with [s]. An
+    empty datagram, a zero-length or truncated frame, a truncated length, a
+    negative group id, or bytes left over inside a frame are all [Error].
+    Raises [Invalid_argument] only if the window lies outside [s]. *)
 
 (** {1 Primitives} (exposed for tests and for app snapshot codecs) *)
 

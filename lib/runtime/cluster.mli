@@ -16,7 +16,7 @@ val create :
   ?spare_mains:int ->
   ?obs:bool ->
   ?conflict_keys:(string -> string list) ->
-  ?storage:(int -> Cp_sim.Stable.t) ->
+  ?storage:(int -> Cp_storage.Storage.t) ->
   policy:Cp_engine.Policy.t ->
   initial:Config.t ->
   app:(module Appi.S) ->

@@ -1,40 +1,3 @@
-(* Simulated per-node stable storage — now a thin alias over the pluggable
-   {!Cp_storage.Storage} layer. [create] gives the in-memory instance the
-   simulator has always used; runtimes can hand {!Engine.create} a factory
-   that opens a WAL instead, and every call site below keeps reading like
-   the old API. Values are bytes: typed encoding moved up into the
-   stable-record codecs ({!Cp_proto.Codec}). *)
-
-type t = Cp_storage.Storage.t
-
-let create () = Cp_storage.Mem.store ()
-
-let sub = Cp_storage.Storage.sub
-
-let put = Cp_storage.Storage.put
-
-let get = Cp_storage.Storage.get
-
-let remove = Cp_storage.Storage.remove
-
-let mem = Cp_storage.Storage.mem
-
-let keys = Cp_storage.Storage.keys
-
-let flush = Cp_storage.Storage.flush
-
-let bytes_used = Cp_storage.Storage.bytes_used
-
-let write_count = Cp_storage.Storage.write_count
-
-let bytes_written = Cp_storage.Storage.bytes_written
-
-let wipe = Cp_storage.Storage.wipe
-
-let close = Cp_storage.Storage.close
-
-let backend = Cp_storage.Storage.backend
-
-let stats = Cp_storage.Storage.stats
-
-let counter_list = Cp_storage.Storage.counter_list
+(* Kept only because the frozen end-to-end benchmark (bench/e2e/ring_bench.ml)
+   names it; everything else uses Cp_storage.Storage directly. *)
+include Cp_storage.Storage

@@ -1,8 +1,8 @@
 (* The storage signature: what a runtime must provide to persist a replica.
 
-   Mirrors {!Cp_transport.Transport.S} for the disk: the engine's effect
-   interpreter writes acceptor images, chosen log entries, and snapshots
-   through the capability value below, and backends — the in-memory table
+   The engine's effect interpreter writes acceptor images, chosen log
+   entries, and snapshots through the capability value below, and
+   backends — the in-memory table
    ({!Mem}), the group-commit write-ahead log ({!Wal}), the fault injector
    ({!Faulty}) — are interchangeable instances rather than hand-rolled
    hashtables. Values are bytes: the typed stable-record codecs
@@ -94,7 +94,7 @@ type t = Packed : (module S with type t = 'a) * 'a -> t
 (** A view paired with its backend — the value {!Cp_sim.Engine.ctx} carries
     and the effect interpreter writes through. *)
 
-(* --- forwarders: call sites read like the old Stable API --------------- *)
+(* --- forwarders: call sites read like a plain module ------------------- *)
 
 let backend (Packed ((module B), h)) = B.backend h
 

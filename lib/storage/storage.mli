@@ -1,9 +1,8 @@
 (** The storage signature: pluggable durable key-value stores for replicas.
 
-    Mirrors {!Cp_transport.Transport.S} for the disk. The engine's effect
-    interpreter persists acceptor images, chosen log entries, and snapshots
-    through the packed value {!t}; backends ({!Mem}, {!Wal}, {!Faulty}) are
-    interchangeable instances of {!S}. Values are bytes — typed encoding
+    The engine's effect interpreter persists acceptor images, chosen log
+    entries, and snapshots through the packed value {!t}; backends ({!Mem},
+    {!Wal}, {!Faulty}) are interchangeable instances of {!S}. Values are bytes — typed encoding
     happens above this layer (see the stable-record codecs in
     {!Cp_proto.Codec}).
 

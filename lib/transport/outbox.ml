@@ -1,21 +1,19 @@
 module Codec = Cp_proto.Codec
 
-(* Per-destination buffer in packed-datagram layout: byte 0 is the packed
-   marker, then per frame a 2-byte little-endian length and the frame
-   itself. [b_len] is the fill point; [b_frames] counts frames since the
-   last flush. *)
-type dstbuf = { b_buf : Bytes.t; mutable b_len : int; mutable b_frames : int }
+(* Per-destination buffer holding a datagram under construction: frames
+   written back to back by [Codec.encode_into]; [b_len] is the fill point,
+   so [b_len > 0] means frames are pending. *)
+type dstbuf = { b_buf : Bytes.t; mutable b_len : int }
 
 type t = {
-  cap : int;
   send : dst:int -> Bytes.t -> off:int -> len:int -> unit;
+  cap : int;
   bufs : (int, dstbuf) Hashtbl.t;
-  mutable dirty : int list; (* dsts with b_frames > 0, unordered *)
+  mutable dirty : int list; (* dsts with b_len > 0, unordered *)
 }
 
 let create ?(capacity = 61440) ~send () =
-  let cap = min 65507 (max 512 capacity) in
-  { cap; send; bufs = Hashtbl.create 8; dirty = [] }
+  { send; cap = min 65507 (max 512 capacity); bufs = Hashtbl.create 8; dirty = [] }
 
 (* [Hashtbl.find] rather than [find_opt]: the steady-state hit allocates
    nothing (no [Some] box) — this is once per frame on the wire path. *)
@@ -23,19 +21,13 @@ let buf_for t dst =
   match Hashtbl.find t.bufs dst with
   | b -> b
   | exception Not_found ->
-    let b = { b_buf = Bytes.create t.cap; b_len = 1; b_frames = 0 } in
-    Bytes.set b.b_buf 0 Codec.packed_marker;
+    let b = { b_buf = Bytes.create t.cap; b_len = 0 } in
     Hashtbl.replace t.bufs dst b;
     b
 
 let flush_buf t dst b =
-  if b.b_frames = 1 then
-    (* Strip marker + length header: a lone frame goes out bare, exactly the
-       bytes an unbatched sender would have produced. *)
-    t.send ~dst b.b_buf ~off:3 ~len:(b.b_len - 3)
-  else if b.b_frames > 1 then t.send ~dst b.b_buf ~off:0 ~len:b.b_len;
-  b.b_len <- 1;
-  b.b_frames <- 0
+  if b.b_len > 0 then t.send ~dst b.b_buf ~off:0 ~len:b.b_len;
+  b.b_len <- 0
 
 let flush t =
   match t.dirty with
@@ -43,47 +35,27 @@ let flush t =
   | dirty ->
     t.dirty <- [];
     List.iter
-      (fun dst ->
-        match Hashtbl.find_opt t.bufs dst with
-        | Some b when b.b_frames > 0 -> flush_buf t dst b
-        | _ -> ())
+      (fun dst -> flush_buf t dst (Hashtbl.find t.bufs dst))
       (List.sort_uniq compare dirty)
 
 (* The fast path allocates only the (amortized) dirty-list cons: the retry
    is a tail call rather than a [try]-wrapped closure. After [flush_buf]
-   the buffer is empty ([b_frames = 0]), so a frame that still does not
-   fit fails the [when] guard and Overflow propagates to the caller; the
-   dirty entry for [dst] may linger across the flush — harmless, [flush]
-   skips clean buffers. *)
-let rec append t ~dst ~encode =
+   the buffer is empty, so a frame that still does not fit fails the
+   [when] guard and Overflow propagates to the caller; the dirty entry for
+   [dst] may linger across the flush — harmless, [flush] of an empty buffer
+   sends nothing. *)
+let rec append t ~dst ~gid ~tid msg =
   let b = buf_for t dst in
-  (* Reserve the 2-byte length slot, encode, then backfill the length. *)
-  let fpos = b.b_len + 2 in
-  if fpos > t.cap then begin
-    if b.b_frames = 0 then raise Codec.Overflow;
+  match Codec.encode_into b.b_buf ~pos:b.b_len ~gid ~tid msg with
+  | stop ->
+    if b.b_len = 0 then t.dirty <- dst :: t.dirty;
+    let n = stop - b.b_len in
+    b.b_len <- stop;
+    n
+  | exception Codec.Overflow when b.b_len > 0 ->
     flush_buf t dst b;
-    append t ~dst ~encode
-  end
-  else
-    match encode b.b_buf ~pos:fpos with
-    | stop ->
-      (* cap <= 65507 < 0xffff, so the length always fits its 16-bit slot. *)
-      let flen = stop - fpos in
-      Bytes.set b.b_buf b.b_len (Char.chr (flen land 0xff));
-      Bytes.set b.b_buf (b.b_len + 1) (Char.chr ((flen lsr 8) land 0xff));
-      if b.b_frames = 0 then t.dirty <- dst :: t.dirty;
-      b.b_len <- stop;
-      b.b_frames <- b.b_frames + 1;
-      flen
-    | exception Codec.Overflow when b.b_frames > 0 ->
-      flush_buf t dst b;
-      append t ~dst ~encode
+    append t ~dst ~gid ~tid msg
 
 let pending t =
   List.length
-    (List.filter
-       (fun dst ->
-         match Hashtbl.find_opt t.bufs dst with
-         | Some b -> b.b_frames > 0
-         | None -> false)
-       (List.sort_uniq compare t.dirty))
+    (List.filter (fun dst -> (Hashtbl.find t.bufs dst).b_len > 0) (List.sort_uniq compare t.dirty))

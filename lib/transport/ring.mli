@@ -1,15 +1,16 @@
 (** In-process ring-buffer transport: same-machine endpoints wired by SPSC
     byte rings.
 
-    The third {!Transport.S} instance, for fleet groups co-hosted in one
-    process: each (src, dst) pair gets a {!Bytering} on demand, sends
-    serialize {e zero-copy} into the ring ({!Cp_proto.Codec.encode_into}
-    straight into the ring's backing bytes — no intermediate string, no
-    syscall at all), and {!pump} drains every ring in deterministic order,
-    decoding records in place and dispatching to the destination's
-    handlers. Timers ride a {!Cp_fleet.Wheel} under the fabric's virtual
-    clock, so a run is a pure function of the endpoints' inputs — the
-    property the transport-conformance suite leans on.
+    The third runtime behind {!Cp_sim.Engine.ctx} (after the simulator and
+    the UDP node), for replicas co-hosted in one process: each (src, dst)
+    pair gets a {!Bytering} on demand, sends serialize {e zero-copy} into
+    the ring ({!Cp_proto.Codec.encode_into} straight into the ring's backing
+    bytes — no intermediate string, no syscall at all), and {!pump} drains
+    every ring in deterministic order, decoding records in place with the
+    same {!Cp_proto.Codec.decode_frames} the UDP node uses and dispatching to
+    the destination's handlers. Timers ride a {!Cp_fleet.Wheel} under the
+    fabric's virtual clock, so a run is a pure function of the endpoints'
+    inputs — the property the transport-conformance suite leans on.
 
     The fabric is single-threaded by design (one pumper); the rings
     themselves are SPSC-safe, so a future multi-domain pumper can split
@@ -18,10 +19,8 @@
 type t
 (** The fabric: links, clock, timer wheel, endpoints. *)
 
-type endpoint
-
 val create :
-  ?ring_capacity:int -> ?seed:int -> ?storage:(int -> Cp_sim.Stable.t) -> unit -> t
+  ?ring_capacity:int -> ?seed:int -> ?storage:(int -> Cp_storage.Storage.t) -> unit -> t
 (** [ring_capacity] (default 65536) sizes each link's byte ring; [seed]
     (default 1) roots every endpoint's RNG stream. [storage] supplies each
     endpoint's stable store at {!add_node} time, keyed by endpoint id
@@ -32,17 +31,10 @@ val add_node :
   id:int ->
   build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> Cp_proto.Types.msg Cp_sim.Engine.handlers) ->
   unit
-(** Register an endpoint: [build] receives the capability record (closed
-    over this transport via {!Transport.ctx}) and returns its handlers —
-    the same builder shape {!Cp_sim.Engine.add_node} and
-    {!Cp_netio.Node.create} take, so the one replica/client builder runs on
-    all three transports. *)
-
-val endpoint : t -> int -> endpoint
-
-val transport : endpoint -> Transport.packed
-(** The endpoint as a packed transport instance (what {!add_node} builds
-    the ctx from). *)
+(** Register an endpoint: [build] receives its capability record and
+    returns its handlers — the same builder shape {!Cp_sim.Engine.add_node}
+    and {!Cp_netio.Node.create} take, so the one replica/client builder runs
+    on all three runtimes. *)
 
 val now : t -> float
 
@@ -50,7 +42,9 @@ val pump : t -> int
 (** Drain every link once, in ascending (src, dst) order: decode and
     dispatch each pending record at the current virtual time. Returns the
     number of messages delivered (0 = quiescent). Handler sends during a
-    pump land in the rings and are picked up by the next pass. *)
+    pump land in the rings and are picked up by the next pass. A record that
+    does not decode is dropped and counted in the destination's
+    [wire_decode_errors]. *)
 
 val run : ?until:float -> t -> unit
 (** Advance the fabric: alternate {!pump} passes with firing due timers,
@@ -58,8 +52,12 @@ val run : ?until:float -> t -> unit
     rings and the wheel are quiescent (or the clock would pass [until],
     default 60 virtual seconds — a livelock guard). *)
 
+val link : t -> src:int -> dst:int -> Bytering.t
+(** The ring carrying [src]'s records to [dst], created on demand — exposed
+    so tests can inject raw (e.g. corrupt) records. *)
+
 val metrics : t -> int -> Cp_sim.Metrics.t
 
 val trace : t -> int -> Cp_obs.Trace.t
 
-val stable : t -> int -> Cp_sim.Stable.t
+val stable : t -> int -> Cp_storage.Storage.t

@@ -1,6 +1,7 @@
 (* Wire-codec tests: exact roundtrips for every constructor, generated
-   roundtrips, totality of the decoder on junk, and agreement between the
-   size model and the real encoding. *)
+   roundtrips of messages and of (gid, tid, msg) frames through single and
+   multi-frame datagrams, totality of the frame decoder on malformed input,
+   and agreement between the size model and the real encoding. *)
 
 module Types = Cp_proto.Types
 module Codec = Cp_proto.Codec
@@ -96,83 +97,70 @@ let test_decode_rejects_truncation () =
       Alcotest.(check bool) "prefix differs" false (m = List.nth sample_msgs 1)
   done
 
+(* --- frames ---------------------------------------------------------- *)
+
+(* The frame grammar spelled out independently of the encoder:
+   u16-le length | varint gid | varint tid | msg. *)
+let frame_bytes ~gid ~tid msg =
+  let b = Buffer.create 64 in
+  Codec.write_varint b gid;
+  Codec.write_varint b tid;
+  Buffer.add_string b (Codec.encode msg);
+  let n = Buffer.length b in
+  Printf.sprintf "%c%c%s" (Char.chr (n land 0xff)) (Char.chr (n lsr 8)) (Buffer.contents b)
+
+let encode_frame ~gid ~tid msg =
+  let buf = Bytes.create 70_000 in
+  Bytes.sub_string buf 0 (Codec.encode_into buf ~pos:0 ~gid ~tid msg)
+
+let decode_one s =
+  match Codec.decode_frames s with
+  | Ok [ f ] -> Ok f
+  | Ok l -> Error (Printf.sprintf "%d frames" (List.length l))
+  | Error e -> Error e
+
+let check_frame ~gid ~tid msg (f : Codec.framed) =
+  Alcotest.(check int) "gid" gid f.f_gid;
+  Alcotest.(check int) "tid" tid f.f_tid;
+  Alcotest.(check bool) (Format.asprintf "%a" Types.pp_msg msg) true (msg_equal msg f.f_msg)
+
 let test_scratch_encode_matches () =
-  (* A single scratch buffer reused across the whole corpus (and again in
-     reverse, so stale longer contents must be cleared) produces exactly the
-     allocating encoder's bytes. *)
-  let scratch = Codec.create_scratch ~size:8 () in
+  (* One reused buffer across the whole corpus (and again in reverse, so
+     stale longer contents are left behind) yields exactly the bytes a
+     fresh buffer does. *)
+  let scratch = Bytes.create 4096 in
   let check msg =
+    let stop = Codec.encode_into scratch ~pos:0 ~gid:0 ~tid:0 msg in
     Alcotest.(check string)
       (Format.asprintf "%a" Types.pp_msg msg)
-      (Codec.encode msg)
-      (Codec.encode_with scratch msg)
+      (encode_frame ~gid:0 ~tid:0 msg)
+      (Bytes.sub_string scratch 0 stop)
   in
   List.iter check sample_msgs;
   List.iter check (List.rev sample_msgs)
 
+let tid_edges = [ 0; 1; 0x100001c; ((7 + 1) lsl 24) lor 12345; max_int lsr 8; max_int; min_int; -1 ]
+
 let test_traced_roundtrip () =
-  let tids = [ 0; 1; 0x100001c; ((7 + 1) lsl 24) lor 12345; max_int lsr 8 ] in
   List.iter
     (fun msg ->
       List.iter
         (fun tid ->
-          match Codec.decode_traced (Codec.encode_traced ~tid msg) with
-          | Ok (msg', tid') ->
-            Alcotest.(check bool)
-              (Format.asprintf "%a tid=%d" Types.pp_msg msg tid)
-              true
-              (msg_equal msg msg' && tid = tid')
-          | Error e -> Alcotest.failf "traced decode failed (tid=%d): %s" tid e)
-        tids)
+          match decode_one (encode_frame ~gid:0 ~tid msg) with
+          | Ok f -> check_frame ~gid:0 ~tid msg f
+          | Error e -> Alcotest.failf "frame decode failed (tid=%d): %s" tid e)
+        tid_edges)
     sample_msgs
-
-let test_traced_accepts_plain_frames () =
-  (* Frames from senders that predate tracing decode with tid 0. *)
-  List.iter
-    (fun msg ->
-      match Codec.decode_traced (Codec.encode msg) with
-      | Ok (msg', 0) ->
-        Alcotest.(check bool) "plain frame" true (msg_equal msg msg')
-      | Ok (_, tid) -> Alcotest.failf "plain frame decoded with tid %d" tid
-      | Error e -> Alcotest.failf "plain frame rejected: %s" e)
-    sample_msgs
-
-let test_traced_zero_is_plain () =
-  (* tid 0 adds no suffix, so untraced peers still decode our frames. *)
-  List.iter
-    (fun msg ->
-      Alcotest.(check string)
-        (Format.asprintf "%a" Types.pp_msg msg)
-        (Codec.encode msg)
-        (Codec.encode_traced ~tid:0 msg);
-      match Codec.decode (Codec.encode_traced ~tid:0 msg) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "untraced decode failed: %s" e)
-    sample_msgs
-
-let test_traced_rejects_bad_suffix () =
-  let good = Codec.encode (Types.CommitFloor { upto = 1 }) in
-  (* Truncated varint after the marker. *)
-  (match Codec.decode_traced (good ^ "\xf5\x80") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated trace suffix accepted");
-  (* Junk after a complete suffix. *)
-  (match Codec.decode_traced (Codec.encode_traced ~tid:9 (Types.CommitFloor { upto = 1 }) ^ "x") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing bytes after suffix accepted");
-  (* Non-marker trailing byte is still trailing garbage. *)
-  match Codec.decode_traced (good ^ "x") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-marker trailing byte accepted"
 
 let test_traced_scratch_matches () =
-  let scratch = Codec.create_scratch ~size:8 () in
+  let scratch = Bytes.create 4096 in
   List.iter
     (fun msg ->
+      let stop = Codec.encode_into scratch ~pos:0 ~gid:3 ~tid:77 msg in
       Alcotest.(check string)
         (Format.asprintf "%a" Types.pp_msg msg)
-        (Codec.encode_traced ~tid:77 msg)
-        (Codec.encode_traced_with scratch ~tid:77 msg))
+        (encode_frame ~gid:3 ~tid:77 msg)
+        (Bytes.sub_string scratch 0 stop))
     sample_msgs
 
 let varint_roundtrips n =
@@ -219,50 +207,31 @@ let prop_varint_roundtrip =
 
 let test_grouped_roundtrip () =
   let msg = Types.Commit { instance = 7; entry = Types.Noop } in
-  let scratch = Codec.create_scratch () in
   List.iter
     (fun gid ->
       List.iter
         (fun tid ->
-          let frame = Codec.encode_grouped ~gid ~tid msg in
-          Alcotest.(check string)
-            (Printf.sprintf "scratch gid=%d tid=%d" gid tid)
-            frame
-            (Codec.encode_grouped_with scratch ~gid ~tid msg);
-          match Codec.decode_grouped frame with
-          | Ok (gid', msg', tid') ->
-            Alcotest.(check int) "gid" gid gid';
-            Alcotest.(check int) "tid" tid tid';
-            Alcotest.(check bool) "msg" true (msg' = msg)
-          | Error e -> Alcotest.failf "grouped decode failed (gid=%d): %s" gid e)
+          match decode_one (encode_frame ~gid ~tid msg) with
+          | Ok f -> check_frame ~gid ~tid msg f
+          | Error e -> Alcotest.failf "frame decode failed (gid=%d): %s" gid e)
         [ 0; 9; 1 lsl 24 ])
-    [ 0; 1; 7; 4095; 1 lsl 20 ]
-
-let test_grouped_accepts_plain () =
-  (* Pre-fleet frames — plain and traced — are group 0 to a grouped reader. *)
-  let msg = Types.CommitFloor { upto = 3 } in
-  (match Codec.decode_grouped (Codec.encode msg) with
-  | Ok (0, m, 0) when m = msg -> ()
-  | Ok _ -> Alcotest.fail "plain frame misread"
-  | Error e -> Alcotest.failf "plain frame rejected: %s" e);
-  match Codec.decode_grouped (Codec.encode_traced ~tid:42 msg) with
-  | Ok (0, m, 42) when m = msg -> ()
-  | Ok _ -> Alcotest.fail "traced frame misread"
-  | Error e -> Alcotest.failf "traced frame rejected: %s" e
+    [ 0; 1; 7; 4095; 1 lsl 20; max_int ]
 
 let test_grouped_rejects_bad () =
-  (* Truncated group id. *)
-  (match Codec.decode_grouped "\xf6" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bare marker accepted");
-  (* Negative group id (zig-zag odd). *)
-  (match Codec.decode_grouped ("\xf6\x01" ^ Codec.encode (Types.CommitFloor { upto = 1 })) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative group id accepted");
-  (* Marker with no inner frame. *)
-  match Codec.decode_grouped "\xf6\x02" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty inner frame accepted"
+  let body = Codec.encode (Types.CommitFloor { upto = 1 }) in
+  let framed s = Printf.sprintf "%c%c%s" (Char.chr (String.length s)) '\000' s in
+  let reject name s =
+    match Codec.decode_frames (framed s) with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" name
+  in
+  reject "truncated group id" "\x80";
+  reject "negative group id (zig-zag odd)" ("\x01\x00" ^ body);
+  reject "group id but no trace id" "\x02";
+  reject "no message" "\x02\x00";
+  Alcotest.check_raises "encoder refuses a negative gid"
+    (Invalid_argument "Codec.encode_into: negative group id") (fun () ->
+      ignore (encode_frame ~gid:(-1) ~tid:0 (Types.CommitFloor { upto = 1 })))
 
 let test_size_model_sane () =
   (* The analytic size model budgets a transport header (16 B) plus 8 B per
@@ -281,44 +250,34 @@ let test_size_model_sane () =
 
 (* --- zero-copy encoding ------------------------------------------------ *)
 
-(* The cursor sink must produce the exact bytes of the Buffer sink, at any
-   offset, for plain, traced, and grouped frames alike. *)
+(* [encode_into] writes exactly the grammar's bytes at any offset and
+   touches nothing outside them. *)
 let test_encode_into_matches () =
   List.iter
     (fun msg ->
       List.iter
         (fun pos ->
-          let check_variant name expected into =
-            let buf = Bytes.make (pos + String.length expected + 5) '\xee' in
-            let stop = into buf ~pos in
-            Alcotest.(check int) (name ^ ": end position") (pos + String.length expected) stop;
-            Alcotest.(check string) (name ^ ": bytes") expected (Bytes.sub_string buf pos (stop - pos));
-            (* Nothing before [pos] or after [stop] was touched. *)
-            Alcotest.(check bool) (name ^ ": no out-of-range writes") true
-              (Bytes.sub_string buf 0 pos = String.make pos '\xee'
-              && Bytes.sub_string buf stop (Bytes.length buf - stop)
-                 = String.make (Bytes.length buf - stop) '\xee')
-          in
-          check_variant "plain" (Codec.encode msg) (fun buf ~pos -> Codec.encode_into buf ~pos msg);
-          check_variant "traced"
-            (Codec.encode_traced ~tid:7777 msg)
-            (fun buf ~pos -> Codec.encode_traced_into buf ~pos ~tid:7777 msg);
-          check_variant "grouped"
-            (Codec.encode_grouped ~gid:12 ~tid:3 msg)
-            (fun buf ~pos -> Codec.encode_grouped_into buf ~pos ~gid:12 ~tid:3 msg))
+          let expected = frame_bytes ~gid:12 ~tid:7777 msg in
+          let buf = Bytes.make (pos + String.length expected + 5) '\xee' in
+          let stop = Codec.encode_into buf ~pos ~gid:12 ~tid:7777 msg in
+          Alcotest.(check int) "end position" (pos + String.length expected) stop;
+          Alcotest.(check string) "bytes" expected (Bytes.sub_string buf pos (stop - pos));
+          Alcotest.(check bool) "no out-of-range writes" true
+            (Bytes.sub_string buf 0 pos = String.make pos '\xee'
+            && Bytes.sub_string buf stop (Bytes.length buf - stop)
+               = String.make (Bytes.length buf - stop) '\xee'))
         [ 0; 1; 7 ])
     sample_msgs
 
 let test_encode_into_exact_fit_and_overflow () =
   List.iter
     (fun msg ->
-      let expected = Codec.encode_traced ~tid:42 msg in
+      let expected = frame_bytes ~gid:0 ~tid:42 msg in
       let n = String.length expected in
       let pos = 3 in
       (* Exact fit succeeds... *)
       let buf = Bytes.create (pos + n) in
-      Alcotest.(check int) "exact fit" (pos + n)
-        (Codec.encode_traced_into buf ~pos ~tid:42 msg);
+      Alcotest.(check int) "exact fit" (pos + n) (Codec.encode_into buf ~pos ~gid:0 ~tid:42 msg);
       Alcotest.(check string) "exact-fit bytes" expected (Bytes.sub_string buf pos n);
       (* ...one byte less raises, for every shortfall down to an empty
          window (the write that would land out of bounds must never
@@ -326,45 +285,35 @@ let test_encode_into_exact_fit_and_overflow () =
       List.iter
         (fun short ->
           let small = Bytes.create (pos + n - short) in
-          match Codec.encode_traced_into small ~pos ~tid:42 msg with
+          match Codec.encode_into small ~pos ~gid:0 ~tid:42 msg with
           | (_ : int) -> Alcotest.failf "short by %d: expected Overflow" short
           | exception Codec.Overflow -> ())
         [ 1; (n / 2) + 1; n ])
     sample_msgs
 
 let test_decode_frames_packed () =
-  let msgs = [ (0, 5, List.nth sample_msgs 0); (3, 0, List.nth sample_msgs 4); (0, 0, List.nth sample_msgs 8) ] in
-  let frame (gid, tid, msg) =
-    if gid = 0 then Codec.encode_traced ~tid msg else Codec.encode_grouped ~gid ~tid msg
+  let msgs =
+    [ (0, 5, List.nth sample_msgs 0); (3, 0, List.nth sample_msgs 4); (0, 0, List.nth sample_msgs 8) ]
   in
-  let b = Buffer.create 256 in
-  Buffer.add_char b Codec.packed_marker;
-  List.iter
-    (fun m ->
-      let f = frame m in
-      Buffer.add_char b (Char.chr (String.length f land 0xff));
-      Buffer.add_char b (Char.chr (String.length f lsr 8));
-      Buffer.add_string b f)
-    msgs;
-  (match Codec.decode_frames (Buffer.contents b) with
-  | Error e -> Alcotest.failf "packed decode: %s" e
+  let dgram = String.concat "" (List.map (fun (gid, tid, msg) -> encode_frame ~gid ~tid msg) msgs) in
+  (match Codec.decode_frames dgram with
+  | Error e -> Alcotest.failf "datagram decode: %s" e
   | Ok frames ->
     Alcotest.(check int) "frame count" (List.length msgs) (List.length frames);
     List.iter2
-      (fun (gid, tid, msg) f ->
-        Alcotest.(check int) "gid" gid f.Codec.f_gid;
-        Alcotest.(check int) "tid" tid f.Codec.f_tid;
-        Alcotest.(check int) "frame bytes" (String.length (frame (gid, tid, msg))) f.Codec.f_bytes;
-        Alcotest.(check bool) "msg" true (msg_equal msg f.Codec.f_msg))
-      msgs frames);
-  (* A non-packed datagram decodes as a singleton — of itself. *)
+      (fun (gid, tid, msg) (f : Codec.framed) ->
+        check_frame ~gid ~tid msg f;
+        Alcotest.(check int) "frame bytes" (String.length (encode_frame ~gid ~tid msg)) f.f_bytes)
+      msgs frames;
+    Alcotest.(check int) "frames cover the datagram" (String.length dgram)
+      (List.fold_left (fun acc (f : Codec.framed) -> acc + f.f_bytes) 0 frames));
+  (* A window inside a larger buffer decodes in place. *)
   let lone = List.nth sample_msgs 2 in
-  (match Codec.decode_frames (Codec.encode_traced ~tid:9 lone) with
-  | Ok [ f ] ->
-    Alcotest.(check int) "lone tid" 9 f.Codec.f_tid;
-    Alcotest.(check bool) "lone msg" true (msg_equal lone f.Codec.f_msg)
-  | Ok l -> Alcotest.failf "lone frame: got %d frames" (List.length l)
-  | Error e -> Alcotest.failf "lone frame: %s" e)
+  let f = encode_frame ~gid:2 ~tid:9 lone in
+  match Codec.decode_frames ~pos:4 ~len:(String.length f) ("junk" ^ f ^ "junk") with
+  | Ok [ fr ] -> check_frame ~gid:2 ~tid:9 lone fr
+  | Ok l -> Alcotest.failf "window: got %d frames" (List.length l)
+  | Error e -> Alcotest.failf "window: %s" e
 
 let test_decode_frames_rejects_malformed () =
   let reject name s =
@@ -372,14 +321,18 @@ let test_decode_frames_rejects_malformed () =
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: accepted" name
   in
-  let m = String.make 1 Codec.packed_marker in
-  reject "empty packed datagram" m;
-  reject "truncated length header" (m ^ "\x05");
-  reject "zero-length frame" (m ^ "\x00\x00");
-  let f = Codec.encode (List.nth sample_msgs 0) in
+  let f = encode_frame ~gid:1 ~tid:5 (List.nth sample_msgs 0) in
+  let body = String.sub f 2 (String.length f - 2) in
   let hdr n = Printf.sprintf "%c%c" (Char.chr (n land 0xff)) (Char.chr (n lsr 8)) in
-  reject "frame shorter than its header" (m ^ hdr (String.length f + 1) ^ f);
-  reject "trailing garbage after last frame" (m ^ hdr (String.length f) ^ f ^ "\x01")
+  reject "empty datagram" "";
+  reject "zero-length frame" "\x00\x00";
+  reject "truncated length" "\x05";
+  reject "truncated length after a frame" (f ^ "\x05");
+  reject "truncated frame" (hdr (String.length body + 1) ^ body);
+  reject "truncated frame body" (String.sub f 0 (String.length f - 1));
+  reject "negative gid" (hdr (String.length body) ^ "\x01" ^ String.sub body 1 (String.length body - 1));
+  reject "trailing bytes inside a frame" (hdr (String.length body + 1) ^ body ^ "\x01");
+  reject "frame without a message" (hdr 2 ^ "\x02\x00")
 
 let arb_msg =
   let open QCheck.Gen in
@@ -417,10 +370,64 @@ let prop_encode_into_matches_encode =
   QCheck.Test.make ~name:"encode_into matches encode at any offset" ~count:300
     (QCheck.pair arb_msg (QCheck.int_range 0 32))
     (fun (msg, pos) ->
-      let expected = Codec.encode msg in
+      let expected = frame_bytes ~gid:0 ~tid:0 msg in
       let buf = Bytes.create (pos + String.length expected) in
-      Codec.encode_into buf ~pos msg = pos + String.length expected
+      Codec.encode_into buf ~pos ~gid:0 ~tid:0 msg = pos + String.length expected
       && Bytes.sub_string buf pos (String.length expected) = expected)
+
+(* Group and trace ids weighted toward the varint edges: 0, and every
+   byte-length boundary up to the full 63-bit range. *)
+let arb_id ~signed =
+  let open QCheck.Gen in
+  let edge =
+    map2
+      (fun s d -> let v = (1 lsl s) + d in if signed then v else max 0 v)
+      (int_range 0 62) (int_range (-1) 1)
+  in
+  let g = frequency [ (1, return 0); (1, return max_int); (3, edge); (3, int_bound 5000) ] in
+  if signed then frequency [ (3, g); (1, map (fun v -> -v) g); (1, return min_int) ] else g
+
+let arb_frame =
+  QCheck.make
+    QCheck.Gen.(triple (arb_id ~signed:false) (arb_id ~signed:true) (QCheck.gen arb_msg))
+
+let prop_frame_roundtrip =
+  QCheck.Test.make ~name:"frames roundtrip any gid, tid, msg" ~count:500 arb_frame
+    (fun (gid, tid, msg) ->
+      match decode_one (encode_frame ~gid ~tid msg) with
+      | Ok f -> f.f_gid = gid && f.f_tid = tid && msg_equal f.f_msg msg
+      | Error _ -> false)
+
+(* A burst through a small outbox: every datagram it flushes decodes, and
+   their frames, concatenated, are the burst in order. *)
+let prop_outbox_datagrams_roundtrip =
+  QCheck.Test.make ~name:"outbox datagrams roundtrip a burst" ~count:200
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 40) arb_frame)
+    (fun burst ->
+      let sent = ref [] in
+      let ob =
+        Cp_transport.Outbox.create ~capacity:512
+          ~send:(fun ~dst:_ buf ~off ~len -> sent := Bytes.sub_string buf off len :: !sent)
+          ()
+      in
+      List.iter (fun (gid, tid, msg) -> ignore (Cp_transport.Outbox.append ob ~dst:1 ~gid ~tid msg)) burst;
+      Cp_transport.Outbox.flush ob;
+      let frames =
+        List.concat_map
+          (fun d -> match Codec.decode_frames d with Ok fs -> fs | Error e -> failwith e)
+          (List.rev !sent)
+      in
+      List.length frames = List.length burst
+      && List.for_all2
+           (fun (gid, tid, msg) (f : Codec.framed) ->
+             f.f_gid = gid && f.f_tid = tid && msg_equal f.f_msg msg)
+           burst frames)
+
+let prop_decode_frames_total =
+  QCheck.Test.make ~name:"decode_frames never raises" ~count:2000
+    QCheck.(string_gen_of_size Gen.(int_range 0 64) Gen.char)
+    (fun s ->
+      match Codec.decode_frames s with Ok _ | Error _ -> true)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -433,16 +440,10 @@ let suite =
     Alcotest.test_case "scratch encode matches allocating encode" `Quick
       test_scratch_encode_matches;
     Alcotest.test_case "traced roundtrip" `Quick test_traced_roundtrip;
-    Alcotest.test_case "traced accepts plain frames" `Quick
-      test_traced_accepts_plain_frames;
-    Alcotest.test_case "traced tid 0 is the plain encoding" `Quick
-      test_traced_zero_is_plain;
-    Alcotest.test_case "traced rejects bad suffix" `Quick test_traced_rejects_bad_suffix;
     Alcotest.test_case "traced scratch encode matches" `Quick test_traced_scratch_matches;
     Alcotest.test_case "varint edges" `Quick test_varint_edges;
     Alcotest.test_case "varint boundaries" `Quick test_varint_boundaries;
     Alcotest.test_case "grouped roundtrip" `Quick test_grouped_roundtrip;
-    Alcotest.test_case "grouped accepts plain frames" `Quick test_grouped_accepts_plain;
     Alcotest.test_case "grouped rejects bad frames" `Quick test_grouped_rejects_bad;
     Alcotest.test_case "size model sane" `Quick test_size_model_sane;
     Alcotest.test_case "encode_into matches buffer encoding" `Quick test_encode_into_matches;
@@ -452,4 +453,12 @@ let suite =
     Alcotest.test_case "decode_frames rejects malformed packing" `Quick
       test_decode_frames_rejects_malformed;
   ]
-  @ qsuite [ prop_roundtrip_generated; prop_varint_roundtrip; prop_encode_into_matches_encode ]
+  @ qsuite
+      [
+        prop_roundtrip_generated;
+        prop_varint_roundtrip;
+        prop_encode_into_matches_encode;
+        prop_frame_roundtrip;
+        prop_outbox_datagrams_roundtrip;
+        prop_decode_frames_total;
+      ]

@@ -12,7 +12,7 @@ module Wheel = Cp_fleet.Wheel
 module Router = Cp_fleet.Router
 module Fleet = Cp_fleet.Fleet
 module Engine = Cp_sim.Engine
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Traceid = Cp_obs.Traceid
 
 (* ------------------------------------------------------------------ *)
@@ -219,19 +219,19 @@ let test_traceid_namespace_roundtrip () =
     (42, None) (Traceid.split_origin 42)
 
 let test_stable_sub_views () =
-  let root = Stable.create () in
-  let g0 = Stable.sub root ~name:"g0" in
-  let g1 = Stable.sub root ~name:"g1" in
-  Stable.put root "k" "root";
-  Stable.put g0 "k" "zero";
-  Stable.put g1 "k" "one";
-  Alcotest.(check (option string)) "root view" (Some "root") (Stable.get root "k");
-  Alcotest.(check (option string)) "g0 view" (Some "zero") (Stable.get g0 "k");
-  Alcotest.(check (option string)) "g1 view" (Some "one") (Stable.get g1 "k");
-  Stable.remove g0 "k";
-  Alcotest.(check (option string)) "g0 removed alone" None (Stable.get g0 "k");
-  Alcotest.(check (option string)) "g1 intact" (Some "one") (Stable.get g1 "k");
-  Alcotest.(check (option string)) "root intact" (Some "root") (Stable.get root "k")
+  let root = Cp_storage.Mem.store () in
+  let g0 = Storage.sub root ~name:"g0" in
+  let g1 = Storage.sub root ~name:"g1" in
+  Storage.put root "k" "root";
+  Storage.put g0 "k" "zero";
+  Storage.put g1 "k" "one";
+  Alcotest.(check (option string)) "root view" (Some "root") (Storage.get root "k");
+  Alcotest.(check (option string)) "g0 view" (Some "zero") (Storage.get g0 "k");
+  Alcotest.(check (option string)) "g1 view" (Some "one") (Storage.get g1 "k");
+  Storage.remove g0 "k";
+  Alcotest.(check (option string)) "g0 removed alone" None (Storage.get g0 "k");
+  Alcotest.(check (option string)) "g1 intact" (Some "one") (Storage.get g1 "k");
+  Alcotest.(check (option string)) "root intact" (Some "root") (Storage.get root "k")
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end fleet runs                                               *)

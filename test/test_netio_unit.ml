@@ -94,8 +94,7 @@ let test_echo_roundtrip () =
   Node.shutdown pinger;
   Alcotest.(check int) "echoed +1" 42 !got
 
-let errors_of node =
-  Node.with_lock node (fun () -> Cp_sim.Metrics.get (Node.metrics node) "handler_errors")
+let errors_of node = Node.counter node "handler_errors"
 
 let test_handler_exceptions_survive () =
   (* Exceptions escaping protocol handlers must not kill the dispatch
@@ -187,7 +186,7 @@ let test_unknown_source_port_dropped () =
 
 let test_trace_id_propagates_over_udp () =
   (* A client_req minted at node 11 must tag the Msg_recv at node 12 (the
-     id travels as the traced-frame suffix) and ride the reply back. *)
+     id travels in the frame header) and ride the reply back. *)
   let echo =
     Node.create ~port_of ~id_of_port ~id:12 ~seed:2
       ~build:(fun ctx ->
@@ -325,9 +324,8 @@ let test_admin_large_response () =
   Alcotest.(check bool) "body bytes intact" true (String.equal expected body)
 
 let test_multi_group_udp () =
-  (* Two groups per node share one UDP socket; grouped frames dispatch by
-     group id, group 0 keeps the pre-fleet format, and frames for a group a
-     node does not host are counted and dropped. *)
+  (* Two groups per node share one UDP socket; frames dispatch by group id,
+     and frames for a group a node does not host are counted and dropped. *)
   let got_g0 = ref 0 and got_g1 = ref (-1) and reply_g1 = ref (-1) in
   let recv =
     Node.create ~port_of ~id_of_port ~id:16 ~seed:1
@@ -371,9 +369,7 @@ let test_multi_group_udp () =
     ~build:(fun ctx ->
       ctx.Engine.send 16 (Types.CommitFloor { upto = 99 });
       { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) });
-  let unknown () =
-    Node.with_lock recv (fun () -> Cp_sim.Metrics.get (Node.metrics recv) "mux_unknown_group")
-  in
+  let unknown () = Node.counter recv "mux_unknown_group" in
   let deadline = Unix.gettimeofday () +. 5. in
   while (!reply_g1 < 0 || unknown () < 1) && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
@@ -387,6 +383,83 @@ let test_multi_group_udp () =
   Alcotest.(check bool)
     (Printf.sprintf "unknown group counted (%d)" unknown_count)
     true (unknown_count >= 1)
+
+let wait_until p =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec go () =
+    if p () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+let quiet = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) }
+
+(* The node contract the end-to-end benchmark leans on, at both dispatch
+   widths: [with_lock] excludes group 0's handlers; a send made inside it
+   leaves when it returns; a handler error in group 0 shows in [metrics];
+   and group 1's handlers do not wait for [with_lock]. Node [a] hosts
+   groups 0 and 1; node [b] drives it. *)
+let test_node_contract ~exec_domains ~a_id () =
+  let b_id = a_id + 1 in
+  let g0_seen = Atomic.make 0 and g1_seen = Atomic.make 0 and b_got = Atomic.make 0 in
+  let a_ctx = ref None in
+  let a =
+    Node.create ~port_of ~id_of_port ~id:a_id ~seed:1 ~exec_domains
+      ~build:(fun ctx ->
+        a_ctx := Some ctx;
+        {
+          quiet with
+          Engine.on_message =
+            (fun ~src:_ msg ->
+              match msg with
+              | Types.CommitFloor { upto = 0 } -> failwith "poisoned message"
+              | _ -> Atomic.incr g0_seen);
+        })
+      ()
+  in
+  Node.add_group a ~gid:1 ~build:(fun _ ->
+      { quiet with Engine.on_message = (fun ~src:_ _ -> Atomic.incr g1_seen) });
+  let b_ctx = Hashtbl.create 2 in
+  let b =
+    Node.create ~port_of ~id_of_port ~id:b_id ~seed:2
+      ~build:(fun ctx ->
+        Hashtbl.replace b_ctx 0 ctx;
+        { quiet with Engine.on_message = (fun ~src:_ _ -> Atomic.incr b_got) })
+      ()
+  in
+  Node.add_group b ~gid:1 ~build:(fun ctx ->
+      Hashtbl.replace b_ctx 1 ctx;
+      quiet);
+  let b_sends gid upto =
+    Node.with_group b ~gid (fun () ->
+        (Hashtbl.find b_ctx gid).Engine.send a_id (Types.CommitFloor { upto }))
+  in
+  let g1_ran, g0_inside, b_inside =
+    Node.with_lock a (fun () ->
+        b_sends 1 1;
+        let g1_ran = wait_until (fun () -> Atomic.get g1_seen = 1) in
+        b_sends 0 1;
+        (Option.get !a_ctx).Engine.send b_id (Types.CommitFloor { upto = 7 });
+        Thread.delay 0.2;
+        (g1_ran, Atomic.get g0_seen, Atomic.get b_got))
+  in
+  let g0_after = wait_until (fun () -> Atomic.get g0_seen = 1) in
+  let b_after = wait_until (fun () -> Atomic.get b_got = 1) in
+  b_sends 0 0;
+  let errors () = Node.with_lock a (fun () -> Cp_sim.Metrics.get (Node.metrics a) "handler_errors") in
+  let error_seen = wait_until (fun () -> errors () >= 1) in
+  Node.shutdown a;
+  Node.shutdown b;
+  Alcotest.(check bool) "group 1 ran while group 0 was held" true g1_ran;
+  Alcotest.(check int) "group 0 handler excluded by with_lock" 0 g0_inside;
+  Alcotest.(check bool) "group 0 handler ran after release" true g0_after;
+  Alcotest.(check int) "send inside with_lock held back" 0 b_inside;
+  Alcotest.(check bool) "send inside with_lock left on exit" true b_after;
+  Alcotest.(check bool) "group 0 handler error in Node.metrics" true error_seen
 
 let test_shutdown_idempotent () =
   let node =
@@ -419,4 +492,8 @@ let suite =
     Alcotest.test_case "admin large response" `Slow test_admin_large_response;
     Alcotest.test_case "multi group udp" `Slow test_multi_group_udp;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
+    Alcotest.test_case "node contract (inline dispatch)" `Slow
+      (test_node_contract ~exec_domains:0 ~a_id:20);
+    Alcotest.test_case "node contract (pool dispatch)" `Slow
+      (test_node_contract ~exec_domains:2 ~a_id:22);
   ]

@@ -3,7 +3,7 @@
 
 module Engine = Cp_sim.Engine
 module Netmodel = Cp_sim.Netmodel
-module Stable = Cp_sim.Stable
+module Storage = Cp_storage.Storage
 module Metrics = Cp_sim.Metrics
 
 type msg = Ping of int | Pong of int
@@ -116,11 +116,11 @@ let test_stable_survives_restart_not_wipe () =
   let eng = make_engine () in
   let seen = ref [] in
   Engine.add_node eng ~id:0 (fun ctx ->
-      (match Stable.get ctx.Engine.stable "k" with
+      (match Storage.get ctx.Engine.stable "k" with
       | Some v -> seen := int_of_string v :: !seen
       | None ->
         seen := -1 :: !seen;
-        Stable.put ctx.Engine.stable "k" "42");
+        Storage.put ctx.Engine.stable "k" "42");
       { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) });
   Engine.at eng 0.2 (fun () -> Engine.crash eng 0);
   Engine.at eng 0.4 (fun () -> Engine.restart eng 0);
@@ -270,22 +270,22 @@ let test_netmodel_samplers () =
   done
 
 let test_stable_accounting () =
-  let s = Stable.create () in
-  Stable.put s "a" "123";
-  Stable.put s "b" "hello";
-  let w1 = Stable.write_count s in
-  let b1 = Stable.bytes_used s in
+  let s = Cp_storage.Mem.store () in
+  Storage.put s "a" "123";
+  Storage.put s "b" "hello";
+  let w1 = Storage.write_count s in
+  let b1 = Storage.bytes_used s in
   Alcotest.(check int) "two writes" 2 w1;
   Alcotest.(check bool) "bytes positive" true (b1 > 0);
-  Stable.put s "a" "456";
-  Alcotest.(check int) "overwrite counts" 3 (Stable.write_count s);
-  Alcotest.(check int) "bytes stable on overwrite" b1 (Stable.bytes_used s);
-  Stable.remove s "b";
-  Alcotest.(check bool) "bytes shrink" true (Stable.bytes_used s < b1);
-  Alcotest.(check (option string)) "get back" (Some "456") (Stable.get s "a");
-  Alcotest.(check (list string)) "keys" [ "a" ] (Stable.keys s);
-  Stable.wipe s;
-  Alcotest.(check (list string)) "wiped" [] (Stable.keys s)
+  Storage.put s "a" "456";
+  Alcotest.(check int) "overwrite counts" 3 (Storage.write_count s);
+  Alcotest.(check int) "bytes stable on overwrite" b1 (Storage.bytes_used s);
+  Storage.remove s "b";
+  Alcotest.(check bool) "bytes shrink" true (Storage.bytes_used s < b1);
+  Alcotest.(check (option string)) "get back" (Some "456") (Storage.get s "a");
+  Alcotest.(check (list string)) "keys" [ "a" ] (Storage.keys s);
+  Storage.wipe s;
+  Alcotest.(check (list string)) "wiped" [] (Storage.keys s)
 
 let suite =
   [

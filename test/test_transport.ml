@@ -89,22 +89,25 @@ let hb i =
   Types.Heartbeat
     { ballot = Cp_proto.Ballot.make ~round:i ~leader:0; commit_floor = i; sent_at = 0.5 }
 
-let append_traced ob ~dst ~tid msg =
-  Outbox.append ob ~dst ~encode:(fun buf ~pos -> Codec.encode_traced_into buf ~pos ~tid msg)
+let append_traced ob ~dst ~tid msg = Outbox.append ob ~dst ~gid:0 ~tid msg
 
-let test_outbox_single_frame_bare () =
+let frame ~tid msg =
+  let buf = Bytes.create 4096 in
+  Bytes.sub_string buf 0 (Codec.encode_into buf ~pos:0 ~gid:0 ~tid msg)
+
+let test_outbox_single_frame () =
   let sent, send = mk_capture () in
   let ob = Outbox.create ~send () in
   let n = append_traced ob ~dst:4 ~tid:9 (hb 1) in
-  Alcotest.(check int) "append returns frame length" (String.length (Codec.encode_traced ~tid:9 (hb 1))) n;
+  Alcotest.(check int) "append returns frame length" (String.length (frame ~tid:9 (hb 1))) n;
   Alcotest.(check int) "pending before flush" 1 (Outbox.pending ob);
   Outbox.flush ob;
   Alcotest.(check int) "pending after flush" 0 (Outbox.pending ob);
-  (* The whole point of the bare path: one frame batches into the exact
-     bytes the unbatched sender put on the wire. *)
+  (* One frame goes out in the same layout as a burst: a one-frame
+     datagram, length header included. *)
   Alcotest.(check (list (pair int string)))
-    "single frame is byte-identical to the unbatched format"
-    [ (4, Codec.encode_traced ~tid:9 (hb 1)) ]
+    "single frame is a one-frame datagram"
+    [ (4, frame ~tid:9 (hb 1)) ]
     !sent
 
 let test_outbox_packs_per_destination () =
@@ -117,17 +120,20 @@ let test_outbox_packs_per_destination () =
   Alcotest.(check int) "two dirty destinations" 2 (Outbox.pending ob);
   Outbox.flush ob;
   (match List.rev !sent with
-  | [ (5, bare); (7, packed) ] ->
-    (* Ascending-destination flush order, single frame bare, burst packed. *)
-    Alcotest.(check string) "dst 5 bare" (Codec.encode_traced ~tid:4 (hb 4)) bare;
-    Alcotest.(check char) "dst 7 packed" Codec.packed_marker packed.[0];
+  | [ (5, single); (7, packed) ] ->
+    (* Ascending-destination flush order; a burst is its frames back to
+       back. *)
+    Alcotest.(check string) "dst 5 one frame" (frame ~tid:4 (hb 4)) single;
+    Alcotest.(check string) "dst 7 three frames"
+      (String.concat "" (List.map (fun i -> frame ~tid:i (hb i)) [ 1; 2; 3 ]))
+      packed;
     (match Codec.decode_frames packed with
     | Ok frames ->
       Alcotest.(check int) "three frames" 3 (List.length frames);
       List.iteri
-        (fun i f ->
-          Alcotest.(check int) "frame tid in order" (i + 1) f.Codec.f_tid;
-          Alcotest.(check string) "frame kind" "heartbeat" (Types.classify f.Codec.f_msg))
+        (fun i (f : Codec.framed) ->
+          Alcotest.(check int) "frame tid in order" (i + 1) f.f_tid;
+          Alcotest.(check string) "frame kind" "heartbeat" (Types.classify f.f_msg))
         frames
     | Error e -> Alcotest.failf "decode_frames: %s" e)
   | l -> Alcotest.failf "unexpected datagram count %d" (List.length l));
@@ -155,7 +161,7 @@ let test_outbox_overflow_flush_retry () =
         | Ok frames ->
           List.map
             (fun f ->
-              match f.Codec.f_msg with
+              match (f : Codec.framed).f_msg with
               | Types.ClientResp { seq; _ } -> seq
               | m -> Alcotest.failf "unexpected %s" (Types.classify m))
             frames)
@@ -214,10 +220,10 @@ let test_conformance_other_seed () =
 
 (* --- a real cluster over the ring fabric ------------------------------- *)
 
-(* The same replica and client builders the simulator and the UDP runtime
-   host, wired over in-process byte rings: commits must complete and the
-   mains' logs must agree, with zero ring drops. *)
-let test_ring_cluster_commits () =
+(* Three replicas and a 25-op client on a fresh fabric: [before_run] may
+   tamper with the fabric first. Returns the fabric, the client, and the
+   mains' log dumps after the run. *)
+let run_ring_cluster ?(before_run = ignore) () =
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
   let universe_mains = [ 0; 1 ] and universe_auxes = [ 2 ] in
   let fab = Ring.create ~seed:99 () in
@@ -234,20 +240,17 @@ let test_ring_cluster_commits () =
   in
   List.iter (fun id -> make_replica id Replica.Main) universe_mains;
   List.iter (fun id -> make_replica id Replica.Aux) universe_auxes;
-  let total = 25 in
   let client_cell = ref None in
   Ring.add_node fab ~id:1000 ~build:(fun ctx ->
       let c =
         Client.create ctx ~mains:universe_mains ~timeout:0.2
-          ~ops:(fun seq -> if seq <= total then Some (Cp_smr.Counter.inc 1) else None)
+          ~ops:(fun seq -> if seq <= 25 then Some (Cp_smr.Counter.inc 1) else None)
           ()
       in
       client_cell := Some c;
       Client.handlers c);
-  let client = Option.get !client_cell in
+  before_run fab;
   Ring.run ~until:20. fab;
-  Alcotest.(check bool) "client finished over the ring fabric" true (Client.is_finished client);
-  Alcotest.(check int) "all ops done" total (Client.done_count client);
   let dumps =
     List.map
       (fun id ->
@@ -259,9 +262,19 @@ let test_ring_cluster_commits () =
         })
       universe_mains
   in
-  (match Cp_checker.Consistency.agreement dumps with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
+  (fab, Option.get !client_cell, dumps)
+
+let check_commits (_, client, dumps) =
+  Alcotest.(check bool) "client finished over the ring fabric" true (Client.is_finished client);
+  Alcotest.(check int) "all ops done" 25 (Client.done_count client);
+  match Cp_checker.Consistency.agreement dumps with Ok () -> () | Error e -> Alcotest.fail e
+
+(* The same replica and client builders the simulator and the UDP runtime
+   host, wired over in-process byte rings: commits must complete and the
+   mains' logs must agree, with zero ring drops. *)
+let test_ring_cluster_commits () =
+  let ((fab, _, _) as run) = run_ring_cluster () in
+  check_commits run;
   List.iter
     (fun id ->
       let m = Ring.metrics fab id in
@@ -273,7 +286,24 @@ let test_ring_cluster_commits () =
         (Printf.sprintf "node %d: wire bytes counted" id)
         true
         (Cp_sim.Metrics.get m "wire_bytes" > 0))
-    (universe_mains @ [ 1000 ])
+    [ 0; 1; 1000 ]
+
+(* A record that does not decode (here: a length header promising more
+   bytes than the record holds) is counted at its destination and
+   dropped; the cluster still commits. *)
+let test_ring_corrupt_record () =
+  let junk = "\x05\x00\x02" in
+  let inject fab =
+    ignore
+      (Bytering.write (Ring.link fab ~src:1000 ~dst:0) ~max:(String.length junk)
+         ~f:(fun buf ~pos ->
+           Bytes.blit_string junk 0 buf pos (String.length junk);
+           pos + String.length junk))
+  in
+  let ((fab, _, _) as run) = run_ring_cluster ~before_run:inject () in
+  Alcotest.(check int) "decode error counted at the destination" 1
+    (Cp_sim.Metrics.get (Ring.metrics fab 0) "wire_decode_errors");
+  check_commits run
 
 let suite =
   [
@@ -283,7 +313,7 @@ let suite =
       test_bytering_full_and_refusal;
     Alcotest.test_case "bytering: encoder exception commits nothing" `Quick
       test_bytering_encoder_exn_commits_nothing;
-    Alcotest.test_case "outbox: single frame flushes bare" `Quick test_outbox_single_frame_bare;
+    Alcotest.test_case "outbox: single frame as a burst" `Quick test_outbox_single_frame;
     Alcotest.test_case "outbox: burst packs per destination" `Quick
       test_outbox_packs_per_destination;
     Alcotest.test_case "outbox: full buffer flushes and retries" `Quick
@@ -296,4 +326,5 @@ let suite =
     Alcotest.test_case "conformance: udp byte-identical to sim" `Slow test_conformance_udp;
     Alcotest.test_case "conformance: seeds vary the schedule" `Quick test_conformance_other_seed;
     Alcotest.test_case "ring fabric: replica cluster commits" `Slow test_ring_cluster_commits;
+    Alcotest.test_case "ring fabric: corrupt record counted" `Slow test_ring_corrupt_record;
   ]
