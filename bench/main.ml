@@ -463,7 +463,7 @@ let write_reads_snapshot () =
 (* ------------------------------------------------------------------ *)
 (* Tracing snapshot: three gates on the observability layer itself.    *)
 (* (1) Overhead: the identical simulation timed wall-clock with        *)
-(*     tracing on and off — rings + trace ids must cost < 5%.          *)
+(*     tracing on and off — rings + trace ids must cost <= 3 us/op.    *)
 (* (2) Steady-state duty cycle: with no faults the auxiliary's trace   *)
 (*     lane must be ~empty (the paper's claim, as a number).           *)
 (* (3) Determinism: two same-seed failover runs must render byte-      *)
@@ -491,11 +491,20 @@ let write_trace_snapshot () =
       deadline = 60.;
     }
   in
-  (* Gate 1: wall-clock cost of tracing. Interleaved on/off pairs, min-of-N:
-     the minimum is the least-noisy estimator for a deterministic workload.
-     The GC flush keeps one run's garbage from being collected on the next
-     run's clock (each timed run still pays for its own allocation). *)
-  let pairs = if quick then 5 else 8 in
+  (* Gate 1: wall-clock cost of tracing per committed op. Each round runs
+     off, on, on, off, so neither side always runs second (back to back,
+     the second run of a pair read up to 9% faster); min-of-N per side is
+     the least-noisy estimator for a deterministic workload. The GC flush
+     keeps one run's garbage from being collected on the next run's clock
+     (each timed run still pays for its own allocation).
+     The gate bounds tracing's absolute cost per op, not the on/off
+     throughput ratio: the ratio's denominator is the whole protocol path,
+     so it tightens whenever another layer gets faster. Persisting one vote
+     per accept made this run ~3x shorter and moved the ratio from ~0.97
+     to 0.91-0.94 with the tracing code unchanged. The 3 us budget is the old
+     5% gate at the ~62 us per op this scenario cost before that change
+     (2-vCPU Xeon VM); the ratio is still reported. *)
+  let rounds = if quick then 5 else 8 in
   let time spec =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
@@ -504,19 +513,24 @@ let write_trace_snapshot () =
   in
   let best_on = ref infinity and best_off = ref infinity in
   let last_on = ref None in
-  for _ = 1 to pairs do
-    let dt_off, _ = time (steady_spec ~obs:false) in
-    let dt_on, r_on = time (steady_spec ~obs:true) in
-    best_off := Float.min !best_off dt_off;
-    best_on := Float.min !best_on dt_on;
-    last_on := Some r_on
+  let timed obs =
+    let dt, r = time (steady_spec ~obs) in
+    if obs then begin
+      best_on := Float.min !best_on dt;
+      last_on := Some r
+    end
+    else best_off := Float.min !best_off dt
+  in
+  for _ = 1 to rounds do
+    List.iter timed [ false; true; true; false ]
   done;
   let steady = Option.get !last_on in
   let total_ops = steady.S.completed in
   let tput_on = float_of_int total_ops /. !best_on in
   let tput_off = float_of_int total_ops /. !best_off in
   let overhead_ratio = tput_on /. tput_off in
-  let overhead_ok = steady.S.finished && overhead_ratio >= 0.95 in
+  let overhead_us_per_op = (!best_on -. !best_off) *. 1e6 /. float_of_int total_ops in
+  let overhead_ok = steady.S.finished && overhead_us_per_op <= 3.0 in
   (* Gate 2: steady-state auxiliary duty cycle over the back half of the
      run (skips the initial election), against the leader's for contrast. *)
   let records = S.trace steady in
@@ -572,9 +586,11 @@ let write_trace_snapshot () =
   let oc = open_out "BENCH_trace.json" in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc
-    "  \"overhead\": {\"pairs\": %d, \"ops\": %d, \"obs_off_s\": %.6f, \"obs_on_s\": \
-     %.6f, \"obs_off_tput\": %.1f, \"obs_on_tput\": %.1f, \"ratio\": %.4f, \"pass\": %b},\n"
-    pairs total_ops !best_off !best_on tput_off tput_on overhead_ratio overhead_ok;
+    "  \"overhead\": {\"rounds\": %d, \"ops\": %d, \"obs_off_s\": %.6f, \"obs_on_s\": \
+     %.6f, \"obs_off_tput\": %.1f, \"obs_on_tput\": %.1f, \"ratio\": %.4f, \
+     \"us_per_op\": %.3f, \"pass\": %b},\n"
+    rounds total_ops !best_off !best_on tput_off tput_on overhead_ratio overhead_us_per_op
+    overhead_ok;
   Printf.fprintf oc
     "  \"duty_cycle\": {\"window\": [%.6f, %.6f], \"aux\": [%s], \"mains\": [%s], \
      \"max_aux_duty\": %.6f, \"max_main_duty\": %.6f, \"pass\": %b},\n"
@@ -599,10 +615,11 @@ let write_trace_snapshot () =
   close_out oc;
   let ok = overhead_ok && duty_ok && deterministic && engaged_ok in
   Printf.printf
-    "wrote BENCH_trace.json (obs on/off tput ratio %.3f, max aux duty %.4f vs main \
-     %.4f, %d engagement window(s), chrome deterministic: %b) and \
+    "wrote BENCH_trace.json (tracing %.2f us/op, obs on/off tput ratio %.3f, max aux \
+     duty %.4f vs main %.4f, %d engagement window(s), chrome deterministic: %b) and \
      BENCH_trace_chrome.json (%d bytes) -- %s\n"
-    overhead_ratio max_aux_duty max_main_duty (List.length windows) deterministic
+    overhead_us_per_op overhead_ratio max_aux_duty max_main_duty (List.length windows)
+    deterministic
     (String.length chrome1)
     (if ok then "PASS" else "FAIL");
   ok

@@ -21,6 +21,11 @@ let votes_from t ~low =
 
 let vote_at t i = IMap.find_opt i t.votes
 
+let instances_below t ~upto =
+  IMap.to_seq t.votes
+  |> Seq.take_while (fun (i, _) -> i < upto)
+  |> Seq.map fst |> List.of_seq
+
 type p1_result =
   | Promise of (int * Types.vote) list * int
   | P1_nack of Ballot.t

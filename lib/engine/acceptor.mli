@@ -8,8 +8,8 @@
     (paper §"auxiliary storage", experiment E5).
 
     Purity makes the module directly property-testable; the replica layers
-    persistence on top by writing the whole state to {!Cp_storage.Storage} after
-    each mutation. *)
+    persistence on top incrementally: a header (promise, floor) when either
+    moves, one record per accepted vote, one removal per compacted vote. *)
 
 type t
 
@@ -25,6 +25,10 @@ val votes_from : t -> low:int -> (int * Cp_proto.Types.vote) list
 (** Accepted votes at instances ≥ [low], ascending. *)
 
 val vote_at : t -> int -> Cp_proto.Types.vote option
+
+val instances_below : t -> upto:int -> int list
+(** Instances holding a vote below [upto], ascending — what {!compact}
+    [~upto] would discard. *)
 
 type p1_result =
   | Promise of (int * Cp_proto.Types.vote) list * int

@@ -28,8 +28,7 @@ let on_p1a t ~src ~ballot ~low =
     | Candidate c when Ballot.(c.c_ballot < ballot) -> step_down t ballot
     | Leader _ | Candidate _ | Follower -> ());
     let acc, res = Acceptor.handle_p1a t.acceptor ~ballot ~low in
-    t.acceptor <- acc;
-    persist_acceptor t;
+    set_acceptor t acc;
     match res with
     | Acceptor.Promise (votes, floor) ->
       if Ballot.(t.max_seen < ballot) then t.max_seen <- ballot;
@@ -41,10 +40,10 @@ let on_p1a t ~src ~ballot ~low =
 let on_p2a t ~src ~ballot ~instance ~entry =
   note_leader_contact t ballot ballot.Ballot.leader;
   let acc, res = Acceptor.handle_p2a t.acceptor ~ballot ~instance ~entry in
-  t.acceptor <- acc;
+  set_acceptor t acc;
   match res with
   | Acceptor.Accepted ->
-    persist_acceptor t;
+    persist_vote t instance;
     (match t.state with
     | (Leader _ | Candidate _) when Ballot.(ballot > t.max_seen) -> step_down t ballot
     | Leader _ | Candidate _ | Follower -> ());
@@ -62,8 +61,7 @@ let on_commit_floor t ~upto =
      chosen prefix (their log must keep covering their votes). *)
   let upto = if t.role_ = Main then min upto (Log.prefix t.log) else upto in
   if upto > Acceptor.compacted_upto t.acceptor then begin
-    t.acceptor <- Acceptor.compact t.acceptor ~upto;
-    persist_acceptor t;
+    set_acceptor t (Acceptor.compact t.acceptor ~upto);
     metric t "compactions"
   end
 
@@ -73,9 +71,12 @@ let self_accept t ballot instance entry =
   let cfg = Configs.config_for t.configs instance in
   if Config.is_acceptor cfg t.self then begin
     let acc, res = Acceptor.handle_p2a t.acceptor ~ballot ~instance ~entry in
-    t.acceptor <- acc;
-    persist_acceptor t;
-    match res with Acceptor.Accepted -> true | Acceptor.P2_nack _ | Acceptor.Stale -> false
+    set_acceptor t acc;
+    match res with
+    | Acceptor.Accepted ->
+      persist_vote t instance;
+      true
+    | Acceptor.P2_nack _ | Acceptor.Stale -> false
   end
   else false
 

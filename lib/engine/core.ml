@@ -72,7 +72,12 @@ let step t ~now:clock input =
    of stable storage (the core itself never touches storage). *)
 let recover t (recovery : recovery) =
   (match recovery.r_acceptor with
-  | Some image -> t.acceptor <- Acceptor.import image
+  | Some (promised, floor) ->
+    (* Votes below the floor outlived a batch torn between the header and
+       its drops: they are compacted, so drop them again. *)
+    let live, stale = List.partition (fun (i, _) -> i >= floor) recovery.r_votes in
+    t.acceptor <- Acceptor.import (promised, live, floor);
+    List.iter (fun (i, _) -> push t (Effect.Drop_vote i)) stale
   | None -> ());
   if t.role_ = Main then begin
     (match recovery.r_snapshot with

@@ -17,8 +17,10 @@ open Cp_proto
 
 type t =
   | Send of int * Types.msg  (** enqueue a message to a destination id *)
-  | Persist_acceptor of (Ballot.t * (int * Types.vote) list * int)
-      (** durably replace the acceptor image (promise, votes, floor) *)
+  | Persist_header of Ballot.t * int
+      (** durably replace the acceptor header (promise, compaction floor) *)
+  | Persist_vote of int * Types.vote  (** durably record the vote at one instance *)
+  | Drop_vote of int  (** drop the durable copy of one compacted vote *)
   | Persist_log of int * Types.entry  (** durably append a chosen entry *)
   | Persist_snapshot of Types.snapshot  (** durably replace the snapshot *)
   | Drop_log of int  (** drop the durable copy of one log entry *)
@@ -33,7 +35,9 @@ type t =
 
 let classify = function
   | Send _ -> "send"
-  | Persist_acceptor _ -> "persist_acceptor"
+  | Persist_header _ -> "persist_header"
+  | Persist_vote _ -> "persist_vote"
+  | Drop_vote _ -> "drop_vote"
   | Persist_log _ -> "persist_log"
   | Persist_snapshot _ -> "persist_snapshot"
   | Drop_log _ -> "drop_log"
@@ -48,19 +52,36 @@ let classify = function
 
 (* Coarse profiler stage per effect class; the interpreter charges each
    effect's execution time to one of these (see {!Cp_obs.Prof}). *)
+let stage_send = Cp_obs.Prof.stage "exec_send"
+
+let stage_persist = Cp_obs.Prof.stage "exec_persist"
+
+let stage_timer = Cp_obs.Prof.stage "exec_timer"
+
+let stage_emit = Cp_obs.Prof.stage "exec_emit"
+
+let stage_metric = Cp_obs.Prof.stage "exec_metric"
+
+let stage_span = Cp_obs.Prof.stage "exec_span"
+
 let stage = function
-  | Send _ -> "exec_send"
-  | Persist_acceptor _ | Persist_log _ | Persist_snapshot _ | Drop_log _ ->
-    "exec_persist"
-  | Set_timer _ -> "exec_timer"
-  | Emit _ -> "exec_emit"
-  | Metric _ | Observe _ -> "exec_metric"
-  | Span_submitted _ | Span_chosen _ | Span_executed _ | Span_reset -> "exec_span"
+  | Send _ -> stage_send
+  | Persist_header _ | Persist_vote _ | Drop_vote _ | Persist_log _ | Persist_snapshot _
+  | Drop_log _ ->
+    stage_persist
+  | Set_timer _ -> stage_timer
+  | Emit _ -> stage_emit
+  | Metric _ | Observe _ -> stage_metric
+  | Span_submitted _ | Span_chosen _ | Span_executed _ | Span_reset -> stage_span
 
 let pp ppf = function
   | Send (dst, msg) -> Format.fprintf ppf "send(%d,%a)" dst Types.pp_msg msg
-  | Persist_acceptor (_, votes, floor) ->
-    Format.fprintf ppf "persist_acceptor(|votes|=%d,floor=%d)" (List.length votes) floor
+  | Persist_header (promised, floor) ->
+    Format.fprintf ppf "persist_header(%a,floor=%d)" Ballot.pp promised floor
+  | Persist_vote (i, v) ->
+    Format.fprintf ppf "persist_vote(%d,%a,%a)" i Ballot.pp v.Types.vballot Types.pp_entry
+      v.Types.ventry
+  | Drop_vote i -> Format.fprintf ppf "drop_vote(%d)" i
   | Persist_log (i, e) -> Format.fprintf ppf "persist_log(%d,%a)" i Types.pp_entry e
   | Persist_snapshot s -> Format.fprintf ppf "persist_snapshot(at=%d)" s.Types.next_instance
   | Drop_log i -> Format.fprintf ppf "drop_log(%d)" i

@@ -258,8 +258,7 @@ let become_candidate t =
   tracef t "candidate %a low=%d" Ballot.pp ballot c.c_low;
   (* Self-promise. *)
   let acc, res = Acceptor.handle_p1a t.acceptor ~ballot ~low:c.c_low in
-  t.acceptor <- acc;
-  persist_acceptor t;
+  set_acceptor t acc;
   (match res with
   | Acceptor.Promise (votes, floor) ->
     Hashtbl.replace c.c_promises t.self floor;

@@ -35,8 +35,7 @@ let maybe_snapshot t =
     Log.truncate_below t.log t.executed_;
     (* A main may compact its own votes below its chosen prefix: the log and
        snapshot durably cover those instances. *)
-    t.acceptor <- Acceptor.compact t.acceptor ~upto:(Log.prefix t.log);
-    persist_acceptor t;
+    set_acceptor t (Acceptor.compact t.acceptor ~upto:(Log.prefix t.log));
     metric t "snapshots"
   end
 

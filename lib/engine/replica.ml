@@ -27,15 +27,27 @@ type t = {
 (* The effect interpreter                                              *)
 (* ------------------------------------------------------------------ *)
 
-let log_key i = "log." ^ string_of_int i
+(* Stable key layout: "acceptor" (header), "vote.<i>", "log.<i>",
+   "snapshot". *)
+let log_prefix = "log."
+
+let vote_prefix = "vote."
+
+let log_key i = log_prefix ^ string_of_int i
+
+let vote_key i = vote_prefix ^ string_of_int i
 
 (* Persistence goes through the typed stable-record codecs, not [Marshal]:
    the store sees only bytes with a defined, versioned layout. *)
 let interpret_one t (eff : Effect.t) =
   match eff with
   | Effect.Send (dst, msg) -> t.ctx.Engine.send dst msg
-  | Effect.Persist_acceptor image ->
-    Storage.put t.ctx.Engine.stable "acceptor" (Codec.encode_acceptor_image image)
+  | Effect.Persist_header (promised, floor) ->
+    Storage.put t.ctx.Engine.stable "acceptor"
+      (Codec.encode_acceptor_header (promised, floor))
+  | Effect.Persist_vote (i, vote) ->
+    Storage.put t.ctx.Engine.stable (vote_key i) (Codec.encode_stable_vote vote)
+  | Effect.Drop_vote i -> Storage.remove t.ctx.Engine.stable (vote_key i)
   | Effect.Persist_log (i, entry) ->
     Storage.put t.ctx.Engine.stable (log_key i) (Codec.encode_stable_entry entry)
   | Effect.Persist_snapshot snap ->
@@ -52,8 +64,8 @@ let interpret_one t (eff : Effect.t) =
 
 let is_persist (eff : Effect.t) =
   match eff with
-  | Effect.Persist_acceptor _ | Effect.Persist_log _ | Effect.Persist_snapshot _
-  | Effect.Drop_log _ ->
+  | Effect.Persist_header _ | Effect.Persist_vote _ | Effect.Drop_vote _
+  | Effect.Persist_log _ | Effect.Persist_snapshot _ | Effect.Drop_log _ ->
     true
   | _ -> false
 
@@ -71,7 +83,7 @@ let interpret t effects =
   else List.iter (interpret_one t) effects;
   if List.exists is_persist effects then
     if Obs.Prof.enabled t.prof then
-      Obs.Prof.time t.prof "exec_persist" (fun () -> Storage.flush t.ctx.Engine.stable)
+      Obs.Prof.time t.prof Effect.stage_persist (fun () -> Storage.flush t.ctx.Engine.stable)
     else Storage.flush t.ctx.Engine.stable
 
 (* ------------------------------------------------------------------ *)
@@ -87,23 +99,16 @@ let get_decoded stable key decode =
   | None -> None
   | Some bytes -> ( match decode bytes with Ok v -> Some v | Error _ -> None)
 
-(* Every persisted chosen entry, in no particular order; the core filters
-   and sorts against its post-snapshot log base. *)
-let scan_log stable =
-  let prefix = "log." in
+(* Every decodable record under "<prefix><i>", as (i, value), in no
+   particular order; the core filters and sorts against its floor or
+   post-snapshot log base. *)
+let scan stable ~prefix decode =
+  let n = String.length prefix in
   Storage.keys stable
   |> List.filter_map (fun k ->
-         if
-           String.length k > String.length prefix
-           && String.sub k 0 (String.length prefix) = prefix
-         then
-           match
-             int_of_string_opt
-               (String.sub k (String.length prefix) (String.length k - String.length prefix))
-           with
-           | Some i ->
-             get_decoded stable k Codec.decode_stable_entry
-             |> Option.map (fun (e : Types.entry) -> (i, e))
+         if String.length k > n && String.sub k 0 n = prefix then
+           match int_of_string_opt (String.sub k n (String.length k - n)) with
+           | Some i -> get_decoded stable k decode |> Option.map (fun v -> (i, v))
            | None -> None
          else None)
 
@@ -112,11 +117,13 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
   let stable = ctx.Engine.stable in
   let recovery =
     {
-      State.r_acceptor = get_decoded stable "acceptor" Codec.decode_acceptor_image;
+      State.r_acceptor = get_decoded stable "acceptor" Codec.decode_acceptor_header;
+      r_votes = scan stable ~prefix:vote_prefix Codec.decode_stable_vote;
       r_snapshot =
         (if role = Main then get_decoded stable "snapshot" Codec.decode_stable_snapshot
          else None);
-      r_log = (if role = Main then scan_log stable else []);
+      r_log =
+        (if role = Main then scan stable ~prefix:log_prefix Codec.decode_stable_entry else []);
       r_had_state = Storage.mem stable "acceptor";
     }
   in
@@ -147,18 +154,20 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
   interpret t effects;
   t
 
+let stage_step = Obs.Prof.stage "step"
+
 let handlers t =
   let on_message ~src msg =
     let now = t.ctx.Engine.now () in
     let _, effects =
-      Obs.Prof.time t.prof "step" (fun () -> Core.step t.core ~now (Core.Deliver { src; msg }))
+      Obs.Prof.time t.prof stage_step (fun () -> Core.step t.core ~now (Core.Deliver { src; msg }))
     in
     interpret t effects
   in
   let on_timer ~tid:_ ~tag =
     let now = t.ctx.Engine.now () in
     let _, effects =
-      Obs.Prof.time t.prof "step" (fun () -> Core.step t.core ~now (Core.Timer { tag }))
+      Obs.Prof.time t.prof stage_step (fun () -> Core.step t.core ~now (Core.Timer { tag }))
     in
     interpret t effects;
     (* Age out latency spans whose command was shed or deduplicated and so

@@ -97,13 +97,15 @@ type rstate =
 (* What the interpreter read from stable storage before building the core:
    the core itself never touches storage, it is handed this image once. *)
 type recovery = {
-  r_acceptor : (Ballot.t * (int * Types.vote) list * int) option;
+  r_acceptor : (Ballot.t * int) option; (* acceptor header: (promise, floor) *)
+  r_votes : (int * Types.vote) list; (* every persisted vote, any order *)
   r_snapshot : Types.snapshot option;
   r_log : (int * Types.entry) list; (* every persisted chosen entry, any order *)
-  r_had_state : bool; (* acceptor image existed: this is a restart *)
+  r_had_state : bool; (* acceptor header existed: this is a restart *)
 }
 
-let fresh_boot = { r_acceptor = None; r_snapshot = None; r_log = []; r_had_state = false }
+let fresh_boot =
+  { r_acceptor = None; r_votes = []; r_snapshot = None; r_log = []; r_had_state = false }
 
 (* ------------------------------------------------------------------ *)
 (* The replica core                                                    *)
@@ -184,7 +186,29 @@ let draw_fuzz t = t.election_fuzz <- Rng.float t.rng t.params.Params.election_fu
 (* Persistence (as effects)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let persist_acceptor t = push t (Effect.Persist_acceptor (Acceptor.export t.acceptor))
+(* Acceptor persistence is incremental, so the bytes written per accept do
+   not grow with the votes held. [set_acceptor] installs a new acceptor
+   value and queues its durable delta: the header (promise, floor) if either
+   moved, then one [Drop_vote] per vote the floor discarded. The header goes
+   first, so a batch torn between the two never loses a vote at or above
+   the durable floor (recovery ignores leftover votes below it). *)
+let set_acceptor t acc =
+  let old = t.acceptor in
+  t.acceptor <- acc;
+  let promised = Acceptor.promised acc and floor = Acceptor.compacted_upto acc in
+  if
+    (not (Ballot.equal promised (Acceptor.promised old)))
+    || floor <> Acceptor.compacted_upto old
+  then begin
+    push t (Effect.Persist_header (promised, floor));
+    List.iter (fun i -> push t (Effect.Drop_vote i)) (Acceptor.instances_below old ~upto:floor)
+  end
+
+(* One accepted vote, after the header [set_acceptor] queued for it. *)
+let persist_vote t instance =
+  Option.iter
+    (fun v -> push t (Effect.Persist_vote (instance, v)))
+    (Acceptor.vote_at t.acceptor instance)
 
 let persist_log_entry t i entry = push t (Effect.Persist_log (i, entry))
 

@@ -17,6 +17,10 @@ type t = {
   enabled : bool;
 }
 
+type stage = { ns_name : string; n_name : string }
+
+let stage name = { ns_name = "prof." ^ name ^ ".ns"; n_name = "prof." ^ name ^ ".n" }
+
 let create ?(enabled = true) ~clock ~count () = { clock; count; enabled }
 
 let disabled = { clock = (fun () -> 0.); count = (fun _ _ -> ()); enabled = false }
@@ -24,8 +28,8 @@ let disabled = { clock = (fun () -> 0.); count = (fun _ _ -> ()); enabled = fals
 let enabled t = t.enabled
 
 let record t stage ~ns =
-  t.count ("prof." ^ stage ^ ".ns") ns;
-  t.count ("prof." ^ stage ^ ".n") 1
+  t.count stage.ns_name ns;
+  t.count stage.n_name 1
 
 let time t stage f =
   if not t.enabled then f ()

@@ -21,10 +21,17 @@ val disabled : t
 
 val enabled : t -> bool
 
-val time : t -> string -> (unit -> 'a) -> 'a
+type stage
+(** A stage's two counter names, built once by {!stage} so the timed path
+    allocates none. *)
+
+val stage : string -> stage
+(** [stage "step"] charges to ["prof.step.ns"] and ["prof.step.n"]. *)
+
+val time : t -> stage -> (unit -> 'a) -> 'a
 (** [time t stage f] runs [f] and charges its duration to [stage]. *)
 
-val record : t -> string -> ns:int -> unit
+val record : t -> stage -> ns:int -> unit
 (** Charge an externally measured duration (e.g. a decode timed outside the
     node lock) to a stage. *)
 

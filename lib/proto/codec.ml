@@ -558,16 +558,16 @@ let decode_frames ?(pos = 0) ?len s =
 
 (* --- stable records ----------------------------------------------------- *)
 
-(* What the effect interpreter persists: the acceptor image, one chosen log
-   entry, and the snapshot. Each record leads with a version byte so a
-   future layout change can read old disks; decoding returns Result and
+(* What the effect interpreter persists: the acceptor header, one vote, one
+   chosen log entry, and the snapshot. Each record leads with a version byte
+   so a future layout change can read old disks; decoding returns Result and
    requires exact landing, like the wire decoders — a half-written or
    foreign blob is an [Error], never an exception. These replace [Marshal]
    on the durable path: the bytes are defined by this grammar, not by the
    OCaml runtime's internal format, so a WAL written by one OCaml version
    reads back on another. *)
 
-type acceptor_image = Ballot.t * (int * Types.vote) list * int
+type acceptor_header = Ballot.t * int
 
 let stable_version = 1
 
@@ -586,20 +586,22 @@ let decode_stable what read s =
     if pos = String.length s then Ok x
     else Error (what ^ ": trailing bytes")
 
-let write_acceptor_image buf ((promised, votes, compacted) : acceptor_image) =
+let write_acceptor_header buf ((promised, compacted) : acceptor_header) =
   BW.ballot buf promised;
-  BW.list_ buf BW.ivote votes;
   BW.varint buf compacted
 
-let read_acceptor_image s ~pos =
+let read_acceptor_header s ~pos =
   let* promised, pos = read_ballot s ~pos in
-  let* votes, pos = read_list read_ivote s ~pos in
   let* compacted, pos = read_varint s ~pos in
-  Ok ((promised, votes, compacted), pos)
+  Ok ((promised, compacted), pos)
 
-let encode_acceptor_image = encode_stable write_acceptor_image
+let encode_acceptor_header = encode_stable write_acceptor_header
 
-let decode_acceptor_image = decode_stable "acceptor" read_acceptor_image
+let decode_acceptor_header = decode_stable "acceptor" read_acceptor_header
+
+let encode_stable_vote = encode_stable BW.vote
+
+let decode_stable_vote = decode_stable "vote" read_vote
 
 let encode_stable_entry = encode_stable BW.entry
 

@@ -71,22 +71,29 @@ val read_string : string -> pos:int -> (string * int, string) result
 (** {1 Stable records}
 
     Typed, versioned codecs for what the effect interpreter persists — the
-    acceptor image, one chosen log entry, the snapshot. Each record leads
-    with a version byte; decoding returns [Result] and requires exact
-    landing, so a torn or foreign blob is an [Error], never an exception.
-    These replace [Marshal] on the durable path: the byte layout is defined
-    by the message grammar, not the OCaml runtime, so a WAL written under
-    one compiler version reads back under another. *)
+    acceptor header, one vote, one chosen log entry, the snapshot. Each
+    record leads with a version byte; decoding returns [Result] and requires
+    exact landing, so a torn or foreign blob is an [Error], never an
+    exception. These replace [Marshal] on the durable path: the byte layout
+    is defined by the message grammar, not the OCaml runtime, so a WAL
+    written under one compiler version reads back under another. *)
 
-type acceptor_image = Ballot.t * (int * Types.vote) list * int
-(** Promised ballot, votes by instance, compaction floor — exactly the
-    payload of [Effect.Persist_acceptor]. *)
+type acceptor_header = Ballot.t * int
+(** Promised ballot and compaction floor — exactly the payload of
+    [Effect.Persist_header]. The votes are separate records (one
+    {!encode_stable_vote} per instance), so the header stays a few bytes
+    however many votes the acceptor holds. *)
 
 val stable_version : int
 
-val encode_acceptor_image : acceptor_image -> string
+val encode_acceptor_header : acceptor_header -> string
 
-val decode_acceptor_image : string -> (acceptor_image, string) result
+val decode_acceptor_header : string -> (acceptor_header, string) result
+
+val encode_stable_vote : Types.vote -> string
+(** One accepted vote (ballot, entry); the instance is its storage key. *)
+
+val decode_stable_vote : string -> (Types.vote, string) result
 
 val encode_stable_entry : Types.entry -> string
 

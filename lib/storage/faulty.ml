@@ -6,7 +6,7 @@
      offset of a workload and check recovery keeps exactly the synced
      prefix.
    - {!View}/{!store}: a {!Storage.S} wrapper around any packed store that
-     crashes at op granularity (before the Nth put / before the Nth flush)
+     crashes at op granularity (before the Nth put, remove or flush)
      for coarser schedule-level tests.
 
    [Crash] is the simulated power cut. Everything the wrapped store wrote
@@ -18,13 +18,21 @@ type plan = {
   mutable crash_after_bytes : int; (* -1 = never *)
   mutable short_write : int; (* max bytes per write(2), 0 = unlimited *)
   mutable crash_before_put : int; (* countdown, -1 = never *)
+  mutable crash_before_remove : int; (* countdown, -1 = never *)
   mutable crash_before_flush : int; (* countdown, -1 = never *)
   mutable crashed : bool;
 }
 
 let plan ?(crash_after_bytes = -1) ?(short_write = 0) ?(crash_before_put = -1)
-    ?(crash_before_flush = -1) () =
-  { crash_after_bytes; short_write; crash_before_put; crash_before_flush; crashed = false }
+    ?(crash_before_remove = -1) ?(crash_before_flush = -1) () =
+  {
+    crash_after_bytes;
+    short_write;
+    crash_before_put;
+    crash_before_remove;
+    crash_before_flush;
+    crashed = false;
+  }
 
 let check p = if p.crashed then raise Crash
 
@@ -90,7 +98,10 @@ module View = struct
     Storage.get t.inner k
 
   let remove t k =
-    check t.p;
+    tick t.p (fun () ->
+        let n = t.p.crash_before_remove in
+        if n > 0 then t.p.crash_before_remove <- n - 1;
+        n);
     Storage.remove t.inner k
 
   let mem t k =

@@ -2,9 +2,9 @@
 
     Two depths: {!io} wraps the WAL's syscall surface for byte-granular
     torn-tail injection (crash after N bytes, short writes); {!store} wraps
-    any packed store for op-granular crash points (before the Nth put or
-    flush). {!Crash} models the power cut: whatever landed before it is on
-    disk, nothing after. *)
+    any packed store for op-granular crash points (before the Nth put,
+    remove or flush). {!Crash} models the power cut: whatever landed before
+    it is on disk, nothing after. *)
 
 exception Crash
 
@@ -12,6 +12,7 @@ type plan = {
   mutable crash_after_bytes : int;
   mutable short_write : int;
   mutable crash_before_put : int;
+  mutable crash_before_remove : int;
   mutable crash_before_flush : int;
   mutable crashed : bool;
 }
@@ -20,6 +21,7 @@ val plan :
   ?crash_after_bytes:int ->
   ?short_write:int ->
   ?crash_before_put:int ->
+  ?crash_before_remove:int ->
   ?crash_before_flush:int ->
   unit ->
   plan

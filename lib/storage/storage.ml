@@ -1,12 +1,12 @@
 (* The storage signature: what a runtime must provide to persist a replica.
 
-   The engine's effect interpreter writes acceptor images, chosen log
-   entries, and snapshots through the capability value below, and
-   backends — the in-memory table
+   The engine's effect interpreter writes the acceptor header, one record
+   per vote, chosen log entries, and snapshots through the capability value
+   below, and backends — the in-memory table
    ({!Mem}), the group-commit write-ahead log ({!Wal}), the fault injector
    ({!Faulty}) — are interchangeable instances rather than hand-rolled
    hashtables. Values are bytes: the typed stable-record codecs
-   ({!Cp_proto.Codec.encode_acceptor_image} and friends) live above this
+   ({!Cp_proto.Codec.encode_acceptor_header} and friends) live above this
    layer, so a backend never sees (or marshals) an OCaml value.
 
    Namespacing: [sub t ~name] derives a view whose keys are invisible to

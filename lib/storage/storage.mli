@@ -1,8 +1,9 @@
 (** The storage signature: pluggable durable key-value stores for replicas.
 
-    The engine's effect interpreter persists acceptor images, chosen log
-    entries, and snapshots through the packed value {!t}; backends ({!Mem},
-    {!Wal}, {!Faulty}) are interchangeable instances of {!S}. Values are bytes — typed encoding
+    The engine's effect interpreter persists the acceptor header, one record
+    per vote, chosen log entries, and snapshots through the packed value
+    {!t}; backends ({!Mem}, {!Wal}, {!Faulty}) are interchangeable instances
+    of {!S}. Values are bytes — typed encoding
     happens above this layer (see the stable-record codecs in
     {!Cp_proto.Codec}).
 

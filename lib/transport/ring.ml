@@ -19,6 +19,9 @@ type t = {
   ring_capacity : int;
   seed : int;
   links : (int * int, Bytering.t) Hashtbl.t; (* (src, dst) -> ring *)
+  mutable order : ((int * int) * Bytering.t) list;
+      (* every link, ascending by (src, dst): the pump order, updated only
+         when [link] creates a ring *)
   endpoints : (int, endpoint) Hashtbl.t;
   wheel : (int * string) Wheel.t; (* payload: (node, tag) *)
   storage : int -> Storage.t; (* per-endpoint store factory *)
@@ -31,6 +34,7 @@ let create ?(ring_capacity = 65536) ?(seed = 1) ?(storage = fun _ -> Cp_storage.
     ring_capacity;
     seed;
     links = Hashtbl.create 16;
+    order = [];
     endpoints = Hashtbl.create 8;
     wheel = Wheel.create ~now:0. ();
     storage;
@@ -45,6 +49,7 @@ let link fab ~src ~dst =
   | None ->
     let r = Bytering.create ~capacity:fab.ring_capacity () in
     Hashtbl.replace fab.links (src, dst) r;
+    fab.order <- List.merge (fun (a, _) (b, _) -> compare a b) [ ((src, dst), r) ] fab.order;
     r
 
 let emit_ev fab ep ev =
@@ -148,18 +153,16 @@ let deliver fab ~src ~dst delivered buf ~pos ~len =
               ep.e_handlers.Engine.on_message ~src f.f_msg))
         frames)
 
+(* Links a handler creates mid-pass join [fab.order] but not this pass's
+   (immutable) snapshot of it: they are drained by the next pass. *)
 let pump fab =
-  let keys =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) fab.links [])
-  in
   let delivered = ref 0 in
   List.iter
-    (fun (src, dst) ->
-      let ring = Hashtbl.find fab.links (src, dst) in
+    (fun ((src, dst), ring) ->
       while Bytering.read ring ~f:(deliver fab ~src ~dst delivered) do
         ()
       done)
-    keys;
+    fab.order;
   !delivered
 
 let fire fab wid (node, tag) =

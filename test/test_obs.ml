@@ -206,13 +206,13 @@ let test_prof_counters () =
   in
   let prof = Obs.Prof.create ~clock:(fun () -> !clock) ~count () in
   let r =
-    Obs.Prof.time prof "step" (fun () ->
+    Obs.Prof.time prof (Obs.Prof.stage "step") (fun () ->
         clock := !clock +. 2e-6;
         42)
   in
   Alcotest.(check int) "time is transparent" 42 r;
-  Obs.Prof.time prof "step" (fun () -> clock := !clock +. 1e-6);
-  Obs.Prof.record prof "decode" ~ns:500;
+  Obs.Prof.time prof (Obs.Prof.stage "step") (fun () -> clock := !clock +. 1e-6);
+  Obs.Prof.record prof (Obs.Prof.stage "decode") ~ns:500;
   Alcotest.(check int) "samples counted" 2 (Hashtbl.find counters "prof.step.n");
   Alcotest.(check int) "nanoseconds summed" 3000 (Hashtbl.find counters "prof.step.ns");
   Alcotest.(check int) "external stage recorded" 500
@@ -238,7 +238,7 @@ let test_prof_counters () =
 let test_prof_disabled () =
   let prof = Obs.Prof.disabled in
   Alcotest.(check bool) "disabled" false (Obs.Prof.enabled prof);
-  Alcotest.(check int) "time still runs f" 7 (Obs.Prof.time prof "x" (fun () -> 7))
+  Alcotest.(check int) "time still runs f" 7 (Obs.Prof.time prof (Obs.Prof.stage "x") (fun () -> 7))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus rendering                                                *)

@@ -48,10 +48,35 @@ let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) () =
 let sends_to dst effects =
   Effect.sends effects |> List.filter_map (fun (d, m) -> if d = dst then Some m else None)
 
-let has_persist_acceptor effects =
-  List.exists (function Effect.Persist_acceptor _ -> true | _ -> false) effects
+(* The stable-storage effects of a step, in emission order. *)
+let persists effects =
+  List.filter
+    (function
+      | Effect.Persist_header _ | Effect.Persist_vote _ | Effect.Drop_vote _
+      | Effect.Persist_log _ | Effect.Persist_snapshot _ | Effect.Drop_log _ ->
+        true
+      | _ -> false)
+    effects
+
+let pp_persists effects = Format.asprintf "[%a]" (Format.pp_print_list Effect.pp) effects
 
 let ballot0 = Ballot.succ_for Ballot.bottom ~leader:0
+
+let entry_n n = Types.App { Types.client = 9; seq = n + 1; op = "x" }
+
+(* A core that has accepted votes at [ballot0] for instances 0..n-1; by
+   default the auxiliary (node 2). *)
+let with_votes ?(self = 2) ?(role = State.Aux) ?params n =
+  let t, _ = mk ~self ~role ?params () in
+  let t = ref t in
+  for i = 0 to n - 1 do
+    let t', _ =
+      Acceptor_core.step !t ~now:0.1
+        (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = i; entry = entry_n i })
+    in
+    t := t'
+  done;
+  !t
 
 (* --- acceptor ----------------------------------------------------------- *)
 
@@ -65,7 +90,9 @@ let test_acceptor_promise () =
     Alcotest.(check int) "no votes yet" 0 (List.length votes);
     Alcotest.(check int) "floor 0" 0 compacted_upto
   | _ -> Alcotest.fail "expected exactly one P1b to src");
-  Alcotest.(check bool) "acceptor image persisted" true (has_persist_acceptor effs);
+  (match persists effs with
+  | [ Effect.Persist_header (b, 0) ] when Ballot.equal b ballot0 -> ()
+  | p -> Alcotest.fail ("expected only the header: " ^ pp_persists p));
   Alcotest.(check bool) "promise recorded" true (Ballot.equal t.State.max_seen ballot0)
 
 let test_acceptor_stale_nack () =
@@ -79,15 +106,74 @@ let test_acceptor_stale_nack () =
   | _ -> Alcotest.fail "expected exactly one P1Nack"
 
 let test_acceptor_p2a_accept () =
+  (* A P2a above the promise raises it: the header, then the vote. *)
   let t, _ = mk ~self:2 ~role:State.Aux () in
-  let entry = Types.App { Types.client = 9; seq = 1; op = "x" } in
+  let entry = entry_n 0 in
   let _, effs =
     Acceptor_core.step t ~now:0.1 (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = 0; entry })
   in
   (match sends_to 0 effs with
   | [ Types.P2b { instance = 0; from = 2; _ } ] -> ()
   | _ -> Alcotest.fail "expected exactly one P2b to the proposer");
-  Alcotest.(check bool) "vote persisted" true (has_persist_acceptor effs)
+  match persists effs with
+  | [ Effect.Persist_header (b, 0); Effect.Persist_vote (0, v) ]
+    when Ballot.equal b ballot0 && Ballot.equal v.Types.vballot ballot0 && v.Types.ventry = entry
+    ->
+    ()
+  | p -> Alcotest.fail ("expected the header, then the vote: " ^ pp_persists p)
+
+let test_acceptor_p2a_vote_only () =
+  (* At the already-promised ballot only the one vote is written, however
+     many votes the acceptor holds. *)
+  let t = with_votes 5 in
+  let _, effs =
+    Acceptor_core.step t ~now:0.2
+      (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = 5; entry = entry_n 5 })
+  in
+  match persists effs with
+  | [ Effect.Persist_vote (5, _) ] -> ()
+  | p -> Alcotest.fail ("expected exactly one vote record: " ^ pp_persists p)
+
+let test_acceptor_compaction_drops () =
+  let t = with_votes 4 in
+  let t, effs = Acceptor_core.step t ~now:0.2 (Acceptor_core.Commit_floor { upto = 2 }) in
+  (match persists effs with
+  | [ Effect.Persist_header (b, 2); Effect.Drop_vote 0; Effect.Drop_vote 1 ]
+    when Ballot.equal b ballot0 ->
+    ()
+  | p -> Alcotest.fail ("expected the header, then one drop per vote: " ^ pp_persists p));
+  Alcotest.(check int) "votes at and above the floor kept" 2
+    (Cp_engine.Acceptor.vote_count t.State.acceptor);
+  let _, effs = Acceptor_core.step t ~now:0.3 (Acceptor_core.Commit_floor { upto = 2 }) in
+  Alcotest.(check int) "a repeated floor writes nothing" 0 (List.length (persists effs))
+
+let test_learner_snapshot_drops_votes () =
+  (* A main's snapshot compacts its own votes: the snapshot and log drops,
+     then the acceptor header, then one drop per compacted vote. *)
+  let params = { Params.default with Params.snapshot_every = 3 } in
+  let t = ref (with_votes ~self:1 ~role:State.Main ~params 3) in
+  for i = 0 to 1 do
+    let t', _ = Learner.step !t ~now:0.2 (Learner.Learn { instance = i; entry = entry_n i }) in
+    t := t'
+  done;
+  let t, effs = Learner.step !t ~now:0.2 (Learner.Learn { instance = 2; entry = entry_n 2 }) in
+  (match persists effs with
+  | [
+   Effect.Persist_log (2, _);
+   Effect.Persist_snapshot _;
+   Effect.Drop_log 0;
+   Effect.Drop_log 1;
+   Effect.Drop_log 2;
+   Effect.Persist_header (b, 3);
+   Effect.Drop_vote 0;
+   Effect.Drop_vote 1;
+   Effect.Drop_vote 2;
+  ]
+    when Ballot.equal b ballot0 ->
+    ()
+  | p -> Alcotest.fail ("unexpected snapshot persistence: " ^ pp_persists p));
+  Alcotest.(check int) "every vote compacted" 0
+    (Cp_engine.Acceptor.vote_count t.State.acceptor)
 
 (* --- leader ------------------------------------------------------------- *)
 
@@ -283,6 +369,12 @@ let suite =
     Alcotest.test_case "acceptor: p1a promise" `Quick test_acceptor_promise;
     Alcotest.test_case "acceptor: stale p1a nacked" `Quick test_acceptor_stale_nack;
     Alcotest.test_case "acceptor: p2a accept" `Quick test_acceptor_p2a_accept;
+    Alcotest.test_case "acceptor: p2a at promise writes one vote" `Quick
+      test_acceptor_p2a_vote_only;
+    Alcotest.test_case "acceptor: compaction header then drops" `Quick
+      test_acceptor_compaction_drops;
+    Alcotest.test_case "learner: snapshot header then vote drops" `Quick
+      test_learner_snapshot_drops_votes;
     Alcotest.test_case "leader: election" `Quick test_leader_election;
     Alcotest.test_case "leader: propose and choose" `Quick test_leader_propose_and_choose;
     Alcotest.test_case "leader: follower redirects" `Quick test_leader_redirect_when_follower;

@@ -72,22 +72,36 @@ let test_nul_guards () =
 
 (* --- stable-record codecs ----------------------------------------------- *)
 
-let sample_image : Codec.acceptor_image =
+let sample_headers : Codec.acceptor_header list =
+  [
+    (Ballot.bottom, 0);
+    (Ballot.make ~round:3 ~leader:1, 3);
+    (Ballot.make ~round:900 ~leader:7, 1 lsl 40);
+  ]
+
+let sample_votes : Types.vote list =
   let b = Ballot.make ~round:3 ~leader:1 in
   let cmd seq : Types.command = { client = 7; seq; op = "set:x:" ^ string_of_int seq } in
-  ( b,
-    [
-      (4, { Types.vballot = b; ventry = Types.App (cmd 4) });
-      (5, { Types.vballot = Ballot.bottom; ventry = Types.Noop });
-      (6, { Types.vballot = b; ventry = Types.Batch [ cmd 6; cmd 7 ] });
-      (7, { Types.vballot = b; ventry = Types.Reconfig (Types.Remove_main 1) });
-    ],
-    3 )
+  [
+    { Types.vballot = b; ventry = Types.App (cmd 4) };
+    { Types.vballot = Ballot.bottom; ventry = Types.Noop };
+    { Types.vballot = b; ventry = Types.Batch [ cmd 6; cmd 7 ] };
+    { Types.vballot = b; ventry = Types.Reconfig (Types.Remove_main 1) };
+  ]
 
 let test_codec_roundtrips () =
-  (match Codec.decode_acceptor_image (Codec.encode_acceptor_image sample_image) with
-  | Ok img -> Alcotest.(check bool) "acceptor image roundtrips" true (img = sample_image)
-  | Error e -> Alcotest.fail ("acceptor image: " ^ e));
+  List.iter
+    (fun h ->
+      match Codec.decode_acceptor_header (Codec.encode_acceptor_header h) with
+      | Ok h' -> Alcotest.(check bool) "acceptor header roundtrips" true (h = h')
+      | Error e -> Alcotest.fail ("acceptor header: " ^ e))
+    sample_headers;
+  List.iter
+    (fun v ->
+      match Codec.decode_stable_vote (Codec.encode_stable_vote v) with
+      | Ok v' -> Alcotest.(check bool) "vote roundtrips" true (v = v')
+      | Error e -> Alcotest.fail ("vote: " ^ e))
+    sample_votes;
   let entries =
     [
       Types.Noop;
@@ -119,25 +133,45 @@ let test_codec_roundtrips () =
 let test_codec_rejects_garbage () =
   List.iter
     (fun s ->
-      (match Codec.decode_acceptor_image s with
-      | Ok _ -> Alcotest.fail "garbage decoded as acceptor image"
+      (match Codec.decode_acceptor_header s with
+      | Ok _ -> Alcotest.fail "garbage decoded as acceptor header"
+      | Error _ -> ());
+      (match Codec.decode_stable_vote s with
+      | Ok _ -> Alcotest.fail "garbage decoded as vote"
       | Error _ -> ());
       match Codec.decode_stable_entry s with
       | Ok _ -> Alcotest.fail "garbage decoded as entry"
       | Error _ -> ())
     [ ""; "\x00"; "\xff\xff\xff"; String.make 64 '\xaa' ];
+  (* A header with trailing bytes (e.g. the old image layout's vote list)
+     and a torn vote record are refused too. *)
+  let header = Codec.encode_acceptor_header (List.nth sample_headers 1) in
+  (match Codec.decode_acceptor_header (header ^ "\x00") with
+  | Ok _ -> Alcotest.fail "header with trailing bytes decoded"
+  | Error _ -> ());
+  let vote = Codec.encode_stable_vote (List.hd sample_votes) in
+  (match Codec.decode_stable_vote (String.sub vote 0 (String.length vote - 1)) with
+  | Ok _ -> Alcotest.fail "truncated vote decoded"
+  | Error _ -> ());
   (* Wrong version byte: refused, not misparsed. *)
-  let good = Codec.encode_stable_entry Types.Noop in
-  let bad = "\x02" ^ String.sub good 1 (String.length good - 1) in
-  match Codec.decode_stable_entry bad with
-  | Ok _ -> Alcotest.fail "future version decoded"
-  | Error e ->
-    let mentions_version =
-      let n = String.length e and m = String.length "version" in
-      let rec at i = i + m <= n && (String.sub e i m = "version" || at (i + 1)) in
-      at 0
-    in
-    Alcotest.(check bool) "names the version" true mentions_version
+  let mentions_version e =
+    let n = String.length e and m = String.length "version" in
+    let rec at i = i + m <= n && (String.sub e i m = "version" || at (i + 1)) in
+    at 0
+  in
+  let bump good = "\x02" ^ String.sub good 1 (String.length good - 1) in
+  List.iter
+    (fun (what, result) ->
+      match result with
+      | Ok () -> Alcotest.fail (what ^ ": future version decoded")
+      | Error e -> Alcotest.(check bool) (what ^ " names the version") true (mentions_version e))
+    [
+      ( "entry",
+        Result.map ignore
+          (Codec.decode_stable_entry (bump (Codec.encode_stable_entry Types.Noop))) );
+      ("header", Result.map ignore (Codec.decode_acceptor_header (bump header)));
+      ("vote", Result.map ignore (Codec.decode_stable_vote (bump vote)));
+    ]
 
 (* --- WAL: basics, reopen, rotation, compaction -------------------------- *)
 
@@ -419,6 +453,167 @@ let test_conformance_mem_vs_wal () =
             live (Sc.reopen_dump ~dir id))
         wal.Sc.dumps)
 
+(* --- incremental acceptor persistence: recovery and growth ---------------- *)
+
+module Replica = Cp_engine.Replica
+module Engine = Cp_sim.Engine
+module Counter = Cp_smr.Counter
+
+(* f = 1: mains 0 and 1, auxiliary 2. *)
+let initial = Cheap_paxos.Cheap.initial_config ~f:1
+
+(* Build (or rebuild from what [stable] holds) machine [self]'s replica on a
+   ctx that drops sends and never fires timers; tests deliver messages by
+   hand through its handlers. *)
+let replica_on ?(params = Cp_engine.Params.default) ~self stable =
+  let ctx : Types.msg Engine.ctx =
+    {
+      Engine.self;
+      now = (fun () -> 0.);
+      send = (fun _ _ -> ());
+      set_timer = (fun ?tag:_ _ -> 0);
+      cancel_timer = ignore;
+      rng = Cp_util.Rng.create self;
+      stable;
+      metrics = Cp_sim.Metrics.create ();
+      emit = ignore;
+      tctx = Cp_obs.Traceid.create ~origin:self;
+    }
+  in
+  let role =
+    if List.mem self initial.Cp_proto.Config.mains then Replica.Main else Replica.Aux
+  in
+  Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy ~params ~initial
+    ~universe_mains:initial.Cp_proto.Config.mains
+    ~universe_auxes:initial.Cp_proto.Config.aux_pool ~app:(module Counter)
+
+let deliver r ~src msg = (Replica.handlers r).Engine.on_message ~src msg
+
+let ballot4 = Ballot.make ~round:4 ~leader:0
+
+(* Run [f] over Mem and over a WAL. [disk] is the machine's store;
+   [restart ()] is what the restarted machine reads: the same table for
+   Mem, a cold replay of the directory for the WAL (the live handle is not
+   closed first, as after a power cut). *)
+let on_backends f =
+  let mem = Mem.store () in
+  f ~backend:"mem" ~disk:mem ~restart:(fun () -> mem);
+  with_tmpdir (fun dir ->
+      let handles = ref [ Wal.store dir ] in
+      Fun.protect
+        ~finally:(fun () -> List.iter Storage.close !handles)
+        (fun () ->
+          f ~backend:"wal" ~disk:(List.hd !handles) ~restart:(fun () ->
+              let s = Wal.store dir in
+              handles := s :: !handles;
+              s)))
+
+let test_recover_promise_after_full_compaction () =
+  on_backends (fun ~backend ~disk ~restart ->
+      let params = { Cp_engine.Params.default with snapshot_every = 2 } in
+      let r = replica_on ~params ~self:1 disk in
+      for i = 0 to 1 do
+        let entry = Types.App { client = 1000; seq = i + 1; op = Counter.inc 1 } in
+        deliver r ~src:0 (Types.P2a { ballot = ballot4; instance = i; entry });
+        deliver r ~src:0 (Types.Commit { instance = i; entry })
+      done;
+      Alcotest.(check int) (backend ^ ": snapshot compacted every vote") 0
+        (Replica.acceptor_vote_count r);
+      let r = replica_on ~params ~self:1 (restart ()) in
+      Alcotest.(check bool)
+        (backend ^ ": promise from the P2a survives")
+        true
+        (Ballot.equal ballot4 (Replica.acceptor_promised r));
+      Alcotest.(check int) (backend ^ ": no votes") 0 (Replica.acceptor_vote_count r);
+      Alcotest.(check int) (backend ^ ": floor") 2 (Replica.acceptor_floor r);
+      Alcotest.(check int) (backend ^ ": executed") 2 (Replica.executed r))
+
+let test_recover_torn_compaction () =
+  on_backends (fun ~backend ~disk ~restart ->
+      (* The auxiliary accepts four votes; its compaction to floor 2 then
+         crashes after the header put, before the first vote removal. *)
+      let plan = Faulty.plan ~crash_before_remove:0 () in
+      let r = replica_on ~self:2 (Faulty.store plan disk) in
+      for i = 0 to 3 do
+        deliver r ~src:0 (Types.P2a { ballot = ballot4; instance = i; entry = Types.Noop })
+      done;
+      Alcotest.check_raises (backend ^ ": crash between header and drops") Faulty.Crash
+        (fun () -> deliver r ~src:0 (Types.CommitFloor { upto = 2 }));
+      let disk = restart () in
+      Alcotest.(check (list string))
+        (backend ^ ": header landed, drops did not")
+        [ "acceptor"; "vote.0"; "vote.1"; "vote.2"; "vote.3" ]
+        (Storage.keys disk);
+      let r = replica_on ~self:2 disk in
+      Alcotest.(check int) (backend ^ ": floor") 2 (Replica.acceptor_floor r);
+      Alcotest.(check int) (backend ^ ": only votes at or above the floor") 2
+        (Replica.acceptor_vote_count r);
+      Alcotest.(check bool)
+        (backend ^ ": promise")
+        true
+        (Ballot.equal ballot4 (Replica.acceptor_promised r));
+      Alcotest.(check (list string))
+        (backend ^ ": recovery re-drops the leftovers")
+        [ "acceptor"; "vote.2"; "vote.3" ]
+        (Storage.keys disk))
+
+let test_wal_cold_reopen_fingerprint () =
+  with_tmpdir (fun dir ->
+      let factory, close_all = Sc.wal_factory ~dir () in
+      let live = Sc.run ~storage:factory () in
+      Alcotest.(check bool) "wal run completed" true live.Sc.completed;
+      close_all ();
+      let is_vote (k, _) = String.length k > 5 && String.sub k 0 5 = "vote." in
+      Alcotest.(check bool) "the run left vote records" true
+        (List.exists (fun (_, d) -> List.exists is_vote d) live.Sc.dumps);
+      List.iter
+        (fun (id, dump) ->
+          (* The live run's store, copied, against a cold segment replay:
+             a replica recovered from each must be the same replica. *)
+          let copy = Mem.store () in
+          List.iter (fun (k, v) -> Storage.put copy k v) dump;
+          let cold = Wal.store (Filename.concat dir (Printf.sprintf "n%d" id)) in
+          let from_live = replica_on ~self:id copy and from_cold = replica_on ~self:id cold in
+          Alcotest.(check string)
+            (Printf.sprintf "machine %d recovered fingerprint" id)
+            (Replica.fingerprint from_live) (Replica.fingerprint from_cold);
+          Alcotest.(check int)
+            (Printf.sprintf "machine %d recovered every live vote" id)
+            (List.length (List.filter is_vote dump))
+            (Replica.acceptor_vote_count from_cold);
+          Storage.close cold)
+        live.Sc.dumps)
+
+(* The bytes persisted per committed op must not grow with the votes the
+   acceptors hold (a main compacts them only every [snapshot_every]
+   instances): ops 100-150 and ops 400-450 cost the leader the same. *)
+let test_bytes_per_op_flat () =
+  let cluster =
+    Cp_runtime.Cluster.create ~seed:5 ~policy:Cheap_paxos.Cheap.policy ~initial
+      ~app:(module Counter) ()
+  in
+  let leader_bytes () =
+    Storage.bytes_written (Engine.stable (Cp_runtime.Cluster.engine cluster) 0)
+  in
+  (* [ops seq] is asked for op [seq] once ops 1..seq-1 have completed. *)
+  let marks = Hashtbl.create 4 in
+  let ops seq =
+    if List.mem seq [ 101; 151; 401; 451 ] then Hashtbl.replace marks seq (leader_bytes ());
+    if seq <= 451 then Some (Counter.inc 1) else None
+  in
+  let _, client = Cp_runtime.Cluster.add_client cluster ~think:1e-4 ~ops () in
+  Alcotest.(check bool) "finished" true
+    (Cp_runtime.Cluster.run_until cluster ~deadline:30. (fun () ->
+         Cp_smr.Client.is_finished client));
+  Alcotest.(check (option int)) "node 0 led throughout" (Some 0)
+    (Cp_runtime.Cluster.leader cluster);
+  let per_op a b = float_of_int (Hashtbl.find marks b - Hashtbl.find marks a) /. 50. in
+  let early = per_op 101 151 and late = per_op 401 451 in
+  Alcotest.(check bool)
+    (Printf.sprintf "bytes per op flat: %.1f early vs %.1f late" early late)
+    true
+    (Float.abs (late -. early) <= 4.)
+
 (* --- fleet: N groups on one WAL root per machine ------------------------- *)
 
 let fleet_run ?storage () =
@@ -547,6 +742,14 @@ let suite =
     Alcotest.test_case "faulty: op-level crash points" `Quick test_faulty_op_level;
     Alcotest.test_case "conformance: mem and wal fingerprint-identical" `Slow
       test_conformance_mem_vs_wal;
+    Alcotest.test_case "recovery: promise survives full compaction" `Quick
+      test_recover_promise_after_full_compaction;
+    Alcotest.test_case "recovery: torn compaction keeps votes above floor" `Quick
+      test_recover_torn_compaction;
+    Alcotest.test_case "recovery: wal cold reopen matches live fingerprint" `Slow
+      test_wal_cold_reopen_fingerprint;
+    Alcotest.test_case "growth: bytes per op flat as votes accumulate" `Quick
+      test_bytes_per_op_flat;
     Alcotest.test_case "fleet: groups share one wal root, crash/recover" `Slow
       test_fleet_restart_on_shared_wal;
     Alcotest.test_case "counters: storage metric names" `Quick test_counter_list;
