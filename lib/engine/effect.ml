@@ -51,7 +51,9 @@ let classify = function
   | Span_reset -> "span_reset"
 
 (* Coarse profiler stage per effect class; the interpreter charges each
-   effect's execution time to one of these (see {!Cp_obs.Prof}). *)
+   effect's execution time to one of these (see {!Cp_obs.Prof}).
+   [exec_persist] times the puts and removes only: the flush that makes
+   them durable belongs to the runtime. *)
 let stage_send = Cp_obs.Prof.stage "exec_send"
 
 let stage_persist = Cp_obs.Prof.stage "exec_persist"

@@ -62,29 +62,15 @@ let interpret_one t (eff : Effect.t) =
   | Effect.Span_executed { instance; at } -> Obs.Span.executed t.spans ~instance ~at
   | Effect.Span_reset -> Obs.Span.reset t.spans
 
-let is_persist (eff : Effect.t) =
-  match eff with
-  | Effect.Persist_header _ | Effect.Persist_vote _ | Effect.Drop_vote _
-  | Effect.Persist_log _ | Effect.Persist_snapshot _ | Effect.Drop_log _ ->
-    true
-  | _ -> false
-
-(* Group commit: execute the batch, then make its storage mutations durable
-   with ONE flush. Acks whose persist rides the same batch reach the wire
-   through the transport outbox, which flushes after the handler returns —
-   after this storage flush — so the promise/vote is durable before any
-   peer can observe its ack, and a pipeline of depth d amortizes the fsync
-   d ways instead of paying one per record. *)
+(* No flush here: the runtime makes the store durable once per delivery
+   burst, before any send from that burst can be observed (the
+   {!Engine.ctx} contract), so every step in the burst shares one fsync. *)
 let interpret t effects =
   if Obs.Prof.enabled t.prof then
     List.iter
       (fun eff -> Obs.Prof.time t.prof (Effect.stage eff) (fun () -> interpret_one t eff))
       effects
-  else List.iter (interpret_one t) effects;
-  if List.exists is_persist effects then
-    if Obs.Prof.enabled t.prof then
-      Obs.Prof.time t.prof Effect.stage_persist (fun () -> Storage.flush t.ctx.Engine.stable)
-    else Storage.flush t.ctx.Engine.stable
+  else List.iter (interpret_one t) effects
 
 (* ------------------------------------------------------------------ *)
 (* Construction: read the recovery image, build the core               *)

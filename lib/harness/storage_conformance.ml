@@ -67,6 +67,69 @@ let run ?(seed = default_seed) ?(ops = default_ops) ?storage () =
     dumps = List.map (fun id -> (id, dump (Engine.stable eng id))) ids;
   }
 
+type ring_load = {
+  finished : bool;  (** every client finished its ops *)
+  committed : int;  (** operations completed, over all clients *)
+  fsyncs : int;  (** fsyncs summed over the replicas' stores *)
+  elapsed_s : float;  (** wall-clock time of the load *)
+}
+
+(* The fsync cost of group commit under load: 32 closed-loop clients
+   writing [ops] keys each to an f=1 cluster on the ring fabric, the
+   replicas' stores from [storage] (the clients' in memory). The fabric is
+   driven in 2 ms slices of virtual time until the clients are done, as the
+   end-to-end benchmark's ring workloads are. *)
+let ring_load ~ops ~storage =
+  let seed = default_seed and clients = 32 in
+  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
+  let mains = initial.Cp_proto.Config.mains and auxes = initial.Cp_proto.Config.aux_pool in
+  let replicas = mains @ auxes in
+  let fab =
+    Cp_transport.Ring.create ~seed
+      ~storage:(fun id -> if List.mem id replicas then storage id else Cp_storage.Mem.store ())
+      ()
+  in
+  List.iter
+    (fun id ->
+      let role = if List.mem id mains then Replica.Main else Replica.Aux in
+      Cp_transport.Ring.add_node fab ~id ~build:(fun ctx ->
+          Replica.handlers
+            (Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy
+               ~params:Cp_engine.Params.default ~initial ~universe_mains:mains
+               ~universe_auxes:auxes ~app:(module Cp_smr.Kv))))
+    replicas;
+  let client_list =
+    List.init clients (fun i ->
+        let id = 1000 + i in
+        let cell = ref None in
+        let ops =
+          Cp_workload.Workload.kv_ops ~rng:(Cp_util.Rng.create (seed + id)) ~keys:256
+            ~read_ratio:0. ~count:ops ()
+        in
+        Cp_transport.Ring.add_node fab ~id ~build:(fun ctx ->
+            let c =
+              Cp_smr.Client.create ctx ~mains
+                ~timeout:Cp_engine.Params.default.Cp_engine.Params.client_timeout ~ops ()
+            in
+            cell := Some c;
+            Cp_smr.Client.handlers c);
+        Option.get !cell)
+  in
+  let done_ () = List.for_all Cp_smr.Client.is_finished client_list in
+  let t0 = Unix.gettimeofday () in
+  while (not (done_ ())) && Cp_transport.Ring.now fab < 60. do
+    Cp_transport.Ring.run ~until:(Cp_transport.Ring.now fab +. 2e-3) fab
+  done;
+  {
+    finished = done_ ();
+    committed = List.fold_left (fun acc c -> acc + Cp_smr.Client.done_count c) 0 client_list;
+    fsyncs =
+      List.fold_left
+        (fun acc id -> acc + (Storage.stats (Cp_transport.Ring.stable fab id)).Storage.fsyncs)
+        0 replicas;
+    elapsed_s = Unix.gettimeofday () -. t0;
+  }
+
 (* A per-machine WAL factory rooted at [dir] ([dir]/n<id> each), returning
    the factory and a closer that seals every handle it produced — call the
    closer before reopening the directories cold. *)

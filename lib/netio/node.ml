@@ -11,17 +11,22 @@ module Imap = Map.Make (Int)
 (* One hosted replica group. Group 0 is built by [create]; its lock,
    metrics, outbox, and trace context are the node's own ([with_lock],
    [metrics]). Groups added with [add_group] own private ones. Every
-   handler invocation runs under its group's lock, and the group's outbox
-   is flushed before the lock is released. [g_tctx] is the group's ambient
-   causal trace context: group 0's origin is the node id, the others' a
-   namespaced one ({!Cp_obs.Traceid.namespace}). *)
+   handler invocation runs under its group's lock, and the group's store
+   and then its outbox are flushed before the lock is released. Every
+   datagram leaves through [g_transmit], which flushes the store first.
+   [g_fenced] is set for good once a flush raises ([flush_store]).
+   [g_tctx] is the group's ambient causal trace context: group 0's origin
+   is the node id, the others' a namespaced one
+   ({!Cp_obs.Traceid.namespace}). *)
 type group = {
   g_gid : int;
   g_lock : Mutex.t;
   g_metrics : Metrics.t;
+  g_transmit : dst:int -> Bytes.t -> off:int -> len:int -> unit;
   g_outbox : Outbox.t;
   g_tctx : Obs.Traceid.t;
   g_store : Storage.t;
+  g_fenced : bool ref; (* shared with [g_transmit], built before the group *)
   mutable g_handlers : Types.msg Engine.handlers; (* set once [build] returns *)
 }
 
@@ -85,15 +90,56 @@ let sendto_retry ~sock ~metrics buf ~off ~len addr =
   in
   go 0
 
-(* Run [f] under [g]'s lock. Whatever it sent leaves in one datagram per
-   destination before the lock is released; no-op when nothing pends. *)
+(* Flush a group's store; true if all it was handed is now durable. A
+   flush that raises fences the group for good: its in-memory promise and
+   votes may be ahead of disk, and a later flush could succeed (a retried
+   fsync after EIO) without restoring what was lost, so the group must
+   never ack from that state again. A fenced group transmits nothing and
+   runs no handler. *)
+let flush_store ~store ~fenced ~metrics =
+  (not !fenced)
+  &&
+  match Storage.flush store with
+  | () -> true
+  | exception _ ->
+    fenced := true;
+    Metrics.incr metrics "storage_flush_errors";
+    false
+
+(* Record into the trace ring every group shares, counting an overwrite of
+   an unread record in [metrics] (the caller's, which it holds). *)
+let record t ~tid ~metrics ev =
+  Mutex.lock t.shared_mu;
+  let dropped0 = Obs.Trace.dropped t.trace_ in
+  Obs.Trace.emit ~tid t.trace_ ~at:(now t) ~node:t.id ev;
+  if Obs.Trace.dropped t.trace_ > dropped0 then Metrics.incr metrics "ring_dropped";
+  Mutex.unlock t.shared_mu
+
+let emit t g ev = record t ~tid:(Obs.Traceid.current g.g_tctx) ~metrics:g.g_metrics ev
+
+(* Group commit at the end of a task: flush the store once for everything
+   the task's handlers put, then send the outbox, one datagram per
+   destination. A fenced group's pending datagrams may ack what is not
+   durable: drop them. *)
+let commit g =
+  if flush_store ~store:g.g_store ~fenced:g.g_fenced ~metrics:g.g_metrics then
+    Outbox.flush g.g_outbox
+  else Outbox.clear g.g_outbox
+
+(* Run [f] under [g]'s lock and commit before releasing it, whether [f]
+   returned or raised. [commit] absorbs a failed flush instead of raising:
+   raised from [Fun.protect ~finally], it would leave the lock held. *)
 let locked g f =
   Mutex.lock g.g_lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Outbox.flush g.g_outbox;
-      Mutex.unlock g.g_lock)
-    f
+  match f () with
+  | v ->
+    commit g;
+    Mutex.unlock g.g_lock;
+    v
+  | exception exn ->
+    commit g;
+    Mutex.unlock g.g_lock;
+    raise exn
 
 let with_lock t f = locked t.g0 f
 
@@ -108,17 +154,6 @@ let group_metrics t gid =
   match find_group t gid with
   | None -> invalid_arg (Printf.sprintf "Node.group_metrics: unknown gid %d" gid)
   | Some g -> g.g_metrics
-
-(* Record into the trace ring every group shares, counting an overwrite of
-   an unread record in [metrics] (the caller's, which it holds). *)
-let record t ~tid ~metrics ev =
-  Mutex.lock t.shared_mu;
-  let dropped0 = Obs.Trace.dropped t.trace_ in
-  Obs.Trace.emit ~tid t.trace_ ~at:(now t) ~node:t.id ev;
-  if Obs.Trace.dropped t.trace_ > dropped0 then Metrics.incr metrics "ring_dropped";
-  Mutex.unlock t.shared_mu
-
-let emit t g ev = record t ~tid:(Obs.Traceid.current g.g_tctx) ~metrics:g.g_metrics ev
 
 (* The receive thread counts what it drops before any group sees it under
    its own mutex, never a group's: taking group 0's lock here would
@@ -143,11 +178,13 @@ let count_sent m len =
 (* The zero-copy send path: serialize the frame directly into the group's
    outbox buffer for [dst] — no intermediate string, no per-send copy, no
    syscall yet. The burst one handler invocation emits leaves when [locked]
-   flushes, as one datagram per destination. A frame too large for an
+   commits, as one datagram per destination. A frame too large for an
    outbox buffer (never in steady state) goes out alone through a one-off
    buffer of the UDP maximum, and [wire_copies] counts it so the bench gate
-   can pin the count at zero. Caller holds [g]'s lock. *)
-let send t g dst msg =
+   can pin the count at zero. Both mid-handler transmits (that one, and a
+   full outbox buffer) go through [g_transmit], so they too leave only
+   after the store is flushed. Caller holds [g]'s lock. *)
+let send g dst msg =
   let kind = Types.classify msg in
   (* Client submissions start a fresh causal chain; everything else carries
      the chain of the event being handled. *)
@@ -167,7 +204,7 @@ let send t g dst msg =
     match Codec.encode_into buf ~pos:0 ~gid:g.g_gid ~tid msg with
     | len ->
       count_sent m len;
-      sendto_retry ~sock:t.sock ~metrics:m buf ~off:0 ~len (t.addr_of dst)
+      g.g_transmit ~dst buf ~off:0 ~len
     | exception Codec.Overflow -> Metrics.incr m "send_drops")
 
 (* All groups share the wheel: adding or cancelling a timer is O(1) however
@@ -198,12 +235,14 @@ let disarm t wid =
 let submit t g task = Cp_exec.Pool.submit t.pool ~worker:g.g_gid (fun () -> locked g task)
 
 let fire_timer t g wid tag () =
-  if disarm t wid then begin
-    (* A timer step starts a fresh causal chain, as in the sim. *)
-    ignore (Obs.Traceid.mint g.g_tctx);
-    guard t g ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
-        g.g_handlers.Engine.on_timer ~tid:wid ~tag)
-  end
+  if disarm t wid then
+    if !(g.g_fenced) then Metrics.incr g.g_metrics "fenced_drops"
+    else begin
+      (* A timer step starts a fresh causal chain, as in the sim. *)
+      ignore (Obs.Traceid.mint g.g_tctx);
+      guard t g ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
+          g.g_handlers.Engine.on_timer ~tid:wid ~tag)
+    end
 
 (* Sleep toward the wheel's next deadline in slices of at most 2 ms (so
    cancellation and shutdown stay timely; Condition has no timed wait in
@@ -240,23 +279,27 @@ let timer_loop t =
 
 (* One datagram's frames for one group. The receive-path counters land in
    the group's metrics; the decode time is charged once per datagram, to
-   its first group. *)
+   its first group. A frame reaching a fenced group, even one the group
+   fenced itself on earlier in this datagram, is counted and dropped. *)
 let deliver t g ~src ~decode_ns frames () =
   let m = g.g_metrics in
   Metrics.incr m ~by:decode_ns "prof.decode.ns";
   if decode_ns > 0 then Metrics.incr m "prof.decode.n";
   List.iter
     (fun (f : Codec.framed) ->
-      let kind = Types.classify f.f_msg in
-      Metrics.incr m "msgs_recv";
-      Metrics.incr m ~by:f.f_bytes "bytes_recv";
-      Metrics.incr m ("recv." ^ kind);
-      (* Everything the handler emits/sends continues the frame's causal
-         chain. *)
-      Obs.Traceid.adopt g.g_tctx f.f_tid;
-      emit t g (Obs.Event.Msg_recv { src; kind; bytes = f.f_bytes });
-      guard t g ~where:("on_message " ^ kind) (fun () ->
-          g.g_handlers.Engine.on_message ~src f.f_msg))
+      if !(g.g_fenced) then Metrics.incr m "fenced_drops"
+      else begin
+        let kind = Types.classify f.f_msg in
+        Metrics.incr m "msgs_recv";
+        Metrics.incr m ~by:f.f_bytes "bytes_recv";
+        Metrics.incr m ("recv." ^ kind);
+        (* Everything the handler emits/sends continues the frame's causal
+           chain. *)
+        Obs.Traceid.adopt g.g_tctx f.f_tid;
+        emit t g (Obs.Event.Msg_recv { src; kind; bytes = f.f_bytes });
+        guard t g ~where:("on_message " ^ kind) (fun () ->
+            g.g_handlers.Engine.on_message ~src f.f_msg)
+      end)
     frames
 
 (* Hand each group its share of a datagram, in wire order, as one task: the
@@ -329,10 +372,11 @@ let merged_snapshot t =
   let summaries =
     Imap.fold
       (fun gid g acc ->
-        let snap, store =
-          (* Storage stats too: handlers mutate the store only under the lock. *)
-          locked g (fun () -> (Metrics.snapshot g.g_metrics, Storage.counter_list g.g_store))
-        in
+        (* Storage stats too: handlers mutate the store only under the
+           lock. A read, so no commit. *)
+        Mutex.lock g.g_lock;
+        let snap = Metrics.snapshot g.g_metrics and store = Storage.counter_list g.g_store in
+        Mutex.unlock g.g_lock;
         List.iter add snap.Metrics.counters;
         List.iter (fun (n, v) -> add (prefixed ~gid n, v)) store;
         acc @ List.map (fun (n, s) -> (prefixed ~gid n, s)) snap.Metrics.summaries)
@@ -444,7 +488,7 @@ let ctx_of t g =
   {
     Engine.self = t.id;
     now = (fun () -> now t);
-    send = (fun dst msg -> send t g dst msg);
+    send = (fun dst msg -> send g dst msg);
     set_timer = (fun ?(tag = "") delay -> set_timer t ~gid:g.g_gid ~tag delay);
     cancel_timer = (fun wid -> cancel_timer t wid);
     rng = Cp_util.Rng.create ((t.seed * 1009) + t.id + (g.g_gid * 7919));
@@ -454,18 +498,26 @@ let ctx_of t g =
     tctx = g.g_tctx;
   }
 
+(* Flushing a clean store costs nothing, so [transmit] can afford to flush
+   before every datagram. A flush that fails mid-handler fences the group
+   there: the handler runs on, but nothing it or any later task sends
+   leaves. *)
 let new_group ~sock ~addr_of ~storage ~gid ~tctx =
   let metrics = Metrics.create () in
+  let store = storage gid and fenced = ref false in
+  let transmit ~dst buf ~off ~len =
+    if flush_store ~store ~fenced ~metrics then
+      sendto_retry ~sock ~metrics buf ~off ~len (addr_of dst)
+  in
   {
     g_gid = gid;
     g_lock = Mutex.create ();
     g_metrics = metrics;
-    g_outbox =
-      Outbox.create
-        ~send:(fun ~dst buf ~off ~len -> sendto_retry ~sock ~metrics buf ~off ~len (addr_of dst))
-        ();
+    g_transmit = transmit;
+    g_outbox = Outbox.create ~send:transmit ();
     g_tctx = tctx;
-    g_store = storage gid;
+    g_store = store;
+    g_fenced = fenced;
     g_handlers = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) };
   }
 

@@ -11,10 +11,17 @@
     Handlers run as tasks, one group at a time: every invocation of a
     group's handlers holds that group's lock (run-to-completion, as in the
     simulator), and the burst it sends leaves as one datagram per
-    destination when it returns. Wire-path health is observable via the
-    [wire_syscalls], [wire_bytes], [wire_copies], [send_retries], and
-    [send_drops] counters, and input that does not decode is counted in
-    [wire_decode_errors].
+    destination when it returns. A task (one datagram's frames for one
+    group, or one timer) is one delivery burst: the group's store is
+    flushed once when it ends, before its datagrams leave, and every
+    transmit flushes the store first, so no ack leaves before what it
+    acknowledges is durable. If a flush raises, the group is fenced:
+    [storage_flush_errors] counts it, its pending datagrams are dropped,
+    and from then on it transmits nothing and runs no handler; the frames
+    and timers it refuses count in [fenced_drops]. Wire-path health is
+    observable via the [wire_syscalls], [wire_bytes], [wire_copies],
+    [send_retries], and [send_drops] counters, and input that does not
+    decode is counted in [wire_decode_errors].
 
     UDP gives exactly the failure model the protocol is built for: loss,
     duplication, reordering. Nodes address each other by node id through a

@@ -4,32 +4,57 @@ type record = { at : float; node : int; tid : int; ev : Event.t }
    simulator's per-delivery hot path, and storing into parallel unboxed
    float/int arrays allocates nothing (a [record] would box [at] and wrap
    in [Some] per event — measurable against the bench's obs-overhead
-   gate). Records are materialized only on read. *)
+   gate). Records are materialized only on read.
+
+   The arrays start small and double up to [capacity] as records arrive:
+   most traces (a client's, a quiet node's) never fill a full ring. While
+   they grow, [next] never exceeds their length, so nothing has wrapped
+   and record [k] sits at index [k]; once they reach [capacity] they stop
+   growing and [emit] allocates nothing again. *)
 type t = {
-  ats : float array;
-  nodes : int array;
-  tids : int array;
-  evs : Event.t array;
+  capacity : int;
+  mutable ats : float array;
+  mutable nodes : int array;
+  mutable tids : int array;
+  mutable evs : Event.t array;
   mutable next : int; (* total emits, monotonically increasing *)
   mutable hook : (record -> unit) option;
 }
 
 let default_capacity = 16_384
 
+let initial_slots = 64
+
 let dummy_ev = Event.Crashed
 
 let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
+  let n = min capacity initial_slots in
   {
-    ats = Array.make capacity 0.;
-    nodes = Array.make capacity 0;
-    tids = Array.make capacity 0;
-    evs = Array.make capacity dummy_ev;
+    capacity;
+    ats = Array.make n 0.;
+    nodes = Array.make n 0;
+    tids = Array.make n 0;
+    evs = Array.make n dummy_ev;
     next = 0;
     hook = None;
   }
 
+let grow t =
+  let n = Array.length t.evs in
+  let n' = min t.capacity (2 * n) in
+  let extend a fill =
+    let a' = Array.make n' fill in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  t.ats <- extend t.ats 0.;
+  t.nodes <- extend t.nodes 0;
+  t.tids <- extend t.tids 0;
+  t.evs <- extend t.evs dummy_ev
+
 let emit ?(tid = 0) t ~at ~node ev =
+  if t.next = Array.length t.evs && t.next < t.capacity then grow t;
   let i = t.next mod Array.length t.evs in
   t.ats.(i) <- at;
   t.nodes.(i) <- node;
@@ -38,7 +63,7 @@ let emit ?(tid = 0) t ~at ~node ev =
   t.next <- t.next + 1;
   match t.hook with Some f -> f { at; node; tid; ev } | None -> ()
 
-let length t = min t.next (Array.length t.evs)
+let length t = min t.next t.capacity
 
 let records t =
   let cap = Array.length t.evs in
@@ -48,7 +73,7 @@ let records t =
       let i = (first + k) mod cap in
       { at = t.ats.(i); node = t.nodes.(i); tid = t.tids.(i); ev = t.evs.(i) })
 
-let dropped t = max 0 (t.next - Array.length t.evs)
+let dropped t = max 0 (t.next - t.capacity)
 
 let clear t =
   (* Drop references to retained events so they can be collected. *)

@@ -17,6 +17,9 @@ val default_capacity : int
 (** 16384 records. *)
 
 val create : ?capacity:int -> unit -> t
+(** A ring holding the last [capacity] records (default
+    {!default_capacity}). Storage starts at 64 slots and doubles as records
+    arrive, up to [capacity]; a full ring's [emit] allocates nothing. *)
 
 val emit : ?tid:int -> t -> at:float -> node:int -> Event.t -> unit
 (** [tid] defaults to 0 (untraced). *)

@@ -194,6 +194,10 @@ let make_ctx t node =
     tctx = node.node_tctx;
   }
 
+(* A delivery burst here is one handler invocation. Its sends are queued
+   events with a delay >= 0, so they are delivered after this flush. *)
+let commit node = Cp_storage.Storage.flush node.node_stable
+
 let start_node t node =
   let ctx =
     match node.ctx with
@@ -203,7 +207,8 @@ let start_node t node =
       node.ctx <- Some c;
       c
   in
-  node.handlers <- Some (node.builder ctx)
+  node.handlers <- Some (node.builder ctx);
+  commit node
 
 let add_node t ~id builder =
   if Hashtbl.mem t.nodes id then
@@ -280,7 +285,8 @@ let handle_event t ev =
             Metrics.incr node.node_metrics ~by:size "bytes_recv";
             Metrics.incr node.node_metrics ("recv." ^ kind);
             emit_event t node (Obs.Event.Msg_recv { src; kind; bytes = size });
-            h.on_message ~src msg
+            h.on_message ~src msg;
+            commit node
         end
     end
   end
@@ -297,7 +303,8 @@ let handle_event t ev =
             (* A timer step starts a fresh causal chain (retransmissions,
                elections, ticks are not caused by any one message). *)
             if t.obs then ignore (Obs.Traceid.mint node.node_tctx);
-            h.on_timer ~tid ~tag
+            h.on_timer ~tid ~tag;
+            commit node
           end
         end
     end

@@ -15,7 +15,18 @@ type 'm t
 
 (** Capabilities handed to a node. [rng], [stable], [metrics] and the event
     trace behind [emit] persist across restarts of the node; handlers do
-    not. *)
+    not.
+
+    Group commit is the runtime's job, not the node's: a node writes
+    [stable] with [put]/[remove] and never flushes it. Every runtime that
+    builds a [ctx] must flush [stable] once per delivery burst (everything
+    the node handled before it yields: here one handler invocation, on the
+    ring one pump pass, over UDP one datagram's frames or one timer) and
+    before any [send] made in that burst can be observed by a peer. When
+    the flush raises, those sends must not get out, and nor may any later
+    one: the ring fences the endpoint, the UDP node fences the group (both
+    drop what is pending and run no handler again), and here the exception
+    ends {!run}. *)
 type 'm ctx = {
   self : int;
   now : unit -> float;

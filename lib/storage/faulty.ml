@@ -7,7 +7,11 @@
      prefix.
    - {!View}/{!store}: a {!Storage.S} wrapper around any packed store that
      crashes at op granularity (before the Nth put, remove or flush)
-     for coarser schedule-level tests.
+     for coarser schedule-level tests. Replicas never flush; their runtime
+     does, so [crash_before_flush] counts runtime flushes: one per delivery
+     burst (the first covers the node's [build]; on the ring fabric every
+     pump pass is a burst for every endpoint), plus, on the UDP node, one
+     before each datagram it transmits.
 
    [Crash] is the simulated power cut. Everything the wrapped store wrote
    before the crash is on "disk"; nothing after is. *)

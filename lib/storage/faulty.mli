@@ -27,7 +27,11 @@ val plan :
   plan
 (** All countdowns default to "never" (-1); [short_write] defaults to
     unlimited (0). Once a countdown fires, every later call raises
-    {!Crash} until a fresh plan is used. *)
+    {!Crash} until a fresh plan is used. [crash_before_flush] counts the
+    flushes of the runtime hosting the store (replicas never flush): one
+    per delivery burst, the first covering the node's [build] (on the ring
+    fabric, one per pump pass), plus one before each datagram the UDP node
+    transmits. *)
 
 val io : plan -> Wal.io
 (** Syscall-level injector: [crash_after_bytes] lets exactly that many

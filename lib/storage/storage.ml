@@ -19,9 +19,11 @@
    resolved prefix), so storage accounting survives re-derivation.
 
    Durability contract: [put]/[remove] order records but need not make them
-   durable; [flush] must. The effect interpreter calls [flush] once per
-   [Core.step] effect batch — the group-commit rule — so a WAL pays one
-   fsync per protocol step, not one per record. *)
+   durable; [flush] must. The runtime hosting a replica calls [flush] once
+   per delivery burst — everything the node handled before it yields — and
+   before any send from that burst can be observed: the group-commit rule.
+   A WAL pays one fsync per burst, however many steps and records it held,
+   and a flush with nothing new to sync is free. *)
 
 type stats = {
   writes : int;  (** [put] calls through this view *)
@@ -76,8 +78,9 @@ module type S = sig
       [Invalid_argument] if [name] contains a NUL byte. *)
 
   val flush : t -> unit
-  (** Make every preceding [put]/[remove] durable. One call per effect
-      batch is the group-commit rule. *)
+  (** Make every preceding [put]/[remove] durable. The runtime calls it
+      once per delivery burst (the group-commit rule); a flush with nothing
+      new to sync must cost nothing. *)
 
   val wipe : t -> unit
   (** Erase this view's keys; wiping the {e root} erases every view —

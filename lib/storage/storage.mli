@@ -8,9 +8,11 @@
     {!Cp_proto.Codec}).
 
     Durability contract: [put]/[remove] order records; [flush] makes them
-    durable. The interpreter flushes once per [Core.step] effect batch (the
-    group-commit rule), so a WAL backend pays one fsync per protocol step,
-    not one per record. *)
+    durable. The runtime hosting a replica flushes once per delivery burst
+    (everything the node handled before it yields), before any send from
+    that burst can be observed — the group-commit rule — so a WAL backend
+    pays one fsync per burst, not one per protocol step or record. A flush
+    with nothing new to sync costs nothing. *)
 
 type stats = {
   writes : int;  (** [put] calls through this view *)

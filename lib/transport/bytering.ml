@@ -35,6 +35,8 @@ let max_record t = min ((capacity t / 2) - 2) 0xfffe
 
 let is_empty t = Atomic.get t.head >= Atomic.get t.tail
 
+let tail t = Atomic.get t.tail
+
 let set16 b off v =
   Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff));
   Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v lsr 8) land 0xff))
@@ -71,10 +73,12 @@ let write t ~max ~f =
     end
   end
 
-let read t ~f =
+(* A [limit] is a tail the producer published earlier, so it always falls
+   on a record boundary and the skip rules below never cross it. *)
+let read ?(limit = max_int) t ~f =
   let rec go () =
     let head = Atomic.get t.head in
-    let tail = Atomic.get t.tail in
+    let tail = min limit (Atomic.get t.tail) in
     if head >= tail then false
     else begin
       let cap = Bytes.length t.buf in

@@ -37,7 +37,14 @@ val write : t -> max:int -> f:(Bytes.t -> pos:int -> int) -> int option
     off). If [f] raises, nothing is committed and the exception passes
     through. *)
 
-val read : t -> f:(Bytes.t -> pos:int -> len:int -> unit) -> bool
+val tail : t -> int
+(** The producer's write position: grows by each committed record (and any
+    skip before it), never decreases. Pass it to {!read} as [limit] to
+    consume only the records written so far. *)
+
+val read : ?limit:int -> t -> f:(Bytes.t -> pos:int -> len:int -> unit) -> bool
 (** Consume one record: calls [f] with a window into the ring's own buffer
     (valid only for the duration of the call — the producer may overwrite
-    it after [f] returns) and returns [true]; [false] when empty. *)
+    it after [f] returns) and returns [true]; [false] when empty. With
+    [limit] (a value {!tail} returned earlier), records written after that
+    point are left unread and [read] returns [false] once it reaches them. *)

@@ -56,6 +56,10 @@ let rec append t ~dst ~gid ~tid msg =
     flush_buf t dst b;
     append t ~dst ~gid ~tid msg
 
+let clear t =
+  Hashtbl.iter (fun _ b -> b.b_len <- 0) t.bufs;
+  t.dirty <- []
+
 let pending t =
   List.length
     (List.filter (fun dst -> (Hashtbl.find t.bufs dst).b_len > 0) (List.sort_uniq compare t.dirty))

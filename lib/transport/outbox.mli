@@ -10,6 +10,11 @@
     step, iovec-style buffer chaining without the iovec. A lone frame goes
     out in the same layout as a burst.
 
+    Every datagram leaves through [send], from {!flush} or from an {!append}
+    that finds its buffer full. The UDP node's [send] flushes the group's
+    store before each transmit, so nothing leaves before the storage writes
+    it may acknowledge are durable, wherever in a handler it is sent from.
+
     Not thread-safe: one outbox per sender, under the sender's lock. *)
 
 type t
@@ -30,6 +35,10 @@ val flush : t -> unit
 (** Transmit every destination buffer with pending frames, in ascending
     destination order (deterministic), and reset them. No-op when nothing
     pends — call it unconditionally after every handler invocation. *)
+
+val clear : t -> unit
+(** Discard every pending frame without sending it — when [send] raised
+    mid-{!flush}, or the frames must not leave. *)
 
 val pending : t -> int
 (** Number of destinations with unflushed frames (for tests). *)

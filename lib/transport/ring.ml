@@ -13,13 +13,21 @@ type endpoint = {
   e_tctx : Obs.Traceid.t;
   e_stable : Storage.t;
   mutable e_handlers : Types.msg Engine.handlers;
+  mutable e_fenced : bool; (* its store failed to flush: it takes part no more *)
+}
+
+type link = {
+  l_src : int;
+  l_dst : int;
+  l_ring : Bytering.t;
+  mutable l_limit : int; (* the ring's tail when the current pass started *)
 }
 
 type t = {
   ring_capacity : int;
   seed : int;
-  links : (int * int, Bytering.t) Hashtbl.t; (* (src, dst) -> ring *)
-  mutable order : ((int * int) * Bytering.t) list;
+  links : (int * int, link) Hashtbl.t;
+  mutable order : link list;
       (* every link, ascending by (src, dst): the pump order, updated only
          when [link] creates a ring *)
   endpoints : (int, endpoint) Hashtbl.t;
@@ -45,12 +53,15 @@ let now fab = fab.time
 
 let link fab ~src ~dst =
   match Hashtbl.find_opt fab.links (src, dst) with
-  | Some r -> r
+  | Some l -> l.l_ring
   | None ->
-    let r = Bytering.create ~capacity:fab.ring_capacity () in
-    Hashtbl.replace fab.links (src, dst) r;
-    fab.order <- List.merge (fun (a, _) (b, _) -> compare a b) [ ((src, dst), r) ] fab.order;
-    r
+    let l =
+      { l_src = src; l_dst = dst; l_ring = Bytering.create ~capacity:fab.ring_capacity (); l_limit = 0 }
+    in
+    Hashtbl.replace fab.links (src, dst) l;
+    fab.order <-
+      List.merge (fun a b -> compare (a.l_src, a.l_dst) (b.l_src, b.l_dst)) [ l ] fab.order;
+    l.l_ring
 
 let emit_ev fab ep ev =
   let dropped0 = Obs.Trace.dropped ep.e_trace in
@@ -107,6 +118,7 @@ let add_node fab ~id ~build =
       e_stable = fab.storage id;
       e_handlers =
         { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) };
+      e_fenced = false;
     }
   in
   Hashtbl.replace fab.endpoints id ep;
@@ -136,6 +148,7 @@ let add_node fab ~id ~build =
 let deliver fab ~src ~dst delivered buf ~pos ~len =
   match Hashtbl.find_opt fab.endpoints dst with
   | None -> () (* no such endpoint: drop *)
+  | Some ep when ep.e_fenced -> Metrics.incr ep.e_metrics "fenced_drops"
   | Some ep -> (
     match Codec.decode_frames ~pos ~len (Bytes.unsafe_to_string buf) with
     | Error _ -> Metrics.incr ep.e_metrics "wire_decode_errors"
@@ -153,21 +166,59 @@ let deliver fab ~src ~dst delivered buf ~pos ~len =
               ep.e_handlers.Engine.on_message ~src f.f_msg))
         frames)
 
-(* Links a handler creates mid-pass join [fab.order] but not this pass's
-   (immutable) snapshot of it: they are drained by the next pass. *)
+(* An endpoint whose store failed to flush may have acked what is not
+   durable. Its unread outgoing records were all written since the last
+   commit, so none has been read: discard them. It runs no handler and
+   receives nothing from now on. *)
+let fence fab ep exn =
+  ep.e_fenced <- true;
+  Metrics.incr ep.e_metrics "storage_flush_errors";
+  emit_ev fab ep
+    (Obs.Event.Debug (Printf.sprintf "storage flush raised: %s" (Printexc.to_string exn)));
+  List.iter
+    (fun l ->
+      if l.l_src = ep.e_id then
+        while
+          Bytering.read l.l_ring ~f:(fun _ ~pos:_ ~len:_ -> Metrics.incr ep.e_metrics "fenced_drops")
+        do
+          ()
+        done)
+    fab.order
+
+(* Group commit: flush every live endpoint's store before the pass reads
+   anything. A store with nothing new to sync flushes for free, so there is
+   no need to track which endpoints ran a handler. *)
+let commit fab =
+  Hashtbl.iter
+    (fun _ ep ->
+      if not ep.e_fenced then
+        match Storage.flush ep.e_stable with () -> () | exception exn -> fence fab ep exn)
+    fab.endpoints
+
+(* A pass reads each link only up to the tail it had when the pass started,
+   so whatever a handler (message, timer or [build]) writes waits for the
+   next pass, and the commit at its entry. A link created mid-pass is not
+   in this pass's (immutable) snapshot of [fab.order]. *)
 let pump fab =
+  commit fab;
+  let pass = fab.order in
+  List.iter (fun l -> l.l_limit <- Bytering.tail l.l_ring) pass;
   let delivered = ref 0 in
   List.iter
-    (fun ((src, dst), ring) ->
-      while Bytering.read ring ~f:(deliver fab ~src ~dst delivered) do
+    (fun l ->
+      while
+        Bytering.read ~limit:l.l_limit l.l_ring
+          ~f:(deliver fab ~src:l.l_src ~dst:l.l_dst delivered)
+      do
         ()
       done)
-    fab.order;
+    pass;
   !delivered
 
 let fire fab wid (node, tag) =
   match Hashtbl.find_opt fab.endpoints node with
   | None -> () (* endpoint removed: stale timer *)
+  | Some ep when ep.e_fenced -> ()
   | Some ep ->
     (* A timer step starts a fresh causal chain, as in the sim and UDP
        runtimes. *)

@@ -5,7 +5,7 @@
     the UDP node), for replicas co-hosted in one process: each (src, dst)
     pair gets a {!Bytering} on demand, sends serialize {e zero-copy} into
     the ring ({!Cp_proto.Codec.encode_into} straight into the ring's backing
-    bytes — no intermediate string, no syscall at all), and {!pump} drains
+    bytes — no intermediate string, no syscall at all), and {!pump} reads
     every ring in deterministic order, decoding records in place with the
     same {!Cp_proto.Codec.decode_frames} the UDP node uses and dispatching to
     the destination's handlers. Timers ride a {!Cp_fleet.Wheel} under the
@@ -39,12 +39,24 @@ val add_node :
 val now : t -> float
 
 val pump : t -> int
-(** Drain every link once, in ascending (src, dst) order: decode and
-    dispatch each pending record at the current virtual time. Returns the
-    number of messages delivered (0 = quiescent). Handler sends during a
-    pump land in the rings and are picked up by the next pass. A record that
-    does not decode is dropped and counted in the destination's
-    [wire_decode_errors]. *)
+(** One pass: read every link in ascending (src, dst) order, each only up
+    to the tail it had when the pass started, and dispatch each record at
+    the current virtual time. Returns the number of messages delivered
+    (0 = quiescent). A record that does not decode is dropped and counted
+    in the destination's [wire_decode_errors].
+
+    Group commit: a pass starts by flushing every endpoint's store once, so
+    everything a handler (message, timer or [build]) put since the last
+    pass is durable before the pass reads a record. A store with nothing
+    new to sync flushes for free. Handler sends land in the rings at once
+    (zero-copy) but are read only by a later pass, after the flush that
+    covers them, so no peer sees an ack before the state it acknowledges is
+    durable.
+
+    Fencing: an endpoint whose flush raises counts [storage_flush_errors],
+    its unread outgoing records (all written since its last flush) are
+    discarded, and it runs no handler again; records discarded this way and
+    every record later addressed to it count in its [fenced_drops]. *)
 
 val run : ?until:float -> t -> unit
 (** Advance the fabric: alternate {!pump} passes with firing due timers,

@@ -461,6 +461,158 @@ let test_node_contract ~exec_domains ~a_id () =
   Alcotest.(check bool) "send inside with_lock left on exit" true b_after;
   Alcotest.(check bool) "group 0 handler error in Node.metrics" true error_seen
 
+(* A store whose [nth] flush raises and every other one succeeds: an
+   fsync that fails once (EIO) and works when retried. *)
+module Fails_once = struct
+  module Storage = Cp_storage.Storage
+
+  type t = { inner : Storage.t; mutable countdown : int }
+
+  let backend t = Storage.backend t.inner
+
+  let put t k v = Storage.put t.inner k v
+
+  let get t k = Storage.get t.inner k
+
+  let remove t k = Storage.remove t.inner k
+
+  let mem t k = Storage.mem t.inner k
+
+  let keys t = Storage.keys t.inner
+
+  let sub t ~name = { t with inner = Storage.sub t.inner ~name }
+
+  let flush t =
+    t.countdown <- t.countdown - 1;
+    if t.countdown = 0 then failwith "fsync: EIO";
+    Storage.flush t.inner
+
+  let wipe t = Storage.wipe t.inner
+
+  let stats t = Storage.stats t.inner
+
+  let close t = Storage.close t.inner
+end
+
+let fails_once ~nth inner =
+  Cp_storage.Storage.Packed ((module Fails_once), { Fails_once.inner; countdown = nth })
+
+(* A handler puts a record, then sends a frame too big for the outbox,
+   which the node transmits at once through a one-off buffer, and then a
+   small frame, which leaves with the outbox. Both transmits must wait for
+   the store flush. The node's first flush, at build, succeeds; the next
+   one, before the oversize transmit, fails. The receiver must then get
+   nothing, neither from that handler nor from a second message's: the
+   group is fenced, even over a store whose later flushes succeed. The same
+   handler over a healthy store delivers both replies to both messages. *)
+let test_oversize_send_waits_for_flush ~exec_domains ~a_id () =
+  let b_id = a_id + 1 in
+  let run store =
+    let got = Atomic.make 0 in
+    let a =
+      Node.create ~port_of ~id_of_port ~id:a_id ~seed:1 ~exec_domains
+        ~storage:(fun _ -> store)
+        ~build:(fun ctx ->
+          {
+            quiet with
+            Engine.on_message =
+              (fun ~src _ ->
+                Cp_storage.Storage.put ctx.Engine.stable "k" "v";
+                ctx.Engine.send src
+                  (Types.ClientResp { client = 1; seq = 1; result = String.make 62_000 'x' });
+                ctx.Engine.send src (Types.CommitFloor { upto = 2 }));
+          })
+        ()
+    in
+    let b_ctx = ref None in
+    let b =
+      Node.create ~port_of ~id_of_port ~id:b_id ~seed:2
+        ~build:(fun ctx ->
+          b_ctx := Some ctx;
+          { quiet with Engine.on_message = (fun ~src:_ _ -> Atomic.incr got) })
+        ()
+    in
+    let ping () =
+      Node.with_lock b (fun () ->
+          (Option.get !b_ctx).Engine.send a_id (Types.CommitFloor { upto = 1 }))
+    in
+    let flush_errors () = Node.counter a "storage_flush_errors"
+    and fenced_drops () = Node.counter a "fenced_drops" in
+    ping ();
+    ignore (wait_until (fun () -> Atomic.get got >= 2 || flush_errors () > 0));
+    (* Time for a datagram sent before the failure to land. *)
+    Thread.delay 0.1;
+    ping ();
+    ignore (wait_until (fun () -> Atomic.get got >= 4 || fenced_drops () > 0));
+    Thread.delay 0.1;
+    let r = (Atomic.get got, flush_errors (), fenced_drops (), Node.counter a "wire_copies") in
+    Node.shutdown a;
+    Node.shutdown b;
+    r
+  in
+  let got, flush_errors, fenced_drops, copies = run (Cp_storage.Mem.store ()) in
+  Alcotest.(check int) "healthy store: both replies to both messages arrive" 4 got;
+  Alcotest.(check int) "healthy store: no flush error" 0 flush_errors;
+  Alcotest.(check int) "healthy store: nothing fenced" 0 fenced_drops;
+  Alcotest.(check int) "each oversize frame took the one-off buffer" 2 copies;
+  let crashed name store =
+    let got, flush_errors, fenced_drops, _ = run store in
+    Alcotest.(check int) (name ^ ": the receiver counts zero deliveries") 0 got;
+    Alcotest.(check int) (name ^ ": one flush error, then no flush") 1 flush_errors;
+    Alcotest.(check int) (name ^ ": the second message is refused") 1 fenced_drops
+  in
+  crashed "crashed store"
+    (Cp_storage.Faulty.store
+       (Cp_storage.Faulty.plan ~crash_before_flush:1 ())
+       (Cp_storage.Mem.store ()));
+  crashed "flush fails once" (fails_once ~nth:2 (Cp_storage.Mem.store ()))
+
+(* One datagram carrying 8 P2a frames is one task, so the auxiliary that
+   accepts all 8 votes pays one fsync for them. *)
+let test_datagram_of_p2as_one_fsync () =
+  Test_storage.with_tmpdir (fun dir ->
+      let a_id = 32 and b_id = 33 in
+      let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
+      let a =
+        Node.create ~port_of ~id_of_port ~id:a_id ~seed:1
+          ~storage:(fun _ -> Cp_storage.Wal.store dir)
+          ~build:(fun ctx ->
+            Cp_engine.Replica.handlers
+              (Cp_engine.Replica.create ctx ~role:Cp_engine.Replica.Aux
+                 ~policy:Cheap_paxos.Cheap.policy ~params:Cp_engine.Params.default ~initial
+                 ~universe_mains:[ 0; 1 ] ~universe_auxes:[ a_id ] ~app:(module Cp_smr.Counter)))
+          ()
+      in
+      let p2bs = Atomic.make 0 in
+      let b_ctx = ref None in
+      let b =
+        Node.create ~port_of ~id_of_port ~id:b_id ~seed:2
+          ~build:(fun ctx ->
+            b_ctx := Some ctx;
+            {
+              quiet with
+              Engine.on_message =
+                (fun ~src:_ msg ->
+                  match msg with Types.P2b _ -> Atomic.incr p2bs | _ -> ());
+            })
+          ()
+      in
+      let fsyncs0 = Node.counter a "storage_fsyncs" in
+      let ballot = Cp_proto.Ballot.make ~round:1 ~leader:b_id in
+      Node.with_lock b (fun () ->
+          for instance = 0 to 7 do
+            (Option.get !b_ctx).Engine.send a_id
+              (Types.P2a { ballot; instance; entry = Types.Noop })
+          done);
+      let acked = wait_until (fun () -> Atomic.get p2bs = 8) in
+      let fsyncs = Node.counter a "storage_fsyncs" - fsyncs0 in
+      let datagrams = Node.counter b "wire_syscalls" in
+      Node.shutdown a;
+      Node.shutdown b;
+      Alcotest.(check bool) "all 8 votes acked" true acked;
+      Alcotest.(check int) "the 8 P2as left in one datagram" 1 datagrams;
+      Alcotest.(check int) "one fsync for the datagram's 8 votes" 1 fsyncs)
+
 let test_shutdown_idempotent () =
   let node =
     Node.create ~port_of ~id_of_port ~id:4 ~seed:1
@@ -496,4 +648,10 @@ let suite =
       (test_node_contract ~exec_domains:0 ~a_id:20);
     Alcotest.test_case "node contract (pool dispatch)" `Slow
       (test_node_contract ~exec_domains:2 ~a_id:22);
+    Alcotest.test_case "oversize send waits for the flush (inline dispatch)" `Slow
+      (test_oversize_send_waits_for_flush ~exec_domains:0 ~a_id:28);
+    Alcotest.test_case "oversize send waits for the flush (pool dispatch)" `Slow
+      (test_oversize_send_waits_for_flush ~exec_domains:2 ~a_id:30);
+    Alcotest.test_case "a datagram of 8 P2as costs one fsync" `Slow
+      test_datagram_of_p2as_one_fsync;
   ]

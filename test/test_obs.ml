@@ -133,6 +133,34 @@ let test_trace_emit_and_hook () =
   Alcotest.(check int) "ring keeps capacity" 3 (Trace.length tr);
   Alcotest.(check int) "dropped counted" 2 (Trace.dropped tr)
 
+(* Storage grows on demand (64 slots, doubling up to capacity). Against a
+   model that keeps the last [capacity] records, [records], [length] and
+   [dropped] must agree after every emit, across each growth step and the
+   wrap — including capacities that are not a doubling of 64. *)
+let test_trace_lazy_growth () =
+  List.iter
+    (fun capacity ->
+      let tr = Trace.create ~capacity () in
+      let model = ref [] in
+      for i = 0 to (3 * capacity) + 5 do
+        let r =
+          {
+            Trace.at = float_of_int i;
+            node = i mod 7;
+            tid = i * 3;
+            ev = Event.Command_executed { instance = i };
+          }
+        in
+        Trace.emit ~tid:r.Trace.tid tr ~at:r.Trace.at ~node:r.Trace.node r.Trace.ev;
+        model := r :: !model;
+        let kept = List.filteri (fun k _ -> k < capacity) !model |> List.rev in
+        let label what = Printf.sprintf "capacity %d after %d emits: %s" capacity (i + 1) what in
+        Alcotest.(check int) (label "length") (List.length kept) (Trace.length tr);
+        Alcotest.(check int) (label "dropped") (i + 1 - List.length kept) (Trace.dropped tr);
+        Alcotest.(check bool) (label "records") true (Trace.records tr = kept)
+      done)
+    [ 1; 63; 64; 65; 100; 300 ]
+
 let test_merge_sorts_by_time () =
   let t1 = Trace.create () and t2 = Trace.create () in
   Trace.emit t1 ~at:2.0 ~node:0 Event.Crashed;
@@ -434,6 +462,7 @@ let suite =
     Alcotest.test_case "jsonl rejects junk" `Quick test_of_jsonl_rejects_junk;
     Alcotest.test_case "jsonl old format loads" `Quick test_jsonl_old_format;
     Alcotest.test_case "trace emit and hook" `Quick test_trace_emit_and_hook;
+    Alcotest.test_case "trace grows lazily, same records" `Quick test_trace_lazy_growth;
     Alcotest.test_case "merge sorts by time" `Quick test_merge_sorts_by_time;
     Alcotest.test_case "span phases" `Quick test_span_phases;
     Alcotest.test_case "span ignores unknown instance" `Quick

@@ -453,6 +453,24 @@ let test_conformance_mem_vs_wal () =
             live (Sc.reopen_dump ~dir id))
         wal.Sc.dumps)
 
+(* --- group commit across a delivery burst --------------------------------- *)
+
+(* 32 closed-loop clients on a WAL-backed ring fabric: the runtime flushes
+   once per endpoint per pump pass, so the mains' fsyncs are shared by
+   every op that pass carried. A flush per handler costs 4 per op. *)
+let test_ring_wal_fsyncs_per_op () =
+  with_tmpdir (fun dir ->
+      let storage, close_all = Sc.wal_factory ~dir () in
+      let r = Sc.ring_load ~ops:10 ~storage in
+      close_all ();
+      Alcotest.(check bool) "clients finished" true r.Sc.finished;
+      Alcotest.(check int) "every op committed" 320 r.Sc.committed;
+      let per_op = float_of_int r.Sc.fsyncs /. float_of_int r.Sc.committed in
+      Alcotest.(check bool)
+        (Printf.sprintf "fsyncs per op %.3f in (0, 1]" per_op)
+        true
+        (per_op > 0. && per_op <= 1.))
+
 (* --- incremental acceptor persistence: recovery and growth ---------------- *)
 
 module Replica = Cp_engine.Replica
@@ -742,6 +760,8 @@ let suite =
     Alcotest.test_case "faulty: op-level crash points" `Quick test_faulty_op_level;
     Alcotest.test_case "conformance: mem and wal fingerprint-identical" `Slow
       test_conformance_mem_vs_wal;
+    Alcotest.test_case "group commit: ring over wal, fsyncs per op <= 1" `Slow
+      test_ring_wal_fsyncs_per_op;
     Alcotest.test_case "recovery: promise survives full compaction" `Quick
       test_recover_promise_after_full_compaction;
     Alcotest.test_case "recovery: torn compaction keeps votes above floor" `Quick

@@ -221,12 +221,13 @@ let test_conformance_other_seed () =
 (* --- a real cluster over the ring fabric ------------------------------- *)
 
 (* Three replicas and a 25-op client on a fresh fabric: [before_run] may
-   tamper with the fabric first. Returns the fabric, the client, and the
-   mains' log dumps after the run. *)
-let run_ring_cluster ?(before_run = ignore) () =
+   tamper with the fabric first, [storage] supplies the stores, and [tap]
+   sees every message a replica receives. Returns the fabric, the client,
+   and the mains' log dumps after the run. *)
+let run_ring_cluster ?(before_run = ignore) ?storage ?(tap = fun _ ~src:_ _ -> ()) () =
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
   let universe_mains = [ 0; 1 ] and universe_auxes = [ 2 ] in
-  let fab = Ring.create ~seed:99 () in
+  let fab = Ring.create ~seed:99 ?storage () in
   let replicas = Hashtbl.create 4 in
   let make_replica id role =
     Ring.add_node fab ~id ~build:(fun ctx ->
@@ -236,7 +237,14 @@ let run_ring_cluster ?(before_run = ignore) () =
             ~app:(module Cp_smr.Counter)
         in
         Hashtbl.replace replicas id r;
-        Replica.handlers r)
+        let h = Replica.handlers r in
+        {
+          h with
+          Cp_sim.Engine.on_message =
+            (fun ~src msg ->
+              tap id ~src msg;
+              h.Cp_sim.Engine.on_message ~src msg);
+        })
   in
   List.iter (fun id -> make_replica id Replica.Main) universe_mains;
   List.iter (fun id -> make_replica id Replica.Aux) universe_auxes;
@@ -305,6 +313,142 @@ let test_ring_corrupt_record () =
     (Cp_sim.Metrics.get (Ring.metrics fab 0) "wire_decode_errors");
   check_commits run
 
+(* --- group commit and fencing -------------------------------------------- *)
+
+module Storage = Cp_storage.Storage
+module Faulty = Cp_storage.Faulty
+module Engine = Cp_sim.Engine
+module Metrics = Cp_sim.Metrics
+
+let quiet = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) }
+
+(* Endpoint 0 pings endpoint 1, whose handler puts a record and then
+   replies. Link (1, 0) exists from the start and follows link (0, 1) in a
+   pass, so only the pass snapshot keeps the reply from being read before
+   the flush. Returns how many messages reached 0, and 1's metrics. *)
+let put_then_send store =
+  let fab = Ring.create ~storage:(fun id -> if id = 1 then store else Cp_storage.Mem.store ()) () in
+  Ring.add_node fab ~id:1 ~build:(fun ctx ->
+      {
+        quiet with
+        Engine.on_message =
+          (fun ~src _ ->
+            Storage.put ctx.Engine.stable "k" "v";
+            ctx.Engine.send src (hb 2));
+      });
+  let got = ref 0 in
+  Ring.add_node fab ~id:0 ~build:(fun ctx ->
+      ctx.Engine.send 1 (hb 1);
+      { quiet with Engine.on_message = (fun ~src:_ _ -> incr got) });
+  ignore (Ring.link fab ~src:1 ~dst:0);
+  Ring.run fab;
+  (!got, Ring.metrics fab 1)
+
+let test_ring_fenced_send () =
+  let got, m = put_then_send (Cp_storage.Mem.store ()) in
+  Alcotest.(check int) "the reply arrives when the flush succeeds" 1 got;
+  Alcotest.(check int) "no flush error" 0 (Metrics.get m "storage_flush_errors");
+  (* Endpoint 1's first flush covers [build]; the second, at the end of the
+     pass that ran its handler, crashes. *)
+  let got, m =
+    put_then_send (Faulty.store (Faulty.plan ~crash_before_flush:1 ()) (Cp_storage.Mem.store ()))
+  in
+  Alcotest.(check int) "a fenced endpoint's reply never arrives" 0 got;
+  Alcotest.(check int) "flush error counted" 1 (Metrics.get m "storage_flush_errors");
+  Alcotest.(check int) "its unread record discarded" 1 (Metrics.get m "fenced_drops")
+
+(* A store that knows which keys it has made durable: [flush] moves the
+   keys put since the previous flush into [durable]. [on_put] sees every
+   key put. *)
+module Durable_keys = struct
+  type t = {
+    inner : Storage.t;
+    unflushed : string list ref;
+    durable : (string, unit) Hashtbl.t;
+    on_put : string -> unit;
+  }
+
+  let backend t = Storage.backend t.inner
+
+  let put t k v =
+    t.unflushed := k :: !(t.unflushed);
+    t.on_put k;
+    Storage.put t.inner k v
+
+  let get t k = Storage.get t.inner k
+
+  let remove t k = Storage.remove t.inner k
+
+  let mem t k = Storage.mem t.inner k
+
+  let keys t = Storage.keys t.inner
+
+  let sub t ~name = { t with inner = Storage.sub t.inner ~name }
+
+  let flush t =
+    Storage.flush t.inner;
+    List.iter (fun k -> Hashtbl.replace t.durable k ()) !(t.unflushed);
+    t.unflushed := []
+
+  let wipe t = Storage.wipe t.inner
+
+  let stats t = Storage.stats t.inner
+
+  let close t = Storage.close t.inner
+end
+
+(* Main 1 crashes at the first flush after its fifth vote, so the burst
+   that flush covers put a vote: the P2bs for the votes that burst put must
+   never reach the leader (counted where it receives them), and the leader
+   still commits every op through the auxiliary. *)
+let test_ring_follower_crash_at_flush () =
+  let plan = Faulty.plan () and votes = ref 0 in
+  let on_put k =
+    if String.starts_with ~prefix:"vote." k then begin
+      incr votes;
+      if !votes = 5 then plan.Faulty.crash_before_flush <- 0
+    end
+  in
+  let dk =
+    {
+      Durable_keys.inner = Cp_storage.Mem.store ();
+      unflushed = ref [];
+      durable = Hashtbl.create 64;
+      on_put;
+    }
+  in
+  let storage id =
+    if id = 1 then Faulty.store plan (Storage.Packed ((module Durable_keys), dk))
+    else Cp_storage.Mem.store ()
+  in
+  let acked = ref [] in
+  let tap id ~src (msg : Types.msg) =
+    match msg with
+    | Types.P2b { instance; _ } when id = 0 && src = 1 -> acked := instance :: !acked
+    | _ -> ()
+  in
+  let fab, client, _ = run_ring_cluster ~storage ~tap () in
+  let m1 = Ring.metrics fab 1 in
+  Alcotest.(check int) "main 1 fenced once" 1 (Metrics.get m1 "storage_flush_errors");
+  let lost =
+    List.filter_map
+      (fun k -> Scanf.sscanf_opt k "vote.%d%!" Fun.id)
+      !(dk.Durable_keys.unflushed)
+  in
+  Alcotest.(check bool) "the crashed burst had put votes" true (lost <> []);
+  Alcotest.(check bool) "main 1 acked votes before the crash" true (!acked <> []);
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "P2b for instance %d only after its vote was durable" i)
+        true
+        (Hashtbl.mem dk.Durable_keys.durable (Printf.sprintf "vote.%d" i)))
+    !acked;
+  Alcotest.(check bool) "client finished" true (Client.is_finished client);
+  Alcotest.(check int) "all ops done" 25 (Client.done_count client);
+  Alcotest.(check bool) "the auxiliary took part" true
+    (Metrics.get (Ring.metrics fab 2) "msgs_recv" > 0)
+
 let suite =
   [
     Alcotest.test_case "bytering: write/read roundtrip" `Quick test_bytering_roundtrip;
@@ -327,4 +471,8 @@ let suite =
     Alcotest.test_case "conformance: seeds vary the schedule" `Quick test_conformance_other_seed;
     Alcotest.test_case "ring fabric: replica cluster commits" `Slow test_ring_cluster_commits;
     Alcotest.test_case "ring fabric: corrupt record counted" `Slow test_ring_corrupt_record;
+    Alcotest.test_case "ring fabric: fenced endpoint's send never arrives" `Quick
+      test_ring_fenced_send;
+    Alcotest.test_case "ring fabric: follower crash at burst flush exposes no ack" `Slow
+      test_ring_follower_crash_at_flush;
   ]
