@@ -35,29 +35,11 @@ let run_experiments quick only csv_dir =
       (String.concat ", " (List.map (fun e -> e.Experiments.eid) Experiments.all));
     exit 2
   end;
-  let write_csv name table =
-    match csv_dir with
-    | None -> ()
-    | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let path = Filename.concat dir (String.lowercase_ascii name ^ ".csv") in
-      write_file path (Cp_util.Table.to_csv table);
-      Printf.printf "wrote %s\n" path
-  in
-  let outcomes =
-    List.concat_map
-      (fun e ->
-        let table, outcomes = e.Experiments.run ~quick in
-        Cp_util.Table.print
-          ~title:(Printf.sprintf "%s: %s" e.Experiments.eid e.Experiments.title)
-          table;
-        write_csv e.Experiments.eid table;
-        outcomes)
-      exps
-  in
-  Cp_util.Table.print ~title:"Claim-by-claim verdicts" (Outcome.to_table outcomes);
-  write_csv "verdicts" (Outcome.to_table outcomes);
-  if Outcome.all_pass outcomes then 0 else 1
+  match Experiments.run ?csv_dir ~quick exps with
+  | outcomes -> if Outcome.all_pass outcomes then 0 else 1
+  | exception Sys_error e ->
+    Printf.eprintf "error: cannot write %s\n" e;
+    2
 
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"Shrink sweeps for a fast run.")

@@ -21,7 +21,6 @@ type t = {
   session_window : int;
   pipeline_window : int;
   queue_limit : int;
-  profile : bool;
   span_ttl : float;
   exec_domains : int;
 }
@@ -50,7 +49,6 @@ let default =
     session_window = 1024;
     pipeline_window = 32;
     queue_limit = 4096;
-    profile = true;
     span_ttl = 10.;
     exec_domains = 1;
   }

@@ -66,11 +66,6 @@ type t = {
       (** backpressure: the leader's command queue is capped at this many
           waiting commands; further client submissions are dropped (counted
           as ["backpressure_drops"]) and retried by the client's backoff. *)
-  profile : bool;
-      (** pipeline profiler: time [Core.step] and each effect class in the
-          interpreter, publishing ["prof.<stage>.ns"]/["prof.<stage>.n"]
-          counter pairs (O(1) memory). On by default; turn off to shave the
-          clock reads from hot paths. *)
   span_ttl : float;
       (** latency spans older than this that never completed (their command
           was shed, deduplicated, or superseded) are expired rather than

@@ -66,11 +66,9 @@ let interpret_one t (eff : Effect.t) =
    burst, before any send from that burst can be observed (the
    {!Engine.ctx} contract), so every step in the burst shares one fsync. *)
 let interpret t effects =
-  if Obs.Prof.enabled t.prof then
-    List.iter
-      (fun eff -> Obs.Prof.time t.prof (Effect.stage eff) (fun () -> interpret_one t eff))
-      effects
-  else List.iter (interpret_one t) effects
+  List.iter
+    (fun eff -> Obs.Prof.time t.prof (Effect.stage eff) (fun () -> interpret_one t eff))
+    effects
 
 (* ------------------------------------------------------------------ *)
 (* Construction: read the recovery image, build the core               *)
@@ -121,11 +119,8 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
      replay above ran serially, which is always equivalent. *)
   Option.iter (fun a -> Cp_exec.Applier.attach a core.State.app) exec;
   let prof =
-    if params.Params.profile then
-      Obs.Prof.create ~clock:ctx.Engine.now
-        ~count:(fun name by -> Metrics.incr ctx.Engine.metrics ~by name)
-        ()
-    else Obs.Prof.disabled
+    Obs.Prof.create ~clock:ctx.Engine.now
+      ~count:(fun name by -> Metrics.incr ctx.Engine.metrics ~by name)
   in
   let t =
     {

@@ -43,13 +43,9 @@ type t = {
   mutable groups : group array;
 }
 
-let n_groups t = Array.length t.groups
-
 let replica t gid = t.groups.(gid).replica
 
 let group_metrics t gid = t.groups.(gid).g_metrics
-
-let wheel_live t = Wheel.live t.wheel
 
 (* Keep exactly one engine timer armed, at the wheel's next quantized fire
    time. Arming strictly earlier than needed is only a spurious wake (the

@@ -34,8 +34,6 @@ val create :
 
 val handlers : t -> (int * Types.msg) Cp_sim.Engine.handlers
 
-val n_groups : t -> int
-
 val replica : t -> int -> Cp_engine.Replica.t
 (** Group [gid]'s replica on this machine. *)
 
@@ -43,6 +41,3 @@ val group_metrics : t -> int -> Cp_sim.Metrics.t
 (** Group [gid]'s protocol metrics on this machine, including [mux_recv] /
     [recv.<kind>] delivery counters — the per-group auxiliary-quiescence
     evidence. *)
-
-val wheel_live : t -> int
-(** Pending timers across all groups (tests). *)

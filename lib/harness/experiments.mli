@@ -2,67 +2,41 @@
 
     The DSN 2004 paper contains no measurements; every experiment here
     quantifies one of its {e analytical} claims against the classic
-    Multi-Paxos baseline on the simulated network (see DESIGN.md §5 for the
-    index). Each experiment returns the printable table plus
-    claim-vs-measured {!Outcome.t} verdicts for EXPERIMENTS.md.
+    Multi-Paxos baseline on the simulated network. Each experiment returns
+    its printable tables plus claim-vs-measured {!Outcome.t} verdicts for
+    EXPERIMENTS.md. E14-E18 measure the implementation's own costs
+    (tracing, sharding, parallel apply, the wire path, durable storage).
 
-    [quick] shrinks sweeps and op counts (used by the test suite); the
-    benchmark executable runs the full versions. *)
+    [quick] shrinks sweeps and op counts; without it the full versions
+    run. *)
+
+type clock =
+  | Sim  (** virtual time in the simulator: deterministic from the seed *)
+  | Wall  (** wall-clock time on this host: varies run to run *)
 
 type exp = {
   eid : string;
   title : string;
-  run : quick:bool -> Cp_util.Table.t * Outcome.t list;
+  clock : clock;  (** what the experiment's timings are measured in *)
+  run : quick:bool -> (string * Cp_util.Table.t) list * Outcome.t list;
+      (** Named tables and verdicts. The table named [""] is the
+          experiment's main table; others hold one row per element of a
+          list-valued result. *)
 }
 
-val e1_message_cost : exp
-(** Normal-case message cost per command; auxiliaries receive nothing. *)
-
-val e2_work_per_class : exp
-(** Per-machine-class work: applied commands and bytes moved. *)
-
-val e3_failover : exp
-(** Main-processor failure: service gap, auxiliary engagement window,
-    reconfiguration latency, auxiliaries idle again afterwards. *)
-
-val e4_fault_boundary : exp
-(** Progress/stall at the tolerance boundary, with safety always intact. *)
-
-val e5_aux_storage : exp
-(** Auxiliary storage stays bounded; main storage is bounded by snapshots. *)
-
-val e6_ablation : exp
-(** Decompose the design: narrow phase 2, auxiliary widening, and
-    reconfiguration each isolated. *)
-
-val e7_latency : exp
-(** Commit latency distribution, Cheap vs Classic. *)
-
-val e8_throughput : exp
-(** Saturation throughput vs number of closed-loop clients, under a
-    per-node CPU budget (leader-bottleneck crossover). *)
-
-val e9_availability : exp
-(** Long-run availability under repeated failure/repair cycles, and the
-    auxiliaries' duty cycle. *)
-
-val e10_lease_reads : exp
-(** Extension beyond the paper: leader read leases serving linearizable
-    reads without consensus instances. *)
-
-val e11_batching : exp
-(** Extension beyond the paper: command batching multiplies saturation
-    throughput under the per-node CPU budget. *)
-
-val e12_cost : exp
-(** The paper's economics: hardware cost vs (static, pessimistic)
-    availability, analytic with a Monte-Carlo cross-check. *)
-
-val e13_open_loop : exp
-(** Open-loop Poisson load: the latency hockey stick past saturation,
-    with Cheap saturating higher on identical hardware. *)
-
 val all : exp list
+(** E1 to E18, in order (DESIGN.md §10 indexes them): message cost, work
+    per machine class, failover, the fault boundary, auxiliary storage,
+    ablation, latency, saturation throughput, availability under repeated
+    failure, read leases, batching, hardware cost, open-loop load, then
+    tracing cost, the sharded fleet, the parallel executor, the wire path
+    and durable storage. *)
 
-val run_all : ?quick:bool -> unit -> Outcome.t list
-(** Print every table to stdout and return the combined outcomes. *)
+val run : ?csv_dir:string -> quick:bool -> exp list -> Outcome.t list
+(** Run [exps] in order, printing every table and then the claim-by-claim
+    verdict table to stdout, and return the combined outcomes. With
+    [csv_dir] (created if missing), also write each table as CSV
+    ([<eid>.csv], [<eid>-<name>.csv]) plus [verdicts.csv], [index.csv]
+    (eid, title, clock, outcomes, failed) and [host.csv] (cores, OCaml
+    version, OS, parallel backend, mode).
+    @raise Sys_error if [csv_dir] cannot be created or written. *)

@@ -9,37 +9,29 @@
    The clock is injected: the UDP runtime passes wall time, the simulator
    passes virtual time (where handler durations are 0 by construction, so
    sim profiles degenerate to per-stage call counts — still useful, and
-   deterministic). A disabled profiler costs one branch per call. *)
+   deterministic). *)
 
 type t = {
   clock : unit -> float;
   count : string -> int -> unit; (* counter sink: (name, increment) *)
-  enabled : bool;
 }
 
 type stage = { ns_name : string; n_name : string }
 
 let stage name = { ns_name = "prof." ^ name ^ ".ns"; n_name = "prof." ^ name ^ ".n" }
 
-let create ?(enabled = true) ~clock ~count () = { clock; count; enabled }
-
-let disabled = { clock = (fun () -> 0.); count = (fun _ _ -> ()); enabled = false }
-
-let enabled t = t.enabled
+let create ~clock ~count = { clock; count }
 
 let record t stage ~ns =
   t.count stage.ns_name ns;
   t.count stage.n_name 1
 
 let time t stage f =
-  if not t.enabled then f ()
-  else begin
-    let t0 = t.clock () in
-    let r = f () in
-    let dt = t.clock () -. t0 in
-    record t stage ~ns:(int_of_float (dt *. 1e9));
-    r
-  end
+  let t0 = t.clock () in
+  let r = f () in
+  let dt = t.clock () -. t0 in
+  record t stage ~ns:(int_of_float (dt *. 1e9));
+  r
 
 (* "prof.step.ns"/"prof.step.n" -> (stage, n, ns) rows, stage-sorted. *)
 let summarize counters =

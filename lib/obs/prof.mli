@@ -10,16 +10,9 @@
 
 type t
 
-val create :
-  ?enabled:bool -> clock:(unit -> float) -> count:(string -> int -> unit) -> unit -> t
+val create : clock:(unit -> float) -> count:(string -> int -> unit) -> t
 (** [count name by] must bump counter [name] by [by] (e.g.
-    {!Cp_sim.Metrics.incr}). [enabled] defaults to [true]. *)
-
-val disabled : t
-(** A no-op profiler: [time] runs its argument with zero overhead beyond a
-    branch. *)
-
-val enabled : t -> bool
+    {!Cp_sim.Metrics.incr}). *)
 
 type stage
 (** A stage's two counter names, built once by {!stage} so the timed path

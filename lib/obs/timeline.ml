@@ -161,33 +161,9 @@ let engagement_windows ~auxes (records : record list) =
       })
     !windows
 
-let pp_engagement ppf e =
-  let opt = function Some t -> Printf.sprintf "%.4fs" t | None -> "-" in
-  Format.fprintf ppf
-    "failover %.4fs: engaged %.4fs (upto %d), elected %s, quiesced %s; \
-     engage-phase %d msgs/%dB, settle-phase %d msgs/%dB, aux traffic %d msgs/%dB"
-    e.started_at e.engaged_at e.engaged_instance (opt e.elected_at) (opt e.quiesced_at)
-    e.msgs_engage e.bytes_engage e.msgs_settle e.bytes_settle e.aux_msgs e.aux_bytes
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (Perfetto)                                  *)
 (* ------------------------------------------------------------------ *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* Microseconds with fixed sub-microsecond precision: deterministic text
    for the golden snapshot, enough resolution for simulated timestamps. *)
@@ -202,8 +178,8 @@ let args_json ev =
         (List.map
            (fun (name, v) ->
              match v with
-             | `I i -> Printf.sprintf "\"%s\":%d" (escape name) i
-             | `S s -> Printf.sprintf "\"%s\":\"%s\"" (escape name) (escape s))
+             | `I i -> Printf.sprintf "\"%s\":%d" (Trace.escape name) i
+             | `S s -> Printf.sprintf "\"%s\":\"%s\"" (Trace.escape name) (Trace.escape s))
            fields)
     ^ "}"
 
@@ -223,7 +199,7 @@ let to_chrome (records : record list) =
       add
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"s\":\"t\"%s}"
-           (escape (Event.kind r.Trace.ev))
+           (Trace.escape (Event.kind r.Trace.ev))
            (ts r.Trace.at) r.Trace.node r.Trace.tid (args_json r.Trace.ev)))
     records;
   (* One async begin/end pair per causal chain, so Perfetto draws each
@@ -242,11 +218,11 @@ let to_chrome (records : record list) =
         add
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"trace\",\"ph\":\"b\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%d}"
-             (escape label) tid (ts first_r.Trace.at) first_r.Trace.node tid);
+             (Trace.escape label) tid (ts first_r.Trace.at) first_r.Trace.node tid);
         add
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"trace\",\"ph\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%d}"
-             (escape label) tid (ts last_r.Trace.at) last_r.Trace.node tid))
+             (Trace.escape label) tid (ts last_r.Trace.at) last_r.Trace.node tid))
     (by_trace records);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b

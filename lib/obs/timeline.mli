@@ -43,8 +43,6 @@ val engagement_windows : auxes:int list -> Trace.record list -> engagement list
     message/byte counts per phase. A window opens at the first
     [Aux_engaged] and closes at the next [Aux_quiesced]. *)
 
-val pp_engagement : Format.formatter -> engagement -> unit
-
 val to_chrome : Trace.record list -> string
 (** Chrome trace-event JSON (the [{"traceEvents":[...]}] wrapped format):
     one instant event per record (process lane = node, thread lane = trace

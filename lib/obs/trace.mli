@@ -44,6 +44,10 @@ val pp_record : Format.formatter -> record -> unit
 
 (** {1 JSONL} *)
 
+val escape : string -> string
+(** Escape a string for use inside a JSON string literal (shared by the
+    JSONL and Chrome trace writers). *)
+
 val record_to_json : record -> string
 (** One flat JSON object, e.g.
     [{"at":0.0213,"node":0,"event":"aux_engaged","instance":7}]. *)

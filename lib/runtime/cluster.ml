@@ -140,9 +140,6 @@ let run_until t ?(step = 0.01) ~deadline cond =
   in
   go ()
 
-let up_ids t =
-  List.filter (Engine.is_up t.eng) (t.universe_mains @ t.universe_auxes)
-
 let leader t =
   List.find_opt
     (fun id ->

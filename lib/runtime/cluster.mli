@@ -96,5 +96,3 @@ val metric : t -> int -> string -> int
 val sum_metric : t -> ids:int list -> string -> int
 
 val series : t -> int -> string -> float list
-
-val up_ids : t -> int list

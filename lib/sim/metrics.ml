@@ -29,11 +29,6 @@ let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.series
 
-let sum_matching t ~prefix =
-  Hashtbl.fold
-    (fun k r acc -> if String.starts_with ~prefix k then acc + !r else acc)
-    t.counters 0
-
 type snapshot = {
   counters : (string * int) list;
   summaries : (string * Cp_util.Stats.summary) list;

@@ -24,9 +24,6 @@ val counters : t -> (string * int) list
 
 val reset : t -> unit
 
-val sum_matching : t -> prefix:string -> int
-(** Sum of all counters whose name starts with [prefix]. *)
-
 (** One-call export view for the metrics exporters: all counters plus a
     {!Cp_util.Stats.summary} of every observation series, both sorted by
     name. *)

@@ -53,56 +53,3 @@ let summarize xs =
       p90 = quantile arr 0.9;
       p99 = quantile arr 0.99;
     }
-
-type acc = {
-  mutable n : int;
-  mutable m : float; (* running mean *)
-  mutable s : float; (* running sum of squared deviations *)
-  mutable lo : float;
-  mutable hi : float;
-}
-
-let acc_create () = { n = 0; m = 0.; s = 0.; lo = infinity; hi = neg_infinity }
-
-let acc_add a x =
-  a.n <- a.n + 1;
-  let delta = x -. a.m in
-  a.m <- a.m +. (delta /. float_of_int a.n);
-  a.s <- a.s +. (delta *. (x -. a.m));
-  if x < a.lo then a.lo <- x;
-  if x > a.hi then a.hi <- x
-
-let acc_count a = a.n
-
-let acc_mean a = if a.n = 0 then 0. else a.m
-
-let acc_stddev a = if a.n < 2 then 0. else sqrt (a.s /. float_of_int (a.n - 1))
-
-let acc_min a = if a.n = 0 then 0. else a.lo
-
-let acc_max a = if a.n = 0 then 0. else a.hi
-
-type histogram = {
-  bounds : float array;
-  counts : int array; (* length = Array.length bounds + 1 *)
-}
-
-let histogram_create ~buckets =
-  { bounds = Array.copy buckets; counts = Array.make (Array.length buckets + 1) 0 }
-
-(* Binary search for the first bound >= x; the implicit +inf bucket is index
-   [Array.length bounds]. *)
-let histogram_add h x =
-  let n = Array.length h.bounds in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if x <= h.bounds.(mid) then hi := mid else lo := mid + 1
-  done;
-  h.counts.(!lo) <- h.counts.(!lo) + 1
-
-let histogram_counts h =
-  let n = Array.length h.bounds in
-  List.init (n + 1) (fun i ->
-      let bound = if i = n then infinity else h.bounds.(i) in
-      (bound, h.counts.(i)))

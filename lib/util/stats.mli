@@ -23,37 +23,3 @@ val quantile : float array -> float -> float
 val mean : float list -> float
 
 val stddev : float list -> float
-
-(** {1 Streaming accumulator}
-
-    Constant-space accumulator for mean/variance/min/max (Welford). Useful
-    when per-sample storage would distort a long simulation. *)
-
-type acc
-
-val acc_create : unit -> acc
-
-val acc_add : acc -> float -> unit
-
-val acc_count : acc -> int
-
-val acc_mean : acc -> float
-
-val acc_stddev : acc -> float
-
-val acc_min : acc -> float
-
-val acc_max : acc -> float
-
-(** {1 Histogram} *)
-
-type histogram
-
-val histogram_create : buckets:float array -> histogram
-(** [buckets] are the ascending upper bounds; an implicit +inf bucket is
-    appended. *)
-
-val histogram_add : histogram -> float -> unit
-
-val histogram_counts : histogram -> (float * int) list
-(** Upper-bound / count pairs, the +inf bucket reported as [infinity]. *)

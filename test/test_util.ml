@@ -193,34 +193,6 @@ let test_stats_stddev () =
   feq "stddev singleton" 0. (Stats.stddev [ 4. ]);
   feq "stddev pair" (sqrt 2.) (Stats.stddev [ 1.; 3. ])
 
-let prop_acc_matches_offline =
-  QCheck.Test.make ~name:"streaming acc matches offline stats" ~count:100
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_range (-100.) 100.))
-    (fun xs ->
-      let acc = Stats.acc_create () in
-      List.iter (Stats.acc_add acc) xs;
-      let close a b = Float.abs (a -. b) < 1e-6 *. (1. +. Float.abs a) in
-      close (Stats.acc_mean acc) (Stats.mean xs)
-      && close (Stats.acc_stddev acc) (Stats.stddev xs)
-      && Stats.acc_count acc = List.length xs
-      && Stats.acc_min acc = List.fold_left Float.min infinity xs
-      && Stats.acc_max acc = List.fold_left Float.max neg_infinity xs)
-
-let test_histogram () =
-  let h = Stats.histogram_create ~buckets:[| 1.; 2.; 4. |] in
-  List.iter (Stats.histogram_add h) [ 0.5; 1.0; 1.5; 3.0; 100. ];
-  match Stats.histogram_counts h with
-  | [ (b1, c1); (b2, c2); (b3, c3); (binf, c4) ] ->
-    feq "bound1" 1. b1;
-    Alcotest.(check int) "le 1" 2 c1;
-    feq "bound2" 2. b2;
-    Alcotest.(check int) "le 2" 1 c2;
-    feq "bound3" 4. b3;
-    Alcotest.(check int) "le 4" 1 c3;
-    Alcotest.(check bool) "inf bucket" true (binf = infinity);
-    Alcotest.(check int) "overflow" 1 c4
-  | _ -> Alcotest.fail "wrong bucket count"
-
 (* --- Table ------------------------------------------------------------ *)
 
 let test_table_render () =
@@ -271,10 +243,9 @@ let suite =
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats quantile interpolation" `Quick test_stats_quantile_interpolation;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
-    Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table width mismatch" `Quick test_table_width_mismatch;
     Alcotest.test_case "table csv" `Quick test_table_csv;
     Alcotest.test_case "table formats" `Quick test_table_formats;
   ]
-  @ qsuite [ prop_heap_sorts; prop_heap_interleaved; prop_acc_matches_offline ]
+  @ qsuite [ prop_heap_sorts; prop_heap_interleaved ]
