@@ -32,7 +32,7 @@ let on_p1a t ~src ~ballot ~low =
     match res with
     | Acceptor.Promise (votes, floor) ->
       if Ballot.(t.max_seen < ballot) then t.max_seen <- ballot;
-      t.last_leader_contact <- now t;
+      touch_contact t;
       send t src (Types.P1b { ballot; from = t.self; votes; compacted_upto = floor })
     | Acceptor.P1_nack promised -> send t src (Types.P1Nack { ballot; promised })
   end

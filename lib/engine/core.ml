@@ -11,8 +11,10 @@ type input =
   | Deliver of { src : int; msg : Types.msg }
   | Timer of { tag : string }
 
+let rx_names = Array.map (fun kind -> "rx." ^ kind) Types.kinds
+
 let dispatch t ~src (msg : Types.msg) =
-  metric t ("rx." ^ Types.classify msg);
+  metric t (Array.unsafe_get rx_names (Types.kind_index msg));
   if t.role_ = Aux then observe t "aux_msg_at" (now t);
   match msg with
   | Types.P1a { ballot; low } -> Acceptor_core.on_p1a t ~src ~ballot ~low
@@ -128,6 +130,8 @@ let create ~self ~now ~rng ~role ~policy ~params ~initial ~universe_mains ~unive
       max_seen = Ballot.bottom;
       leader_hint_ = (match initial.Config.mains with m :: _ -> m | [] -> self);
       last_leader_contact = now;
+      last_tick = now;
+      stalled = 0.;
       election_fuzz = 0.;
       last_join_sent = neg_infinity;
       last_catchup_sent = neg_infinity;

@@ -33,7 +33,7 @@ let mains_floor t lead =
       if m = t.self then min acc (Log.prefix t.log)
       else
         match Hashtbl.find_opt lead.l_acks m with
-        | Some (_, p) -> min acc p
+        | Some p -> min acc p
         | None -> 0)
     max_int cfg.Config.mains
 
@@ -267,14 +267,23 @@ let become_candidate t =
   | Acceptor.P1_nack _ -> ());
   send_p1a t c
 
+(* Hearing from main [m] at our ballot proves it alive: restart its
+   failure-detector clock and heartbeat count. *)
+let heard t lead m = Hashtbl.replace lead.l_heard m (now t, 0)
+
 let send_heartbeats t lead =
   lead.l_last_hb <- now t;
   List.iter
     (fun m ->
-      if m <> t.self then
+      if m <> t.self then begin
+        let at, unanswered =
+          Option.value (Hashtbl.find_opt lead.l_heard m) ~default:(lead.l_since, 0)
+        in
+        Hashtbl.replace lead.l_heard m (at, unanswered + 1);
         send t m
           (Types.Heartbeat
-             { ballot = lead.l_ballot; commit_floor = Log.prefix t.log; sent_at = now t }))
+             { ballot = lead.l_ballot; commit_floor = Log.prefix t.log; sent_at = now t })
+      end)
     t.universe_mains
 
 let become_leader t (c : candidate) =
@@ -295,6 +304,7 @@ let become_leader t (c : candidate) =
       l_reconfig_inflight = false;
       l_last_hb = now t;
       l_acks = Hashtbl.create 8;
+      l_heard = Hashtbl.create 8;
       l_echo = Hashtbl.create 8;
       l_lease_held = false;
       l_reads = Queue.create ();
@@ -368,11 +378,13 @@ let on_p1b t ~from ~ballot ~votes ~compacted =
     c.c_max_compacted <- max c.c_max_compacted compacted;
     List.iter (fun (i, v) -> if i >= Log.prefix t.log then merge_vote c i v) votes;
     try_finish_phase1 t c
+  | Leader lead when Ballot.equal ballot lead.l_ballot -> heard t lead from
   | Candidate _ | Leader _ | Follower -> ()
 
 let on_p2b t ~from ~ballot ~instance =
   match t.state with
   | Leader lead when Ballot.equal ballot lead.l_ballot -> begin
+    heard t lead from;
     match Hashtbl.find_opt lead.l_pending instance with
     | None -> ()
     | Some p ->
@@ -394,7 +406,8 @@ let on_nack t ~promised =
 let on_heartbeat_ack t ~from ~ballot ~prefix ~echo =
   match t.state with
   | Leader lead when Ballot.equal ballot lead.l_ballot ->
-    Hashtbl.replace lead.l_acks from (now t, prefix);
+    heard t lead from;
+    Hashtbl.replace lead.l_acks from prefix;
     let prev = Option.value ~default:neg_infinity (Hashtbl.find_opt lead.l_echo from) in
     if echo > prev then Hashtbl.replace lead.l_echo from echo;
     ignore (Lease.refresh_lease t lead ~reason:"expired");
@@ -553,18 +566,30 @@ let retransmit_pending t lead =
       end)
     lead.l_pending
 
-(* Refresh the leader's failure detector over the current mains. *)
+(* Refresh the leader's failure detector over the current mains. A main
+   is suspected once we have not heard from it for [suspect_timeout] {e and}
+   it has left that many heartbeat intervals' worth of our heartbeats
+   unanswered. Heartbeats go out at the first tick [hb_interval] after the
+   last, so at most [hb_interval + tick] apart: under regular ticks the
+   count always holds once the time has passed, and the rule decides as
+   the timeout alone would. After a stall of the leader's own (one late
+   tick, one heartbeat sent) the count does not hold, so the leader's
+   silence is not blamed on the peer. *)
+let suspect_after_heartbeats (p : Params.t) =
+  int_of_float ((p.Params.suspect_timeout /. (p.Params.hb_interval +. p.Params.tick)) +. 1e-9)
+
 let update_suspects t lead =
   let cfg = Configs.latest t.configs in
   let t_now = now t in
+  let needed = suspect_after_heartbeats t.params in
   Hashtbl.reset lead.l_suspected;
   List.iter
     (fun m ->
       if m <> t.self then begin
-        let last =
-          match Hashtbl.find_opt lead.l_acks m with Some (at, _) -> at | None -> lead.l_since
+        let last, unanswered =
+          Option.value (Hashtbl.find_opt lead.l_heard m) ~default:(lead.l_since, 0)
         in
-        if t_now -. last > t.params.Params.suspect_timeout then
+        if t_now -. last > t.params.Params.suspect_timeout && unanswered >= needed then
           Hashtbl.replace lead.l_suspected m ()
       end)
     cfg.Config.mains
@@ -598,8 +623,20 @@ let maybe_join t =
       cfg.Config.mains
   end
 
+(* Book the part of the gap since the last tick beyond two tick periods as
+   this node's own stall. Regular ticks (at most two periods apart, as in
+   the simulator and the UDP runtime's 1 ms wheel) book nothing, so the
+   follower's election clock below is exactly the plain timeout; a 40 ms
+   stall followed by one tick advances it by two periods, not 40 ms. *)
+let note_tick t t_now =
+  let gap = t_now -. t.last_tick in
+  let regular = 2. *. t.params.Params.tick in
+  if gap > regular then t.stalled <- t.stalled +. (gap -. regular);
+  t.last_tick <- t_now
+
 let on_tick t =
   let t_now = now t in
+  note_tick t t_now;
   match t.state with
   | Leader lead ->
     if lead.l_abdicate then begin
@@ -612,7 +649,7 @@ let on_tick t =
       end;
       t.state <- Follower;
       draw_fuzz t;
-      t.last_leader_contact <- t_now;
+      touch_contact t;
       if Config.is_main (Configs.latest t.configs) t.self then become_candidate t
     end
     else begin
@@ -643,7 +680,9 @@ let on_tick t =
   | Follower ->
     let cfg = Configs.latest t.configs in
     if Config.is_main cfg t.self then begin
-      if t_now -. t.last_leader_contact > t.params.Params.leader_timeout +. t.election_fuzz
+      if
+        t_now -. t.last_leader_contact -. t.stalled
+        > t.params.Params.leader_timeout +. t.election_fuzz
       then begin
         draw_fuzz t;
         become_candidate t

@@ -67,7 +67,7 @@ type cmd_plan =
   | Cached of string (* reply still cached from before the window *)
   | Ancient (* evicted long ago; no reply possible *)
 
-let classify_window t cmds =
+let classify_many t cmds =
   let scratch : (int, Session.t) Hashtbl.t = Hashtbl.create 8 in
   let first : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let ops = ref [] in
@@ -99,6 +99,20 @@ let classify_window t cmds =
       cmds
   in
   (plan, Array.of_list (List.rev !ops))
+
+(* A one-command window (the common case under [batch_max_cmds = 1]) has
+   no later command for the scratch state to inform: classify it straight
+   from the live session. *)
+let classify_one t (cmd : Types.command) =
+  match Session.status (session_for t cmd.client) cmd.seq with
+  | `New -> ([ (cmd, Exec 0) ], [| cmd.op |])
+  | `Cached r -> ([ (cmd, Cached r) ], [||])
+  | `Evicted -> ([ (cmd, Ancient) ], [||])
+
+let classify_window t cmds =
+  match cmds with
+  | [ cmd ] -> classify_one t cmd
+  | _ -> classify_many t cmds
 
 let join_cmd t (cmd : Types.command) plan results =
   let reply =

@@ -119,8 +119,8 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
      replay above ran serially, which is always equivalent. *)
   Option.iter (fun a -> Cp_exec.Applier.attach a core.State.app) exec;
   let prof =
-    Obs.Prof.create ~clock:ctx.Engine.now
-      ~count:(fun name by -> Metrics.incr ctx.Engine.metrics ~by name)
+    Obs.Prof.create ~clock:ctx.Engine.now ~count:(fun name ->
+        Metrics.add (Metrics.counter ctx.Engine.metrics name))
   in
   let t =
     {

@@ -25,7 +25,9 @@ val status : t -> int -> [ `New | `Cached of string | `Evicted ]
 val record : t -> window:int -> int -> string -> unit
 (** Record an executed operation. Evicts cached replies to keep at most
     [window] of them, advancing the floor. The floor only advances along
-    fully-executed prefixes, so [`New] is never misreported. *)
+    fully-executed prefixes, so [`New] is never misreported. O(log n) in
+    the cached replies plus O(log n) per evicted one: the window test reads
+    a kept count, never the cache's size. *)
 
 val max_seq : t -> int
 (** Highest executed sequence number (0 if none). *)
@@ -35,6 +37,7 @@ val export : t -> image
 val import : image -> t
 
 val cached_count : t -> int
+(** Number of cached replies, in O(1): [List.length (export t).replies]. *)
 
 val copy : t -> t
 (** Independent snapshot of the session. *)

@@ -54,7 +54,11 @@ type lead = {
   mutable l_pumping : bool; (* re-entrancy guard for [Leader.pump] *)
   mutable l_reconfig_inflight : bool;
   mutable l_last_hb : float;
-  l_acks : (int, float * int) Hashtbl.t; (* main -> (last ack time, its prefix) *)
+  l_acks : (int, int) Hashtbl.t; (* main -> its prefix at its last heartbeat ack *)
+  l_heard : (int, float * int) Hashtbl.t;
+      (* main -> (when this leadership last heard from it — any P1b, P2b or
+         heartbeat ack at our ballot —, heartbeats sent to it since): the
+         failure detector's input (see [Leader.update_suspects]) *)
   l_echo : (int, float) Hashtbl.t;
       (* main -> latest heartbeat send-time it has echoed; the basis of the
          read lease (send times, never receipt times) *)
@@ -139,6 +143,12 @@ type t = {
   mutable max_seen : Ballot.t;
   mutable leader_hint_ : int;
   mutable last_leader_contact : float;
+  mutable last_tick : float; (* the later of the last tick and [last_leader_contact] *)
+  mutable stalled : float;
+      (* time since [last_leader_contact] lost to this node's own stalls:
+         each gap between its ticks beyond two tick periods. A follower's
+         election clock leaves it out, so its own stall is not mistaken for
+         the leader's silence *)
   mutable election_fuzz : float;
   mutable last_join_sent : float;
   mutable last_catchup_sent : float;
@@ -158,7 +168,7 @@ type t = {
 let push t eff = Queue.push eff t.effects
 
 let drain t =
-  let effs = List.of_seq (Queue.to_seq t.effects) in
+  let effs = List.rev (Queue.fold (fun acc eff -> eff :: acc) [] t.effects) in
   Queue.clear t.effects;
   effs
 
@@ -181,6 +191,12 @@ let observe t name v = push t (Effect.Observe (name, v))
 let is_leader t = match t.state with Leader _ -> true | Follower | Candidate _ -> false
 
 let draw_fuzz t = t.election_fuzz <- Rng.float t.rng t.params.Params.election_fuzz
+
+(* Heard from a leader (or granted a promise): restart the election clock. *)
+let touch_contact t =
+  t.last_leader_contact <- now t;
+  t.last_tick <- now t;
+  t.stalled <- 0.
 
 (* ------------------------------------------------------------------ *)
 (* Persistence (as effects)                                            *)
@@ -247,7 +263,7 @@ let step_down t ballot =
     Queue.clear t.pre_queue;
     draw_fuzz t
   | Follower -> ());
-  t.last_leader_contact <- now t
+  touch_contact t
 
 let note_leader_contact t ballot src =
   if Ballot.(t.max_seen <= ballot) then begin
@@ -256,7 +272,7 @@ let note_leader_contact t ballot src =
       t.leader_hint_ <- src;
       event t (Obs.Event.Leader_changed { leader = src })
     end;
-    t.last_leader_contact <- now t;
+    touch_contact t;
     if t.params.Params.enable_leases then
       t.lease_gate_until <- now t +. t.params.Params.lease_guard
   end
@@ -280,6 +296,7 @@ let clone_lead l =
     l_inflight_cmds = Hashtbl.copy l.l_inflight_cmds;
     l_backlog = Hashtbl.copy l.l_backlog;
     l_acks = Hashtbl.copy l.l_acks;
+    l_heard = Hashtbl.copy l.l_heard;
     l_echo = Hashtbl.copy l.l_echo;
     l_reads = Queue.copy l.l_reads;
     l_suspected = Hashtbl.copy l.l_suspected;
@@ -322,6 +339,8 @@ let clone t =
     max_seen = t.max_seen;
     leader_hint_ = t.leader_hint_;
     last_leader_contact = t.last_leader_contact;
+    last_tick = t.last_tick;
+    stalled = t.stalled;
     election_fuzz = t.election_fuzz;
     last_join_sent = t.last_join_sent;
     last_catchup_sent = t.last_catchup_sent;
@@ -380,6 +399,7 @@ let fingerprint t =
       ( l.l_reconfig_inflight,
         l.l_last_hb,
         sorted_bindings l.l_acks,
+        sorted_bindings l.l_heard,
         sorted_bindings l.l_echo,
         l.l_lease_held,
         queue_list l.l_reads,
@@ -396,6 +416,8 @@ let fingerprint t =
     ( t.max_seen,
       t.leader_hint_,
       t.last_leader_contact,
+      t.last_tick,
+      t.stalled,
       t.election_fuzz,
       t.last_join_sent,
       t.last_catchup_sent,

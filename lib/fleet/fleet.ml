@@ -57,15 +57,15 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
     | None -> Router.create ~groups ()
   in
   let proc_time = Option.map (fun cost _msg -> cost) proc_time in
-  let fresh_trace (_, msg) =
-    match Types.classify msg with
-    | "client_req" | "client_read" -> true
+  let fresh_trace = function
+    | _, (Types.ClientReq _ | Types.ClientRead _) -> true
     | _ -> false
   in
   let eng =
     Engine.create ~seed ~net ?proc_time ~obs ~fresh_trace ?storage
       ~size_of:(fun (gid, msg) -> group_overhead gid + Types.size_of msg)
-      ~classify:(fun (_, msg) -> Types.classify msg)
+      ~kinds:Types.kinds
+      ~kind_index:(fun (_, msg) -> Types.kind_index msg)
       ()
   in
   let universe_mains, universe_auxes, _ = machine_ids initial ~spare_mains in

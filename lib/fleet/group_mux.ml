@@ -33,6 +33,8 @@ type group = {
   replica : Replica.t;
   handlers : Types.msg Engine.handlers;
   g_metrics : Metrics.t;
+  g_mux_recv : Metrics.counter;
+  g_recv : Metrics.counter array; (* "recv.<kind>", by {!Types.kind_index} *)
   g_tctx : Obs.Traceid.t; (* namespaced minting context for timer chains *)
 }
 
@@ -138,6 +140,9 @@ let create ctx ~groups ?(wheel_tick = 2.5e-4) ?conflict_keys ~role ~policy ~para
           replica;
           handlers = Replica.handlers replica;
           g_metrics = gctx.Engine.metrics;
+          g_mux_recv = Metrics.counter gctx.Engine.metrics "mux_recv";
+          g_recv =
+            Array.map (fun k -> Metrics.counter gctx.Engine.metrics ("recv." ^ k)) Types.kinds;
           g_tctx = gctx.Engine.tctx;
         });
   t
@@ -148,8 +153,8 @@ let handlers t =
       Metrics.incr t.ctx.Engine.metrics "mux_unknown_group"
     else begin
       let g = t.groups.(gid) in
-      Metrics.incr g.g_metrics "mux_recv";
-      Metrics.incr g.g_metrics ("recv." ^ Types.classify msg);
+      Metrics.bump g.g_mux_recv;
+      Metrics.bump (Array.unsafe_get g.g_recv (Types.kind_index msg));
       g.handlers.Engine.on_message ~src msg
     end
   in

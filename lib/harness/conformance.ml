@@ -121,7 +121,7 @@ let dump recorders =
 let run_sim ?(seed = default_seed) ?(rounds = default_rounds) () =
   let eng =
     Engine.create ~seed ~net:Cp_sim.Netmodel.ideal ~size_of:Types.size_of
-      ~classify:Types.classify ()
+      ~kinds:Types.kinds ~kind_index:Types.kind_index ()
   in
   let recorders = List.map mk_recorder receivers in
   List.iter2

@@ -127,3 +127,38 @@ let dump_chrome case =
 let file_of case = "golden/" ^ case.name ^ ".trace"
 
 let chrome_file_of case = "golden/" ^ case.name ^ ".chrome"
+
+(* Every endpoint's counters after a seeded replica cluster (two mains, an
+   auxiliary, a 40-op client) commits over the ring fabric: one
+   "<node> <counter> <value>" line each. Pins the counter names and values
+   the transports, the replica and its profiler produce — under virtual
+   time the profiler's durations are 0, so the dump is deterministic. *)
+let ring_counters () =
+  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
+  let mains = [ 0; 1 ] and auxes = [ 2 ] in
+  let fab = Cp_transport.Ring.create ~seed:7 () in
+  let replica id role =
+    Cp_transport.Ring.add_node fab ~id ~build:(fun ctx ->
+        Cp_engine.Replica.handlers
+          (Cp_engine.Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy
+             ~params:Cp_engine.Params.default ~initial ~universe_mains:mains
+             ~universe_auxes:auxes ~app:(module Cp_smr.Counter)))
+  in
+  List.iter (fun id -> replica id Cp_engine.Replica.Main) mains;
+  List.iter (fun id -> replica id Cp_engine.Replica.Aux) auxes;
+  Cp_transport.Ring.add_node fab ~id:1000 ~build:(fun ctx ->
+      Cp_smr.Client.handlers
+        (Cp_smr.Client.create ctx ~mains ~timeout:0.2
+           ~ops:(fun seq -> if seq <= 40 then Some (Cp_smr.Counter.inc 1) else None)
+           ()));
+  Cp_transport.Ring.run ~until:5. fab;
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun (name, v) -> Printf.bprintf b "%d %s %d\n" id name v)
+        (Cp_sim.Metrics.counters (Cp_transport.Ring.metrics fab id)))
+    (mains @ auxes @ [ 1000 ]);
+  Buffer.contents b
+
+let ring_counters_file = "golden/ring_counters.trace"

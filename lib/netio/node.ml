@@ -6,6 +6,7 @@ module Storage = Cp_storage.Storage
 module Wheel = Cp_fleet.Wheel
 module Obs = Cp_obs
 module Outbox = Cp_transport.Outbox
+module Msg_counters = Cp_transport.Msg_counters
 module Imap = Map.Make (Int)
 
 (* One hosted replica group. Group 0 is built by [create]; its lock,
@@ -22,6 +23,9 @@ type group = {
   g_gid : int;
   g_lock : Mutex.t;
   g_metrics : Metrics.t;
+  g_counters : Msg_counters.t; (* handles on [g_metrics] *)
+  g_decode_ns : Metrics.counter; (* "prof.decode.ns" *)
+  g_decode_n : Metrics.counter; (* "prof.decode.n" *)
   g_transmit : dst:int -> Bytes.t -> off:int -> len:int -> unit;
   g_outbox : Outbox.t;
   g_tctx : Obs.Traceid.t;
@@ -169,11 +173,8 @@ let guard t g ~where f =
   try f ()
   with exn ->
     Metrics.incr g.g_metrics "handler_errors";
-    emit t g (Obs.Event.Debug (Printf.sprintf "%s raised: %s" where (Printexc.to_string exn)))
-
-let count_sent m len =
-  Metrics.incr m ~by:len "bytes_sent";
-  Metrics.incr m ~by:len "encoded_bytes"
+    emit t g
+      (Obs.Event.Debug (Printf.sprintf "%s raised: %s" (where ()) (Printexc.to_string exn)))
 
 (* The zero-copy send path: serialize the frame directly into the group's
    outbox buffer for [dst] — no intermediate string, no per-send copy, no
@@ -185,25 +186,23 @@ let count_sent m len =
    full outbox buffer) go through [g_transmit], so they too leave only
    after the store is flushed. Caller holds [g]'s lock. *)
 let send g dst msg =
-  let kind = Types.classify msg in
   (* Client submissions start a fresh causal chain; everything else carries
      the chain of the event being handled. *)
   let tid =
-    match kind with
-    | "client_req" | "client_read" -> Obs.Traceid.mint g.g_tctx
+    match msg with
+    | Types.ClientReq _ | Types.ClientRead _ -> Obs.Traceid.mint g.g_tctx
     | _ -> Obs.Traceid.current g.g_tctx
   in
-  let m = g.g_metrics in
-  Metrics.incr m "msgs_sent";
-  Metrics.incr m ("sent." ^ kind);
+  let m = g.g_metrics and c = g.g_counters in
+  Msg_counters.sent c msg;
   match Outbox.append g.g_outbox ~dst ~gid:g.g_gid ~tid msg with
-  | len -> count_sent m len
+  | len -> Msg_counters.encoded c len
   | exception Codec.Overflow -> (
     Metrics.incr m "wire_copies";
     let buf = Bytes.create 65507 in
     match Codec.encode_into buf ~pos:0 ~gid:g.g_gid ~tid msg with
     | len ->
-      count_sent m len;
+      Msg_counters.encoded c len;
       g.g_transmit ~dst buf ~off:0 ~len
     | exception Codec.Overflow -> Metrics.incr m "send_drops")
 
@@ -240,7 +239,7 @@ let fire_timer t g wid tag () =
     else begin
       (* A timer step starts a fresh causal chain, as in the sim. *)
       ignore (Obs.Traceid.mint g.g_tctx);
-      guard t g ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
+      guard t g ~where:(fun () -> Printf.sprintf "on_timer %S" tag) (fun () ->
           g.g_handlers.Engine.on_timer ~tid:wid ~tag)
     end
 
@@ -283,21 +282,20 @@ let timer_loop t =
    fenced itself on earlier in this datagram, is counted and dropped. *)
 let deliver t g ~src ~decode_ns frames () =
   let m = g.g_metrics in
-  Metrics.incr m ~by:decode_ns "prof.decode.ns";
-  if decode_ns > 0 then Metrics.incr m "prof.decode.n";
+  Metrics.add g.g_decode_ns decode_ns;
+  if decode_ns > 0 then Metrics.bump g.g_decode_n;
   List.iter
     (fun (f : Codec.framed) ->
       if !(g.g_fenced) then Metrics.incr m "fenced_drops"
       else begin
-        let kind = Types.classify f.f_msg in
-        Metrics.incr m "msgs_recv";
-        Metrics.incr m ~by:f.f_bytes "bytes_recv";
-        Metrics.incr m ("recv." ^ kind);
+        let k = Types.kind_index f.f_msg in
+        let kind = Types.kinds.(k) in
+        Msg_counters.received g.g_counters ~kind:k ~bytes:f.f_bytes;
         (* Everything the handler emits/sends continues the frame's causal
            chain. *)
         Obs.Traceid.adopt g.g_tctx f.f_tid;
         emit t g (Obs.Event.Msg_recv { src; kind; bytes = f.f_bytes });
-        guard t g ~where:("on_message " ^ kind) (fun () ->
+        guard t g ~where:(fun () -> "on_message " ^ kind) (fun () ->
             g.g_handlers.Engine.on_message ~src f.f_msg)
       end)
     frames
@@ -513,6 +511,9 @@ let new_group ~sock ~addr_of ~storage ~gid ~tctx =
     g_gid = gid;
     g_lock = Mutex.create ();
     g_metrics = metrics;
+    g_counters = Msg_counters.create metrics;
+    g_decode_ns = Metrics.counter metrics "prof.decode.ns";
+    g_decode_n = Metrics.counter metrics "prof.decode.n";
     g_transmit = transmit;
     g_outbox = Outbox.create ~send:transmit ();
     g_tctx = tctx;

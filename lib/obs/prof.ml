@@ -2,7 +2,10 @@
 
    Each [time t stage f] charges the duration of [f] to [stage] as a pair
    of counters through the [count] sink — ["prof.<stage>.ns"] (summed
-   nanoseconds) and ["prof.<stage>.n"] (samples) — so stage summaries ride
+   nanoseconds) and ["prof.<stage>.n"] (samples). The sink is applied to
+   each name once per profiler and the resulting adder kept, so a sink
+   that resolves a counter handle on partial application makes recording
+   free of string hashing. Stage summaries ride
    the existing counter plumbing ({!Cp_sim.Metrics}, {!Prom.render}) with
    O(1) memory, unlike observation series which retain every sample.
 
@@ -11,20 +14,44 @@
    sim profiles degenerate to per-stage call counts — still useful, and
    deterministic). *)
 
+type stage = { id : int; ns_name : string; n_name : string }
+
 type t = {
   clock : unit -> float;
   count : string -> int -> unit; (* counter sink: (name, increment) *)
+  mutable adders : (int -> unit) array;
+      (* [count name] for stage [id]'s ns (slot 2id) and n (slot 2id+1)
+         counters, resolved on the stage's first record *)
 }
 
-type stage = { ns_name : string; n_name : string }
+let next_id = Atomic.make 0
 
-let stage name = { ns_name = "prof." ^ name ^ ".ns"; n_name = "prof." ^ name ^ ".n" }
+let stage name =
+  {
+    id = Atomic.fetch_and_add next_id 1;
+    ns_name = "prof." ^ name ^ ".ns";
+    n_name = "prof." ^ name ^ ".n";
+  }
 
-let create ~clock ~count = { clock; count }
+let unresolved (_ : int) = ()
+
+let create ~clock ~count = { clock; count; adders = [||] }
+
+let resolve t stage =
+  let n = Array.length t.adders in
+  if 2 * stage.id >= n then begin
+    let grown = Array.make (max (2 * (stage.id + 1)) (2 * n)) unresolved in
+    Array.blit t.adders 0 grown 0 n;
+    t.adders <- grown
+  end;
+  t.adders.(2 * stage.id) <- t.count stage.ns_name;
+  t.adders.((2 * stage.id) + 1) <- t.count stage.n_name
 
 let record t stage ~ns =
-  t.count stage.ns_name ns;
-  t.count stage.n_name 1
+  let i = 2 * stage.id in
+  if i >= Array.length t.adders || t.adders.(i) == unresolved then resolve t stage;
+  t.adders.(i) ns;
+  t.adders.(i + 1) 1
 
 let time t stage f =
   let t0 = t.clock () in

@@ -12,11 +12,16 @@ type t
 
 val create : clock:(unit -> float) -> count:(string -> int -> unit) -> t
 (** [count name by] must bump counter [name] by [by] (e.g.
-    {!Cp_sim.Metrics.incr}). *)
+    {!Cp_sim.Metrics.incr}). The profiler applies [count] to each of a
+    stage's two names once, on the stage's first record, and keeps the
+    resulting [int -> unit]: a sink that does its name lookup on partial
+    application (resolving a {!Cp_sim.Metrics.counter}) costs no lookup per
+    record. Nothing is counted before a stage's first record. *)
 
 type stage
 (** A stage's two counter names, built once by {!stage} so the timed path
-    allocates none. *)
+    allocates none, and a process-wide id that keys each profiler's
+    resolved adders. *)
 
 val stage : string -> stage
 (** [stage "step"] charges to ["prof.step.ns"] and ["prof.step.n"]. *)

@@ -47,24 +47,49 @@ type msg =
   | ClientResp of { client : int; seq : int; result : string }
   | Redirect of { leader_hint : int }
 
-let classify = function
-  | P1a _ -> "p1a"
-  | P1b _ -> "p1b"
-  | P1Nack _ -> "p1nack"
-  | P2a _ -> "p2a"
-  | P2b _ -> "p2b"
-  | P2Nack _ -> "p2nack"
-  | Commit _ -> "commit"
-  | CommitFloor _ -> "commit_floor"
-  | Heartbeat _ -> "heartbeat"
-  | HeartbeatAck _ -> "heartbeat_ack"
-  | CatchupReq _ -> "catchup_req"
-  | CatchupResp _ -> "catchup_resp"
-  | JoinReq _ -> "join_req"
-  | ClientReq _ -> "client_req"
-  | ClientRead _ -> "client_read"
-  | ClientResp _ -> "client_resp"
-  | Redirect _ -> "redirect"
+(* Constructor index, in declaration order: the key of the per-kind counter
+   arrays the runtimes build once, so no hot path formats a counter name. *)
+let kind_index = function
+  | P1a _ -> 0
+  | P1b _ -> 1
+  | P1Nack _ -> 2
+  | P2a _ -> 3
+  | P2b _ -> 4
+  | P2Nack _ -> 5
+  | Commit _ -> 6
+  | CommitFloor _ -> 7
+  | Heartbeat _ -> 8
+  | HeartbeatAck _ -> 9
+  | CatchupReq _ -> 10
+  | CatchupResp _ -> 11
+  | JoinReq _ -> 12
+  | ClientReq _ -> 13
+  | ClientRead _ -> 14
+  | ClientResp _ -> 15
+  | Redirect _ -> 16
+
+let kinds =
+  [|
+    "p1a";
+    "p1b";
+    "p1nack";
+    "p2a";
+    "p2b";
+    "p2nack";
+    "commit";
+    "commit_floor";
+    "heartbeat";
+    "heartbeat_ack";
+    "catchup_req";
+    "catchup_resp";
+    "join_req";
+    "client_req";
+    "client_read";
+    "client_resp";
+    "redirect";
+  |]
+
+let classify msg = Array.unsafe_get kinds (kind_index msg)
 
 (* Wire-size model: a fixed header plus integer fields (8 bytes each) plus
    string payloads. The exact constants matter only for byte-count metrics,

@@ -84,6 +84,14 @@ type msg =
 val classify : msg -> string
 (** Short constructor name, used as the metrics key. *)
 
+val kind_index : msg -> int
+(** The constructor's position in declaration order, in [0, Array.length
+    kinds): [classify m = kinds.(kind_index m)]. Runtimes index per-kind
+    counter arrays with it instead of building ["sent." ^ kind] names. *)
+
+val kinds : string array
+(** Every {!classify} name, indexed by {!kind_index}. *)
+
 val size_of : msg -> int
 (** Wire-size estimate in bytes (headers + payload), used for byte metrics. *)
 

@@ -26,14 +26,13 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
   let proc_time = Option.map (fun cost _msg -> cost) proc_time in
   (* Client submissions start a fresh causal chain: each command gets its
      own cross-node trace id. *)
-  let fresh_trace msg =
-    match Types.classify msg with
-    | "client_req" | "client_read" -> true
+  let fresh_trace = function
+    | Types.ClientReq _ | Types.ClientRead _ -> true
     | _ -> false
   in
   let eng =
     Engine.create ~seed ~net ?proc_time ~obs ~fresh_trace ?storage
-      ~size_of:Types.size_of ~classify:Types.classify ()
+      ~kinds:Types.kinds ~kind_index:Types.kind_index ~size_of:Types.size_of ()
   in
   let universe_mains, universe_auxes, _ = machine_ids initial ~spare_mains in
   let t =

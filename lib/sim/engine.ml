@@ -30,9 +30,20 @@ type 'm node = {
   node_rng : Rng.t;
   node_stable : Cp_storage.Storage.t;
   node_metrics : Metrics.t;
+  node_counters : counters;
   node_trace : Obs.Trace.t;
   node_tctx : Obs.Traceid.t; (* ambient trace id; survives restarts *)
   mutable ctx : 'm ctx option;
+}
+
+(* Handles on a node's per-message counters. *)
+and counters = {
+  msgs_sent : Metrics.counter;
+  bytes_sent : Metrics.counter;
+  msgs_recv : Metrics.counter;
+  bytes_recv : Metrics.counter;
+  sent : Metrics.counter array; (* "sent.<kind>", by kind index *)
+  recv : Metrics.counter array; (* "recv.<kind>" *)
 }
 
 type 'm kind =
@@ -52,7 +63,8 @@ type 'm t = {
   net : Netmodel.t;
   proc_time : ('m -> float) option;
   size_of : 'm -> int;
-  classify : 'm -> string;
+  kinds : string array; (* kind names, by kind index *)
+  kind_index : 'm -> int;
   mutable reachable : int -> int -> bool;
   mutable processed : int;
   trace_capacity : int;
@@ -69,7 +81,7 @@ let event_cmp (a : _ event) (b : _ event) =
 let create ?(seed = 1) ?(net = Netmodel.lan) ?proc_time
     ?(trace_capacity = Obs.Trace.default_capacity) ?(obs = true)
     ?(fresh_trace = fun _ -> false) ?(storage = fun _ -> Cp_storage.Mem.store ())
-    ~size_of ~classify () =
+    ~kinds ~kind_index ~size_of () =
   {
     time = 0.;
     seq = 0;
@@ -80,7 +92,8 @@ let create ?(seed = 1) ?(net = Netmodel.lan) ?proc_time
     net;
     proc_time;
     size_of;
-    classify;
+    kinds;
+    kind_index;
     reachable = (fun _ _ -> true);
     processed = 0;
     trace_capacity;
@@ -142,10 +155,21 @@ let after t delay f = at t (t.time +. delay) f
 
 let is_up t id = (find_node t id).handlers <> None
 
+let node_counters t m =
+  let c = Metrics.counter m in
+  let per_kind prefix = Array.map (fun kind -> c (prefix ^ kind)) t.kinds in
+  {
+    msgs_sent = c "msgs_sent";
+    bytes_sent = c "bytes_sent";
+    msgs_recv = c "msgs_recv";
+    bytes_recv = c "bytes_recv";
+    sent = per_kind "sent.";
+    recv = per_kind "recv.";
+  }
+
 (* Sending: consult partition and network model now; the partition is
    re-checked at delivery time as well. *)
 let do_send t node dst msg =
-  let kind = t.classify msg in
   let size = t.size_of msg in
   (* The outgoing message carries the sender's current trace id; messages
      that start a causal chain of their own (client submissions) mint a
@@ -158,9 +182,10 @@ let do_send t node dst msg =
   (match t.proc_time with
   | Some cost -> node.busy_until <- Float.max node.busy_until t.time +. cost msg
   | None -> ());
-  Metrics.incr node.node_metrics "msgs_sent";
-  Metrics.incr node.node_metrics ~by:size "bytes_sent";
-  Metrics.incr node.node_metrics ("sent." ^ kind);
+  let nc = node.node_counters in
+  Metrics.bump nc.msgs_sent;
+  Metrics.add nc.bytes_sent size;
+  Metrics.bump nc.sent.(t.kind_index msg);
   if t.reachable node.id dst then begin
     match Netmodel.sample_delay t.net t.engine_rng with
     | None -> ()
@@ -213,6 +238,7 @@ let start_node t node =
 let add_node t ~id builder =
   if Hashtbl.mem t.nodes id then
     invalid_arg (Printf.sprintf "Engine.add_node: duplicate id %d" id);
+  let metrics = Metrics.create () in
   let node =
     {
       id;
@@ -223,7 +249,8 @@ let add_node t ~id builder =
       cancelled = Hashtbl.create 8;
       node_rng = Rng.split t.engine_rng;
       node_stable = t.storage id;
-      node_metrics = Metrics.create ();
+      node_metrics = metrics;
+      node_counters = node_counters t metrics;
       node_trace = Obs.Trace.create ~capacity:t.trace_capacity ();
       node_tctx = Obs.Traceid.create ~origin:id;
       ctx = None;
@@ -280,11 +307,13 @@ let handle_event t ev =
             (* Everything the handler emits/sends continues the message's
                causal chain. *)
             if t.obs then Obs.Traceid.adopt node.node_tctx trace;
-            let kind = t.classify msg in
-            Metrics.incr node.node_metrics "msgs_recv";
-            Metrics.incr node.node_metrics ~by:size "bytes_recv";
-            Metrics.incr node.node_metrics ("recv." ^ kind);
-            emit_event t node (Obs.Event.Msg_recv { src; kind; bytes = size });
+            let nc = node.node_counters in
+            Metrics.bump nc.msgs_recv;
+            Metrics.add nc.bytes_recv size;
+            let k = t.kind_index msg in
+            Metrics.bump nc.recv.(k);
+            if t.obs then
+              emit_event t node (Obs.Event.Msg_recv { src; kind = t.kinds.(k); bytes = size });
             h.on_message ~src msg;
             commit node
         end

@@ -61,13 +61,17 @@ val create :
   ?obs:bool ->
   ?fresh_trace:('m -> bool) ->
   ?storage:(int -> Cp_storage.Storage.t) ->
+  kinds:string array ->
+  kind_index:('m -> int) ->
   size_of:('m -> int) ->
-  classify:('m -> string) ->
   unit ->
   'm t
-(** [classify] names a message kind for per-kind metrics
-    (["sent.<kind>"] / ["recv.<kind>"]); [size_of] estimates wire size for
-    byte counters. Default [seed] is 1, default network {!Netmodel.lan}.
+(** [kinds.(kind_index m)] names the kind of message [m] for per-kind
+    metrics (["sent.<kind>"] / ["recv.<kind>"]; e.g.
+    {!Cp_proto.Types.kinds} and {!Cp_proto.Types.kind_index}); each node
+    holds a counter handle per kind, so no message builds or hashes a
+    counter name. [size_of] estimates wire size for byte counters. Default
+    [seed] is 1, default network {!Netmodel.lan}.
 
     [proc_time] models per-node CPU capacity: each message costs that many
     seconds of the node's (single) processor, both to send and to receive.

@@ -10,6 +10,23 @@ val create : unit -> t
 
 val incr : t -> ?by:int -> string -> unit
 
+type counter
+(** A prebuilt handle on one named counter: bumping it costs a field read
+    and an add, no string hashing. The name is registered on the first
+    {!add} or {!bump} (even by 0), exactly when {!incr} would have created
+    it, so {!counters} and every dump list the same names and values as the
+    string path; a handle never bumped leaves no zero-valued entry. Handles
+    survive {!reset} (they re-register on their next bump). *)
+
+val counter : t -> string -> counter
+(** [counter t name] refers to the counter {!incr}[ t name] bumps; the two
+    paths may be mixed. *)
+
+val add : counter -> int -> unit
+
+val bump : counter -> unit
+(** [bump c] is [add c 1]. *)
+
 val get : t -> string -> int
 (** 0 if the counter was never incremented. *)
 

@@ -9,6 +9,8 @@ module Obs = Cp_obs
 type endpoint = {
   e_id : int;
   e_metrics : Metrics.t;
+  e_counters : Msg_counters.t;
+  e_wire_bytes : Metrics.counter;
   e_trace : Obs.Trace.t;
   e_tctx : Obs.Traceid.t;
   e_stable : Storage.t;
@@ -20,7 +22,7 @@ type link = {
   l_src : int;
   l_dst : int;
   l_ring : Bytering.t;
-  mutable l_limit : int; (* the ring's tail when the current pass started *)
+  mutable l_limit : int; (* records written to the ring when the current pass started *)
 }
 
 type t = {
@@ -56,7 +58,12 @@ let link fab ~src ~dst =
   | Some l -> l.l_ring
   | None ->
     let l =
-      { l_src = src; l_dst = dst; l_ring = Bytering.create ~capacity:fab.ring_capacity (); l_limit = 0 }
+      {
+        l_src = src;
+        l_dst = dst;
+        l_ring = Bytering.create ~capacity:fab.ring_capacity ();
+        l_limit = 0;
+      }
     in
     Hashtbl.replace fab.links (src, dst) l;
     fab.order <-
@@ -68,12 +75,13 @@ let emit_ev fab ep ev =
   Obs.Trace.emit ~tid:(Obs.Traceid.current ep.e_tctx) ep.e_trace ~at:fab.time ~node:ep.e_id ev;
   if Obs.Trace.dropped ep.e_trace > dropped0 then Metrics.incr ep.e_metrics "ring_dropped"
 
+(* [where] names the handler for the Debug event; built only on failure. *)
 let guard fab ep ~where f =
   try f ()
   with exn ->
     Metrics.incr ep.e_metrics "handler_errors";
     emit_ev fab ep
-      (Obs.Event.Debug (Printf.sprintf "%s raised: %s" where (Printexc.to_string exn)))
+      (Obs.Event.Debug (Printf.sprintf "%s raised: %s" (where ()) (Printexc.to_string exn)))
 
 (* Zero-copy send: serialize the frame straight into the link's ring
    ([Codec.encode_into] at the ring's write cursor) — no intermediate
@@ -81,14 +89,12 @@ let guard fab ep ~where f =
    plus margin; if the encoder still overruns it, retry once with the ring's
    whole record budget before counting a drop. *)
 let send fab ep ~dst msg =
-  let kind = Types.classify msg in
   let tid =
-    match kind with
-    | "client_req" | "client_read" -> Obs.Traceid.mint ep.e_tctx
+    match msg with
+    | Types.ClientReq _ | Types.ClientRead _ -> Obs.Traceid.mint ep.e_tctx
     | _ -> Obs.Traceid.current ep.e_tctx
   in
-  Metrics.incr ep.e_metrics "msgs_sent";
-  Metrics.incr ep.e_metrics ("sent." ^ kind);
+  Msg_counters.sent ep.e_counters msg;
   let ring = link fab ~src:ep.e_id ~dst in
   let attempt max =
     Bytering.write ring ~max ~f:(fun buf ~pos -> Codec.encode_into buf ~pos ~gid:0 ~tid msg)
@@ -101,18 +107,20 @@ let send fab ep ~dst msg =
   in
   match written with
   | Some len ->
-    Metrics.incr ep.e_metrics ~by:len "bytes_sent";
-    Metrics.incr ep.e_metrics ~by:len "encoded_bytes";
-    Metrics.incr ep.e_metrics ~by:len "wire_bytes"
+    Msg_counters.encoded ep.e_counters len;
+    Metrics.add ep.e_wire_bytes len
   | None -> Metrics.incr ep.e_metrics "wire_drops"
 
 let add_node fab ~id ~build =
   if Hashtbl.mem fab.endpoints id then
     invalid_arg (Printf.sprintf "Ring.add_node: duplicate id %d" id);
+  let metrics = Metrics.create () in
   let ep =
     {
       e_id = id;
-      e_metrics = Metrics.create ();
+      e_metrics = metrics;
+      e_counters = Msg_counters.create metrics;
+      e_wire_bytes = Metrics.counter metrics "wire_bytes";
       e_trace = Obs.Trace.create ();
       e_tctx = Obs.Traceid.create ~origin:id;
       e_stable = fab.storage id;
@@ -156,13 +164,12 @@ let deliver fab ~src ~dst delivered buf ~pos ~len =
       List.iter
         (fun (f : Codec.framed) ->
           incr delivered;
-          let kind = Types.classify f.f_msg in
-          Metrics.incr ep.e_metrics "msgs_recv";
-          Metrics.incr ep.e_metrics ~by:f.f_bytes "bytes_recv";
-          Metrics.incr ep.e_metrics ("recv." ^ kind);
+          let k = Types.kind_index f.f_msg in
+          let kind = Types.kinds.(k) in
+          Msg_counters.received ep.e_counters ~kind:k ~bytes:f.f_bytes;
           Obs.Traceid.adopt ep.e_tctx f.f_tid;
           emit_ev fab ep (Obs.Event.Msg_recv { src; kind; bytes = f.f_bytes });
-          guard fab ep ~where:("on_message " ^ kind) (fun () ->
+          guard fab ep ~where:(fun () -> "on_message " ^ kind) (fun () ->
               ep.e_handlers.Engine.on_message ~src f.f_msg))
         frames)
 
@@ -195,14 +202,15 @@ let commit fab =
         match Storage.flush ep.e_stable with () -> () | exception exn -> fence fab ep exn)
     fab.endpoints
 
-(* A pass reads each link only up to the tail it had when the pass started,
-   so whatever a handler (message, timer or [build]) writes waits for the
+(* A pass reads each link only up to the records it held when the pass
+   started (a count, so a ring that grows mid-pass keeps its limit), so
+   whatever a handler (message, timer or [build]) writes waits for the
    next pass, and the commit at its entry. A link created mid-pass is not
    in this pass's (immutable) snapshot of [fab.order]. *)
 let pump fab =
   commit fab;
   let pass = fab.order in
-  List.iter (fun l -> l.l_limit <- Bytering.tail l.l_ring) pass;
+  List.iter (fun l -> l.l_limit <- Bytering.written l.l_ring) pass;
   let delivered = ref 0 in
   List.iter
     (fun l ->
@@ -223,7 +231,7 @@ let fire fab wid (node, tag) =
     (* A timer step starts a fresh causal chain, as in the sim and UDP
        runtimes. *)
     ignore (Obs.Traceid.mint ep.e_tctx);
-    guard fab ep ~where:(Printf.sprintf "on_timer %S" tag) (fun () ->
+    guard fab ep ~where:(fun () -> Printf.sprintf "on_timer %S" tag) (fun () ->
         ep.e_handlers.Engine.on_timer ~tid:wid ~tag)
 
 let run ?(until = 60.) fab =

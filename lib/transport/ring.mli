@@ -21,7 +21,10 @@ type t
 
 val create :
   ?ring_capacity:int -> ?seed:int -> ?storage:(int -> Cp_storage.Storage.t) -> unit -> t
-(** [ring_capacity] (default 65536) sizes each link's byte ring; [seed]
+(** [ring_capacity] (default 65536) bounds each link's byte ring: a link
+    starts at 1 KiB and doubles when a send does not fit, so memory follows
+    each link's traffic while the largest frame a link accepts stays that
+    of a [ring_capacity] ring ({!Bytering.max_record}); [seed]
     (default 1) roots every endpoint's RNG stream. [storage] supplies each
     endpoint's stable store at {!add_node} time, keyed by endpoint id
     (default: a fresh in-memory store per endpoint). *)
@@ -40,7 +43,8 @@ val now : t -> float
 
 val pump : t -> int
 (** One pass: read every link in ascending (src, dst) order, each only up
-    to the tail it had when the pass started, and dispatch each record at
+    to the records it held when the pass started (even if it grows during
+    the pass), and dispatch each record at
     the current virtual time. Returns the number of messages delivered
     (0 = quiescent). A record that does not decode is dropped and counted
     in the destination's [wire_decode_errors].

@@ -36,3 +36,12 @@ let () =
   close_out oc;
   Printf.printf "wrote %s (%d lines)\n" path
     (List.length (String.split_on_char '\n' dump) - 1)
+
+(* The counters of a seeded replica cluster over the ring fabric. *)
+let () =
+  let path = Filename.concat "test" Cp_harness.Golden.ring_counters_file in
+  let dump = Cp_harness.Golden.ring_counters () in
+  let oc = open_out path in
+  output_string oc dump;
+  close_out oc;
+  Printf.printf "wrote %s (%d lines)\n" path (List.length (String.split_on_char '\n' dump) - 1)

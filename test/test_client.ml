@@ -7,7 +7,7 @@ module Client = Cp_smr.Client
 
 let make_engine ?(seed = 1) ?proc_time () =
   Engine.create ~seed ~net:Cp_sim.Netmodel.ideal ?proc_time
-    ~size_of:Types.size_of ~classify:Types.classify ()
+    ~kinds:Types.kinds ~kind_index:Types.kind_index ~size_of:Types.size_of ()
 
 (* A fake server: behavior per message decided by a callback. *)
 let fake_server reply ctx =

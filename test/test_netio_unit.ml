@@ -631,6 +631,74 @@ let test_shutdown_idempotent () =
   in
   Node.shutdown node2
 
+(* The node's per-message counters come from handles: a counter is listed
+   only once bumped, and each send or receive bumps exactly what the
+   name-building path did — [msgs_*], [bytes_*], [encoded_bytes] and one
+   [sent.<kind>] or [recv.<kind>]. *)
+let test_counter_handles () =
+  let counters node =
+    Node.with_lock node (fun () -> Cp_sim.Metrics.counters (Node.metrics node))
+  in
+  let per_kind node =
+    List.filter
+      (fun (n, _) -> String.starts_with ~prefix:"sent." n || String.starts_with ~prefix:"recv." n)
+      (counters node)
+  in
+  let echoes = ref 0 in
+  let ctx_cell = ref None in
+  let echo =
+    Node.create ~port_of ~id_of_port ~id:41 ~seed:2
+      ~build:(fun ctx ->
+        {
+          Engine.on_message =
+            (fun ~src msg ->
+              match msg with
+              | Types.CommitFloor { upto } -> ctx.Engine.send src (Types.CommitFloor { upto })
+              | _ -> ());
+          on_timer = (fun ~tid:_ ~tag:_ -> ());
+        })
+      ()
+  in
+  let pinger =
+    Node.create ~port_of ~id_of_port ~id:40 ~seed:3
+      ~build:(fun ctx ->
+        ctx_cell := Some ctx;
+        {
+          Engine.on_message = (fun ~src:_ _ -> incr echoes);
+          on_timer = (fun ~tid:_ ~tag:_ -> ());
+        })
+      ()
+  in
+  Alcotest.(check (list (pair string int))) "no per-kind counter before any message" []
+    (per_kind pinger);
+  Alcotest.(check int) "no msgs_sent yet" 0
+    (List.length (List.filter (fun (n, _) -> n = "msgs_sent") (counters pinger)));
+  let ctx = Option.get !ctx_cell in
+  Node.with_lock pinger (fun () ->
+      for upto = 1 to 5 do
+        ctx.Engine.send 41 (Types.CommitFloor { upto })
+      done;
+      ctx.Engine.send 41 (Types.JoinReq { from = 40 }));
+  let deadline = Unix.gettimeofday () +. 5. in
+  while !echoes < 5 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  let got = counters pinger in
+  Node.shutdown echo;
+  Node.shutdown pinger;
+  Alcotest.(check int) "all echoes back" 5 !echoes;
+  let get n = Option.value (List.assoc_opt n got) ~default:(-1) in
+  Alcotest.(check (list (pair string int))) "per-kind counters"
+    [ ("recv.commit_floor", 5); ("sent.commit_floor", 5); ("sent.join_req", 1) ]
+    (List.filter
+       (fun (n, _) -> String.starts_with ~prefix:"sent." n || String.starts_with ~prefix:"recv." n)
+       got);
+  Alcotest.(check int) "msgs_sent" 6 (get "msgs_sent");
+  Alcotest.(check int) "msgs_recv" 5 (get "msgs_recv");
+  Alcotest.(check bool) "bytes_sent = encoded_bytes > 0" true
+    (get "bytes_sent" > 0 && get "bytes_sent" = get "encoded_bytes");
+  Alcotest.(check bool) "bytes_recv counted" true (get "bytes_recv" > 0)
+
 let suite =
   [
     Alcotest.test_case "timers fire in order" `Slow test_timers_fire_in_order;
@@ -654,4 +722,5 @@ let suite =
       (test_oversize_send_waits_for_flush ~exec_domains:2 ~a_id:30);
     Alcotest.test_case "a datagram of 8 P2as costs one fsync" `Slow
       test_datagram_of_p2as_one_fsync;
+    Alcotest.test_case "counter handles" `Slow test_counter_handles;
   ]

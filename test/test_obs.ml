@@ -406,8 +406,9 @@ let test_sim_trace_integration () =
 
 let test_sim_trace_capacity () =
   let eng =
-    Cp_sim.Engine.create ~seed:5 ~size_of:Cp_proto.Types.size_of
-      ~classify:Cp_proto.Types.classify ~trace_capacity:8 ()
+    Cp_sim.Engine.create ~seed:5 ~kinds:Cp_proto.Types.kinds
+      ~kind_index:Cp_proto.Types.kind_index ~size_of:Cp_proto.Types.size_of ~trace_capacity:8
+      ()
   in
   Cp_sim.Engine.add_node eng ~id:0 (fun ctx ->
       for i = 0 to 19 do

@@ -39,7 +39,7 @@ let policy =
 
 (* f = 1: mains {0, 1}, auxiliary {2}. Node 0 campaigns at creation (fresh
    boot, smallest main); node 1 boots a follower; node 2 boots an aux. *)
-let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) () =
+let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) ?(policy = policy) () =
   let initial = Config.cheap ~f:1 in
   Core.create ~self ~now:0. ~rng:(Rng.create (self + 7)) ~role ~policy ~params ~initial
     ~universe_mains:initial.Config.mains ~universe_auxes:initial.Config.aux_pool
@@ -364,6 +364,97 @@ let test_clone_independent () =
   Alcotest.(check bool) "the clone itself diverged" false
     (String.equal before (State.fingerprint c))
 
+(* --- failure detection across the node's own stalls ------------------- *)
+
+let tick t ~now = Core.step t ~now (Core.Timer { tag = "tick" })
+
+let removal_proposed effs =
+  List.exists (function Effect.Metric ("remove_proposed", _) -> true | _ -> false) effs
+
+(* Node 0 elected at 0.1 under a reconfiguring policy, main 1 having just
+   answered its first heartbeat. *)
+let reconfiguring_leader () =
+  let t, _ = mk ~self:0 ~policy:{ policy with Policy.reconfigure = true } () in
+  let ballot =
+    match t.State.state with State.Candidate c -> c.State.c_ballot | _ -> assert false
+  in
+  let deliver t msg = fst (Core.step t ~now:0.1 (Core.Deliver { src = 1; msg })) in
+  let t = deliver t (Types.P1b { ballot; from = 1; votes = []; compacted_upto = 0 }) in
+  let t = deliver t (Types.HeartbeatAck { ballot; from = 1; prefix = 0; echo = 0.1 }) in
+  Alcotest.(check bool) "leading" true (State.is_leader t);
+  t
+
+(* The first of [ticks] regular ticks, [spacing] (default [tick]) apart
+   from [start], after which [fired] holds of the effects; [None] if it
+   never does. *)
+let first_firing ?(spacing = Params.default.Params.tick) t ~start ~ticks ~fired =
+  let rec go t k =
+    if k > ticks then None
+    else
+      let now = start +. (float_of_int k *. spacing) in
+      let t, effs = tick t ~now in
+      if fired t effs then Some k else go t (k + 1)
+  in
+  go t 1
+
+(* The first tick at which the plain timeout rule ([now - since > timeout])
+   holds: what the detector decided before it discounted stalls. *)
+let timeout_tick ?(spacing = Params.default.Params.tick) ~start ~timeout () =
+  let rec go k =
+    if start +. (float_of_int k *. spacing) -. start > timeout then k else go (k + 1)
+  in
+  go 1
+
+let test_leader_stall_is_not_peer_failure () =
+  let t = reconfiguring_leader () in
+  let t, effs = tick t ~now:0.140 in
+  Alcotest.(check bool) "a 40 ms jump then one tick proposes no removal" false
+    (removal_proposed effs);
+  Alcotest.(check bool) "nor suspects main 1" true
+    (match t.State.state with
+    | State.Leader l -> Hashtbl.length l.State.l_suspected = 0
+    | _ -> false);
+  let t = reconfiguring_leader () in
+  Alcotest.(check (option int))
+    "regular ticks without acks propose removal exactly when the timeout alone would"
+    (Some (timeout_tick ~start:0.1 ~timeout:Params.default.Params.suspect_timeout ()))
+    (first_firing t ~start:0.1 ~ticks:40 ~fired:(fun _ effs -> removal_proposed effs))
+
+let test_follower_stall_is_not_leader_failure () =
+  let params = { Params.default with Params.election_fuzz = 0. } in
+  let follower () =
+    let t, _ = mk ~self:1 ~params () in
+    fst
+      (Core.step t ~now:0.1
+         (Core.Deliver
+            { src = 0; msg = Types.Heartbeat { ballot = ballot0; commit_floor = 0; sent_at = 0.1 } }))
+  in
+  let campaigning t = match t.State.state with State.Candidate _ -> true | _ -> false in
+  let t, effs = tick (follower ()) ~now:0.140 in
+  Alcotest.(check bool) "a 40 ms jump then one tick starts no election" false (campaigning t);
+  Alcotest.(check bool) "and sends no P1a" false
+    (List.exists (function Effect.Send (_, Types.P1a _) -> true | _ -> false) effs);
+  Alcotest.(check (option int))
+    "regular ticks without contact campaign exactly when the timeout alone would"
+    (Some (timeout_tick ~start:0.1 ~timeout:params.Params.leader_timeout ()))
+    (first_firing (follower ()) ~start:0.1 ~ticks:40 ~fired:(fun t _ -> campaigning t));
+  (* A 1 ms timer re-armed from its own handler on a 1 ms wheel fires
+     about every 2 ms: such ticks are regular too, and the follower still
+     campaigns after [leader_timeout], not after twice as long. *)
+  let spacing = 2. *. params.Params.tick in
+  Alcotest.(check (option int)) "ticks 2 ms apart campaign when the timeout alone would"
+    (Some (timeout_tick ~spacing ~start:0.1 ~timeout:params.Params.leader_timeout ()))
+    (first_firing ~spacing (follower ()) ~start:0.1 ~ticks:40 ~fired:(fun t _ -> campaigning t));
+  (* Stalls are left out, not forgotten: after the 40 ms jump the clock
+     stands at two periods, and regular ticks carry it on from there. *)
+  let t, _ = tick (follower ()) ~now:0.140 in
+  Alcotest.(check (option int)) "after a stall, the rest of the timeout in regular ticks"
+    (Some
+       (timeout_tick ~start:0.
+          ~timeout:(params.Params.leader_timeout -. (2. *. params.Params.tick))
+          ()))
+    (first_firing t ~start:0.140 ~ticks:40 ~fired:(fun t _ -> campaigning t))
+
 let suite =
   [
     Alcotest.test_case "acceptor: p1a promise" `Quick test_acceptor_promise;
@@ -389,4 +480,8 @@ let suite =
     Alcotest.test_case "core: tick re-arms timer" `Quick test_core_tick_rearms_timer;
     Alcotest.test_case "core: aux ignores tick" `Quick test_core_aux_ignores_tick;
     Alcotest.test_case "state: clone independence" `Quick test_clone_independent;
+    Alcotest.test_case "detector: leader stall is no peer failure" `Quick
+      test_leader_stall_is_not_peer_failure;
+    Alcotest.test_case "detector: follower stall is no leader failure" `Quick
+      test_follower_stall_is_not_leader_failure;
   ]

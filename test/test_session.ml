@@ -127,6 +127,28 @@ let test_pipelined_client_end_to_end () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The kept count never drifts from the cache it counts: after any order of
+   records (duplicates, gaps, replays below the floor) under any window,
+   and through [import] and [copy]. The copy must also stay independent. *)
+let prop_count_matches_cache =
+  QCheck.Test.make ~name:"cached_count = cached replies, also after import and copy"
+    ~count:300
+    QCheck.(pair (int_range 1 12) (list (int_range 1 40)))
+    (fun (window, seqs) ->
+      let s = Session.create () in
+      let counted s = Session.cached_count s = List.length (Session.export s).Session.replies in
+      let ok = ref true in
+      List.iter
+        (fun seq ->
+          Session.record s ~window seq ("r" ^ string_of_int seq);
+          ok := !ok && counted s)
+        seqs;
+      let imported = Session.import (Session.export s) in
+      let copy = Session.copy s in
+      Session.record copy ~window 41 "r41";
+      !ok && counted imported && counted copy && counted s
+      && Session.cached_count imported = Session.cached_count s)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suite =
@@ -139,4 +161,4 @@ let suite =
     Alcotest.test_case "export/import roundtrip" `Quick test_export_import_roundtrip;
     Alcotest.test_case "pipelined client end-to-end" `Quick test_pipelined_client_end_to_end;
   ]
-  @ qsuite [ prop_exactly_once ]
+  @ qsuite [ prop_exactly_once; prop_count_matches_cache ]

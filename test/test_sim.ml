@@ -8,12 +8,14 @@ module Metrics = Cp_sim.Metrics
 
 type msg = Ping of int | Pong of int
 
-let classify = function Ping _ -> "ping" | Pong _ -> "pong"
+let kinds = [| "ping"; "pong" |]
+
+let kind_index = function Ping _ -> 0 | Pong _ -> 1
 
 let size_of _ = 32
 
 let make_engine ?(seed = 1) ?(net = Netmodel.ideal) () =
-  Engine.create ~seed ~net ~size_of ~classify ()
+  Engine.create ~seed ~net ~kinds ~kind_index ~size_of ()
 
 (* An echo node: replies Pong x to Ping x; records receipts. *)
 let echo_node received ctx =
@@ -172,7 +174,7 @@ let test_determinism_same_seed () =
           {
             Engine.on_message =
               (fun ~src m ->
-                log := (ctx.Engine.now (), ctx.Engine.self, src, classify m) :: !log);
+                log := (ctx.Engine.now (), ctx.Engine.self, src, kinds.(kind_index m)) :: !log);
             on_timer =
               (fun ~tid:_ ~tag:_ ->
                 for dst = 0 to 2 do
@@ -287,6 +289,36 @@ let test_stable_accounting () =
   Storage.wipe s;
   Alcotest.(check (list string)) "wiped" [] (Storage.keys s)
 
+(* Handles and names are two paths to one counter: any mix of them yields
+   the string path's counter list, a handle registers its name on its first
+   bump (even by 0) and never before, and survives [reset]. *)
+let test_metrics_handles () =
+  let by_name = Metrics.create () and by_handle = Metrics.create () in
+  let names = [| "a"; "b"; "sent.x"; "c" |] in
+  let handles = Array.map (Metrics.counter by_handle) names in
+  let rng = Cp_util.Rng.create 3 in
+  for _ = 1 to 500 do
+    let i = Cp_util.Rng.int rng (Array.length names) and by = Cp_util.Rng.int rng 3 in
+    Metrics.incr by_name ~by names.(i);
+    if Cp_util.Rng.bool rng 0.5 then Metrics.add handles.(i) by
+    else Metrics.incr by_handle ~by names.(i)
+  done;
+  Alcotest.(check (list (pair string int))) "same counters as the string path"
+    (Metrics.counters by_name) (Metrics.counters by_handle);
+  let m = Metrics.create () in
+  let c = Metrics.counter m "later" in
+  Alcotest.(check (list (pair string int))) "nothing before the first bump" []
+    (Metrics.counters m);
+  Metrics.add c 0;
+  Alcotest.(check (list (pair string int))) "a bump by 0 registers, as incr ~by:0 does"
+    [ ("later", 0) ] (Metrics.counters m);
+  Metrics.bump c;
+  Metrics.reset m;
+  Alcotest.(check (list (pair string int))) "reset clears" [] (Metrics.counters m);
+  Metrics.bump c;
+  Metrics.incr m "later";
+  Alcotest.(check int) "the handle re-registers after reset" 2 (Metrics.get m "later")
+
 let suite =
   [
     Alcotest.test_case "delivery and reply" `Quick test_delivery_and_reply;
@@ -300,6 +332,7 @@ let suite =
     Alcotest.test_case "partition drops in-flight" `Quick test_partition_drops_inflight;
     Alcotest.test_case "determinism by seed" `Quick test_determinism_same_seed;
     Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
+    Alcotest.test_case "metrics handles match the string path" `Quick test_metrics_handles;
     Alcotest.test_case "drop rate statistics" `Quick test_drop_rate;
     Alcotest.test_case "duplication" `Quick test_duplication;
     Alcotest.test_case "run until / now" `Quick test_run_until_and_now;

@@ -78,6 +78,93 @@ let test_bytering_encoder_exn_commits_nothing () =
   ignore (write_str ring "after");
   Alcotest.(check (option string)) "ring still consistent" (Some "after") (read_str ring)
 
+(* --- byte ring growth ---------------------------------------------------- *)
+
+let numbered = Printf.sprintf "%s%03d"
+
+let drain ?limit ring =
+  let rec go acc =
+    let got = ref "" in
+    if Bytering.read ?limit ring ~f:(fun buf ~pos ~len -> got := Bytes.sub_string buf pos len)
+    then go (!got :: acc)
+    else List.rev acc
+  in
+  go []
+
+let write_ok ring s =
+  match write_str ring s with
+  | Some n -> Alcotest.(check int) "committed length" (String.length s) n
+  | None -> Alcotest.failf "write of %d bytes refused" (String.length s)
+
+(* A pass snapshots [written]; a burst that grows the ring mid-pass (even
+   from inside the read callback, as a handler writing to its own ring
+   would) must neither reorder the unread records nor let the pass read
+   past its snapshot. *)
+let test_bytering_growth_mid_pass () =
+  let ring = Bytering.create ~capacity:4096 () in
+  Alcotest.(check int) "starts small" 1024 (Bytering.allocated ring);
+  let pre = List.init 5 (fun i -> numbered (String.make 80 'a') i) in
+  List.iter (write_ok ring) pre;
+  let limit = Bytering.written ring in
+  let post = List.init 12 (fun i -> numbered (String.make 240 'b') i) in
+  Alcotest.(check (option string)) "first record" (Some (List.hd pre)) (read_str ring);
+  let second = ref "" in
+  Alcotest.(check bool) "second record" true
+    (Bytering.read ~limit ring ~f:(fun buf ~pos ~len ->
+         (* The burst lands while this record, not the buffer's first, is
+            being read. *)
+         List.iter (write_ok ring) post;
+         second := Bytes.sub_string buf pos len));
+  Alcotest.(check bool) "grew" true (Bytering.allocated ring > 1024);
+  Alcotest.(check string) "window stayed valid" (List.nth pre 1) !second;
+  Alcotest.(check (list string)) "pass ends at its snapshot"
+    (List.filteri (fun i _ -> i >= 2) pre)
+    (drain ~limit ring);
+  Alcotest.(check (list string)) "later records follow, in order" post (drain ring);
+  Alcotest.(check bool) "empty" true (Bytering.is_empty ring);
+  Alcotest.(check int) "capacity is the bound, not the buffer" 4096 (Bytering.capacity ring)
+
+(* Grow while the unread records wrap around the buffer's end behind a
+   skip marker, then keep wrapping at the larger size. *)
+let test_bytering_growth_across_wrap () =
+  let ring = Bytering.create ~capacity:4096 () in
+  let r i = numbered (String.make 397 (Char.chr (Char.code 'a' + (i mod 26)))) i in
+  write_ok ring (r 0);
+  write_ok ring (r 1);
+  Alcotest.(check (list string)) "one read" [ r 0 ] (drain ~limit:1 ring);
+  (* 804 bytes used, head at 402: the next record skips to offset 0. *)
+  write_ok ring (r 2);
+  Alcotest.(check int) "still 1 KiB after wrapping" 1024 (Bytering.allocated ring);
+  write_ok ring (r 3);
+  Alcotest.(check bool) "grew with a wrapped tail" true (Bytering.allocated ring > 1024);
+  Alcotest.(check (list string)) "wrapped records survive growth in order" [ r 1; r 2; r 3 ]
+    (drain ring);
+  for i = 4 to 203 do
+    write_ok ring (r i);
+    if i mod 3 = 0 then write_ok ring (r (1000 + i));
+    let want = if i mod 3 = 0 then [ r i; r (1000 + i) ] else [ r i ] in
+    Alcotest.(check (list string)) "wrap at the grown size" want (drain ring)
+  done;
+  Alcotest.(check bool) "bounded by capacity" true (Bytering.allocated ring <= 4096)
+
+(* The record budget is the capacity's, whatever the current buffer. *)
+let test_bytering_max_record_from_smallest () =
+  List.iter
+    (fun capacity ->
+      let ring = Bytering.create ~capacity () in
+      Alcotest.(check int) "starts at 1 KiB at most" (min capacity 1024)
+        (Bytering.allocated ring);
+      let big = String.make (Bytering.max_record ring) 'm' in
+      Alcotest.(check int) "budget of the full-size ring"
+        (min ((capacity / 2) - 2) 0xfffe)
+        (Bytering.max_record ring);
+      write_ok ring "small";
+      write_ok ring big;
+      Alcotest.(check (list string)) "both back" [ "small"; big ] (drain ring);
+      Alcotest.(check (option int)) "one byte more is refused" None
+        (write_str ring (big ^ "!")))
+    [ 65536; 4096; 256 ]
+
 (* --- outbox ------------------------------------------------------------ *)
 
 let mk_capture () =
@@ -272,6 +359,28 @@ let run_ring_cluster ?(before_run = ignore) ?storage ?(tap = fun _ ~src:_ _ -> (
   in
   (fab, Option.get !client_cell, dumps)
 
+(* Counter handles change no counter: a seeded replica cluster's counters
+   over the ring equal the committed dump the name-building path produced,
+   and no per-kind counter is listed before its first message. *)
+let test_ring_counters_golden () =
+  let path = Cp_harness.Golden.ring_counters_file in
+  if not (Sys.file_exists path) then
+    Alcotest.failf "missing golden file %s (run `dune exec test/golden_gen.exe`)" path;
+  let dump = Cp_harness.Golden.ring_counters () in
+  Alcotest.(check string) "ring counters match the committed dump" (read_file path) dump;
+  String.split_on_char '\n' dump
+  |> List.iter (fun line ->
+         match String.split_on_char ' ' line with
+         | [ node; name; v ] ->
+           let per_kind =
+             List.exists
+               (fun p -> String.starts_with ~prefix:p name)
+               [ "sent."; "recv."; "rx." ]
+           in
+           if per_kind && int_of_string v = 0 then
+             Alcotest.failf "node %s lists %s at 0" node name
+         | _ -> ())
+
 let check_commits (_, client, dumps) =
   Alcotest.(check bool) "client finished over the ring fabric" true (Client.is_finished client);
   Alcotest.(check int) "all ops done" 25 (Client.done_count client);
@@ -457,6 +566,12 @@ let suite =
       test_bytering_full_and_refusal;
     Alcotest.test_case "bytering: encoder exception commits nothing" `Quick
       test_bytering_encoder_exn_commits_nothing;
+    Alcotest.test_case "bytering: growth mid-pass keeps order and limit" `Quick
+      test_bytering_growth_mid_pass;
+    Alcotest.test_case "bytering: growth across a wrapped tail" `Quick
+      test_bytering_growth_across_wrap;
+    Alcotest.test_case "bytering: max record fits from the smallest size" `Quick
+      test_bytering_max_record_from_smallest;
     Alcotest.test_case "outbox: single frame as a burst" `Quick test_outbox_single_frame;
     Alcotest.test_case "outbox: burst packs per destination" `Quick
       test_outbox_packs_per_destination;
@@ -470,6 +585,8 @@ let suite =
     Alcotest.test_case "conformance: udp byte-identical to sim" `Slow test_conformance_udp;
     Alcotest.test_case "conformance: seeds vary the schedule" `Quick test_conformance_other_seed;
     Alcotest.test_case "ring fabric: replica cluster commits" `Slow test_ring_cluster_commits;
+    Alcotest.test_case "ring fabric: counters match the committed dump" `Quick
+      test_ring_counters_golden;
     Alcotest.test_case "ring fabric: corrupt record counted" `Slow test_ring_corrupt_record;
     Alcotest.test_case "ring fabric: fenced endpoint's send never arrives" `Quick
       test_ring_fenced_send;
