@@ -34,7 +34,8 @@ let on_catchup_req t ~src ~from_instance =
   if t.role_ = Main then begin
     if from_instance < Log.base t.log then begin
       match t.last_snapshot with
-      | Some (snap : Types.snapshot) ->
+      | Some stored ->
+        let snap = Lazy.force stored.snap in
         let entries =
           Log.range t.log ~lo:snap.next_instance
             ~hi:(min (Log.prefix t.log) (snap.next_instance + t.params.Params.catchup_batch))

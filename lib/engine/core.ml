@@ -83,7 +83,8 @@ let recover t (recovery : recovery) =
   | None -> ());
   if t.role_ = Main then begin
     (match recovery.r_snapshot with
-    | Some (snap : Types.snapshot) ->
+    | Some stored ->
+      let snap = Lazy.force stored.snap in
       t.app.Appi.restore snap.app_state;
       List.iter
         (fun (c, (floor, replies)) ->
@@ -93,7 +94,7 @@ let recover t (recovery : recovery) =
         ~pending:snap.pending_configs;
       Log.reset_to t.log snap.next_instance;
       t.executed_ <- snap.next_instance;
-      t.last_snapshot <- Some snap
+      t.last_snapshot <- Some stored
     | None -> ());
     let entries =
       recovery.r_log

@@ -22,7 +22,9 @@ type t =
   | Persist_vote of int * Types.vote  (** durably record the vote at one instance *)
   | Drop_vote of int  (** drop the durable copy of one compacted vote *)
   | Persist_log of int * Types.entry  (** durably append a chosen entry *)
-  | Persist_snapshot of Types.snapshot  (** durably replace the snapshot *)
+  | Persist_snapshot of { at : int; bytes : string }
+      (** durably replace the snapshot of instances below [at] with [bytes],
+          its {!Codec.encode_stable_snapshot} encoding *)
   | Drop_log of int  (** drop the durable copy of one log entry *)
   | Set_timer of string * float  (** arm a named timer after a delay *)
   | Emit of Cp_obs.Event.t  (** typed observability event *)
@@ -85,7 +87,7 @@ let pp ppf = function
       v.Types.ventry
   | Drop_vote i -> Format.fprintf ppf "drop_vote(%d)" i
   | Persist_log (i, e) -> Format.fprintf ppf "persist_log(%d,%a)" i Types.pp_entry e
-  | Persist_snapshot s -> Format.fprintf ppf "persist_snapshot(at=%d)" s.Types.next_instance
+  | Persist_snapshot { at; _ } -> Format.fprintf ppf "persist_snapshot(at=%d)" at
   | Drop_log i -> Format.fprintf ppf "drop_log(%d)" i
   | Set_timer (tag, d) -> Format.fprintf ppf "set_timer(%s,%.4f)" tag d
   | Emit ev -> Format.fprintf ppf "emit(%a)" Cp_obs.Event.pp ev

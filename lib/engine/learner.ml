@@ -7,28 +7,26 @@
 open Cp_proto
 open State
 
-let make_snapshot t : Types.snapshot =
+(* The stable bytes of a snapshot at [t.executed_], in one pass: the app
+   state is copied in and every session's kept reply bytes are copied in
+   ({!Session.write_image}); nothing is decoded or re-encoded. Sessions go
+   in the order of the [Hashtbl.fold] below, so the bytes match what
+   encoding the [Types.snapshot] built by that fold would give. *)
+let encode_snapshot t =
   let next = t.executed_ in
   let base_config, pending_configs = Configs.export t.configs ~next in
-  {
-    next_instance = next;
-    app_state = t.app.Appi.snapshot ();
-    sessions =
-      Hashtbl.fold
-        (fun c sess acc ->
-          let img = Session.export sess in
-          (c, (img.Session.floor, img.Session.replies)) :: acc)
-        t.sessions [];
-    base_config;
-    pending_configs;
-  }
+  Codec.encode_stable_snapshot_with ~next_instance:next ~app_state:(t.app.Appi.snapshot ())
+    ~sessions:(Hashtbl.fold (fun c sess acc -> (c, sess) :: acc) t.sessions [])
+    ~session_size:Session.image_size ~write_session:Session.write_image ~base_config
+    ~pending_configs
 
 let maybe_snapshot t =
   if t.role_ = Main && t.executed_ - Log.base t.log >= t.params.Params.snapshot_every
   then begin
-    let snap = make_snapshot t in
-    t.last_snapshot <- Some snap;
-    push t (Effect.Persist_snapshot snap);
+    let at = t.executed_ in
+    let bytes = encode_snapshot t in
+    t.last_snapshot <- Some (stored_of_bytes bytes);
+    push t (Effect.Persist_snapshot { at; bytes });
     for i = Log.base t.log to t.executed_ - 1 do
       push t (Effect.Drop_log i)
     done;
@@ -244,8 +242,9 @@ let install_snapshot t (snap : Types.snapshot) =
     done;
     Log.reset_to t.log snap.next_instance;
     t.executed_ <- snap.next_instance;
-    t.last_snapshot <- Some snap;
-    push t (Effect.Persist_snapshot snap);
+    let stored = stored_of_snapshot snap in
+    t.last_snapshot <- Some stored;
+    push t (Effect.Persist_snapshot { at = snap.next_instance; bytes = stored.snap_bytes });
     metric t "snapshot_installs"
   end
 

@@ -38,7 +38,8 @@ let log_key i = log_prefix ^ string_of_int i
 let vote_key i = vote_prefix ^ string_of_int i
 
 (* Persistence goes through the typed stable-record codecs, not [Marshal]:
-   the store sees only bytes with a defined, versioned layout. *)
+   the store sees only bytes with a defined, versioned layout. A snapshot
+   arrives already encoded by the core, which keeps the same bytes. *)
 let interpret_one t (eff : Effect.t) =
   match eff with
   | Effect.Send (dst, msg) -> t.ctx.Engine.send dst msg
@@ -50,8 +51,7 @@ let interpret_one t (eff : Effect.t) =
   | Effect.Drop_vote i -> Storage.remove t.ctx.Engine.stable (vote_key i)
   | Effect.Persist_log (i, entry) ->
     Storage.put t.ctx.Engine.stable (log_key i) (Codec.encode_stable_entry entry)
-  | Effect.Persist_snapshot snap ->
-    Storage.put t.ctx.Engine.stable "snapshot" (Codec.encode_stable_snapshot snap)
+  | Effect.Persist_snapshot { bytes; _ } -> Storage.put t.ctx.Engine.stable "snapshot" bytes
   | Effect.Drop_log i -> Storage.remove t.ctx.Engine.stable (log_key i)
   | Effect.Set_timer (tag, delay) -> ignore (t.ctx.Engine.set_timer ~tag delay)
   | Effect.Emit ev -> t.ctx.Engine.emit ev
@@ -65,10 +65,13 @@ let interpret_one t (eff : Effect.t) =
 (* No flush here: the runtime makes the store durable once per delivery
    burst, before any send from that burst can be observed (the
    {!Engine.ctx} contract), so every step in the burst shares one fsync. *)
-let interpret t effects =
-  List.iter
-    (fun eff -> Obs.Prof.time t.prof (Effect.stage eff) (fun () -> interpret_one t eff))
-    effects
+let rec interpret t = function
+  | [] -> ()
+  | eff :: rest ->
+    let t0 = Obs.Prof.start t.prof in
+    interpret_one t eff;
+    Obs.Prof.record_since t.prof (Effect.stage eff) t0;
+    interpret t rest
 
 (* ------------------------------------------------------------------ *)
 (* Construction: read the recovery image, build the core               *)
@@ -104,7 +107,11 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
       State.r_acceptor = get_decoded stable "acceptor" Codec.decode_acceptor_header;
       r_votes = scan stable ~prefix:vote_prefix Codec.decode_stable_vote;
       r_snapshot =
-        (if role = Main then get_decoded stable "snapshot" Codec.decode_stable_snapshot
+        (if role = Main then
+           Option.bind (Storage.get stable "snapshot") (fun bytes ->
+               match Codec.decode_stable_snapshot bytes with
+               | Ok snap -> Some (State.stored_of_snapshot ~bytes snap)
+               | Error _ -> None)
          else None);
       r_log =
         (if role = Main then scan stable ~prefix:log_prefix Codec.decode_stable_entry else []);
@@ -140,16 +147,16 @@ let stage_step = Obs.Prof.stage "step"
 let handlers t =
   let on_message ~src msg =
     let now = t.ctx.Engine.now () in
-    let _, effects =
-      Obs.Prof.time t.prof stage_step (fun () -> Core.step t.core ~now (Core.Deliver { src; msg }))
-    in
+    let t0 = Obs.Prof.start t.prof in
+    let _, effects = Core.step t.core ~now (Core.Deliver { src; msg }) in
+    Obs.Prof.record_since t.prof stage_step t0;
     interpret t effects
   in
   let on_timer ~tid:_ ~tag =
     let now = t.ctx.Engine.now () in
-    let _, effects =
-      Obs.Prof.time t.prof stage_step (fun () -> Core.step t.core ~now (Core.Timer { tag }))
-    in
+    let t0 = Obs.Prof.start t.prof in
+    let _, effects = Core.step t.core ~now (Core.Timer { tag }) in
+    Obs.Prof.record_since t.prof stage_step t0;
     interpret t effects;
     (* Age out latency spans whose command was shed or deduplicated and so
        will never close; rate-limited inside [expire]. *)
@@ -193,6 +200,10 @@ let session_of t client =
     let seq = Session.max_seq sess in
     let reply = match Session.status sess seq with `Cached r -> r | _ -> "" in
     Some (seq, reply)
+
+let sessions t =
+  Hashtbl.fold (fun c s acc -> (c, Session.export s) :: acc) t.core.State.sessions []
+  |> List.sort compare
 
 let acceptor_vote_count t = Acceptor.vote_count t.core.State.acceptor
 

@@ -74,6 +74,9 @@ val log_base : t -> int
 val session_of : t -> int -> (int * string) option
 (** Last executed (seq, reply) for a client. *)
 
+val sessions : t -> (int * Session.image) list
+(** Every client session's {!Session.export}, by client id. *)
+
 val acceptor_vote_count : t -> int
 
 val acceptor_floor : t -> int

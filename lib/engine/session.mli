@@ -6,7 +6,16 @@
     instead each session keeps the cached replies of the last [window]
     executed sequence numbers plus a floor below which everything is known
     executed (but evicted). Replays above the floor get their cached reply;
-    replays below it are acknowledged as ancient duplicates. *)
+    replays below it are acknowledged as ancient duplicates.
+
+    Beside the lookup map, a session keeps its cached replies encoded the
+    way a snapshot stores them ({!Cp_proto.Codec.put_reply}, ascending
+    seq), so a snapshot copies those bytes ({!write_image}) instead of
+    encoding every reply again. A record above the highest seq so far
+    appends to them and an eviction skips their first entry, both O(1)
+    amortized; a record out of seq order, {!import} and {!copy} leave them
+    stale, and the next {!image_size} or {!write_image} rebuilds them once
+    from the map. *)
 
 type t
 
@@ -40,4 +49,15 @@ val cached_count : t -> int
 (** Number of cached replies, in O(1): [List.length (export t).replies]. *)
 
 val copy : t -> t
-(** Independent snapshot of the session. *)
+(** Independent snapshot of the session, in O(1): it shares the immutable
+    map and starts with stale bytes, so the scratch copies that window
+    classification makes on every window cost no byte copy. *)
+
+val image_size : t -> int
+(** Bytes {!write_image} writes. Rebuilds stale bytes first. *)
+
+val write_image : Cp_proto.Codec.cursor -> t -> unit
+(** Write [varint floor | varint count | reply*]: exactly what a snapshot's
+    session record holds after the client id for [export t] (see
+    {!Cp_proto.Codec.encode_stable_snapshot_with}). A copy of the kept
+    bytes; stale bytes are rebuilt first. *)

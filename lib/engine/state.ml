@@ -95,15 +95,40 @@ type rstate =
   | Leader of lead
 
 (* ------------------------------------------------------------------ *)
-(* Recovery image                                                      *)
+(* Stored snapshot and recovery image                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* A main's snapshot as it went to stable storage: the stable bytes, and
+   the snapshot they encode, decoded only when a catch-up needs it. *)
+type stored_snapshot = {
+  snap_bytes : string; (* [Codec.encode_stable_snapshot] of [snap] *)
+  snap : Types.snapshot Lazy.t;
+}
+
+let stored_of_bytes bytes =
+  {
+    snap_bytes = bytes;
+    snap =
+      lazy
+        (match Codec.decode_stable_snapshot bytes with
+        | Ok s -> s
+        | Error e -> invalid_arg ("State.stored_of_bytes: " ^ e));
+  }
+
+(* [bytes], when given, are the snapshot's encoding as read back from
+   storage; otherwise the snapshot is encoded here, once. *)
+let stored_of_snapshot ?bytes (s : Types.snapshot) =
+  {
+    snap_bytes = (match bytes with Some b -> b | None -> Codec.encode_stable_snapshot s);
+    snap = Lazy.from_val s;
+  }
 
 (* What the interpreter read from stable storage before building the core:
    the core itself never touches storage, it is handed this image once. *)
 type recovery = {
   r_acceptor : (Ballot.t * int) option; (* acceptor header: (promise, floor) *)
   r_votes : (int * Types.vote) list; (* every persisted vote, any order *)
-  r_snapshot : Types.snapshot option;
+  r_snapshot : stored_snapshot option; (* decoded by the interpreter *)
   r_log : (int * Types.entry) list; (* every persisted chosen entry, any order *)
   r_had_state : bool; (* acceptor header existed: this is a restart *)
 }
@@ -156,7 +181,7 @@ type t = {
       (* while [clock < lease_gate_until] a main refuses phase-1 promises:
          some leader may be serving lease reads on our silence. Advanced on
          every leader contact and on recovery; 0 on a fresh boot. *)
-  mutable last_snapshot : Types.snapshot option;
+  mutable last_snapshot : stored_snapshot option;
       (* in-memory mirror of the durably stored snapshot, so serving catchup
          does not need a storage read inside the pure core *)
 }
@@ -424,5 +449,5 @@ let fingerprint t =
       t.lease_gate_until,
       t.clock );
   add (t.app.Appi.snapshot ());
-  add t.last_snapshot;
+  add (Option.map (fun s -> s.snap_bytes) t.last_snapshot);
   Buffer.contents buf

@@ -1,8 +1,9 @@
 (* Pipeline profiler: per-stage wall-time accounting for the runtime loop.
 
-   Each [time t stage f] charges the duration of [f] to [stage] as a pair
-   of counters through the [count] sink — ["prof.<stage>.ns"] (summed
-   nanoseconds) and ["prof.<stage>.n"] (samples). The sink is applied to
+   Each timed span ([start], then [record_since]) charges its duration to
+   [stage] as a pair of counters through the [count] sink —
+   ["prof.<stage>.ns"] (summed nanoseconds) and ["prof.<stage>.n"]
+   (samples). The sink is applied to
    each name once per profiler and the resulting adder kept, so a sink
    that resolves a counter handle on partial application makes recording
    free of string hashing. Stage summaries ride
@@ -53,12 +54,9 @@ let record t stage ~ns =
   t.adders.(i) ns;
   t.adders.(i + 1) 1
 
-let time t stage f =
-  let t0 = t.clock () in
-  let r = f () in
-  let dt = t.clock () -. t0 in
-  record t stage ~ns:(int_of_float (dt *. 1e9));
-  r
+let start t = t.clock ()
+
+let record_since t stage t0 = record t stage ~ns:(int_of_float ((t.clock () -. t0) *. 1e9))
 
 (* "prof.step.ns"/"prof.step.n" -> (stage, n, ns) rows, stage-sorted. *)
 let summarize counters =

@@ -26,8 +26,12 @@ type stage
 val stage : string -> stage
 (** [stage "step"] charges to ["prof.step.ns"] and ["prof.step.n"]. *)
 
-val time : t -> stage -> (unit -> 'a) -> 'a
-(** [time t stage f] runs [f] and charges its duration to [stage]. *)
+val start : t -> float
+(** The clock now. [let t0 = start t in work (); record_since t stage t0]
+    charges the duration of [work] to [stage] with no closure built. *)
+
+val record_since : t -> stage -> float -> unit
+(** Charge the time since [t0] (a {!start} reading) to a stage. *)
 
 val record : t -> stage -> ns:int -> unit
 (** Charge an externally measured duration (e.g. a decode timed outside the

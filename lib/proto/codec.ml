@@ -275,6 +275,46 @@ let encode_into buf ~pos ~gid ~tid msg =
   Bytes.set buf (pos + 1) (Char.unsafe_chr (len lsr 8));
   c.cpos
 
+(* --- sized writing --------------------------------------------------------- *)
+
+(* The pieces a caller needs to keep part of a record already encoded and
+   splice it in later: exact sizes, a cursor over its own bytes, and the
+   [reply] element of a snapshot's session (what {!Cp_engine.Session} keeps
+   for every cached reply). *)
+
+module Count_sink = struct
+  type t = int ref
+
+  let char n _ = incr n
+
+  let string n s = n := !n + String.length s
+end
+
+module CW = Writer (Count_sink)
+
+let cursor buf ~pos = { cbuf = buf; cpos = pos }
+
+let cursor_pos c = c.cpos
+
+let put_varint = XW.varint
+
+let put_bytes c src ~pos ~len =
+  if c.cpos + len > Bytes.length c.cbuf then raise Overflow;
+  Bytes.blit src pos c.cbuf c.cpos len;
+  c.cpos <- c.cpos + len
+
+let put_reply c seq reply =
+  XW.varint c seq;
+  XW.string_ c reply
+
+let varint_size n =
+  let rec go z k = if z land lnot 0x7f = 0 then k else go (z lsr 7) (k + 1) in
+  go ((n lsl 1) lxor (n asr 62)) 1
+
+let reply_size seq reply =
+  let n = String.length reply in
+  varint_size seq + varint_size n + n
+
 (* --- reading ------------------------------------------------------------ *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
@@ -304,6 +344,17 @@ let read_string s ~pos =
   let* len, pos = read_varint s ~pos in
   if len < 0 || pos + len > String.length s then Error "string: truncated"
   else Ok (String.sub s pos len, pos + len)
+
+(* Past the reply that [put_reply] wrote at [pos] of the caller's bytes. *)
+let reply_end b ~pos =
+  let s = Bytes.unsafe_to_string b in
+  match
+    let* _seq, pos = read_varint s ~pos in
+    let* len, pos = read_varint s ~pos in
+    Ok (pos + len)
+  with
+  | Ok stop -> stop
+  | Error m -> invalid_arg ("Codec.reply_end: " ^ m)
 
 let read_float s ~pos =
   if pos + 8 > String.length s then Error "float: truncated"
@@ -610,3 +661,38 @@ let decode_stable_entry = decode_stable "entry" read_entry
 let encode_stable_snapshot = encode_stable BW.snapshot
 
 let decode_stable_snapshot = decode_stable "snapshot" read_snapshot
+
+(* [encode_stable_snapshot] of the snapshot these parts describe, written in
+   one pass into a buffer sized up front: every session is a client id plus
+   what [write_session] puts (its [floor; replies] as [BW.session] lays
+   them out), so a caller that keeps those bytes copies them in. *)
+let encode_stable_snapshot_with ~next_instance ~app_state ~sessions ~session_size
+    ~write_session ~base_config ~pending_configs =
+  let configs = ref 0 in
+  CW.config configs base_config;
+  CW.list_ configs CW.iconfig pending_configs;
+  let count = ref 0 and session_bytes = ref 0 in
+  List.iter
+    (fun (client, s) ->
+      incr count;
+      session_bytes := !session_bytes + varint_size client + session_size s)
+    sessions;
+  let size =
+    1 + varint_size next_instance
+    + varint_size (String.length app_state)
+    + String.length app_state + varint_size !count + !session_bytes + !configs
+  in
+  let c = cursor (Bytes.create size) ~pos:0 in
+  Bytes_sink.char c (Char.chr stable_version);
+  XW.varint c next_instance;
+  XW.string_ c app_state;
+  XW.varint c !count;
+  List.iter
+    (fun (client, s) ->
+      XW.varint c client;
+      write_session c s)
+    sessions;
+  XW.config c base_config;
+  XW.list_ c XW.iconfig pending_configs;
+  if c.cpos <> size then invalid_arg "Codec.encode_stable_snapshot_with: session_size lied";
+  Bytes.unsafe_to_string c.cbuf

@@ -54,6 +54,39 @@ val decode_frames : ?pos:int -> ?len:int -> string -> (framed list, string) resu
     negative group id, or bytes left over inside a frame are all [Error].
     Raises [Invalid_argument] only if the window lies outside [s]. *)
 
+(** {1 Sized writing}
+
+    For a caller that keeps part of a record already encoded and splices it
+    in later (a session's cached replies, see {!encode_stable_snapshot_with}):
+    exact sizes, and a cursor that writes into the caller's own bytes. *)
+
+type cursor
+(** A write position inside a caller-owned [Bytes.t]. Every [put_*] raises
+    {!Overflow} rather than run past the end of the bytes. *)
+
+val cursor : Bytes.t -> pos:int -> cursor
+
+val cursor_pos : cursor -> int
+(** One past the last byte written. *)
+
+val put_varint : cursor -> int -> unit
+
+val put_bytes : cursor -> Bytes.t -> pos:int -> len:int -> unit
+(** Copy [len] bytes of the source from [pos]. *)
+
+val put_reply : cursor -> int -> string -> unit
+(** One cached reply of a snapshot session, [varint seq | string reply]. *)
+
+val varint_size : int -> int
+(** Bytes {!put_varint} writes for this value. *)
+
+val reply_size : int -> string -> int
+(** Bytes {!put_reply} writes for this seq and reply. *)
+
+val reply_end : Bytes.t -> pos:int -> int
+(** The position just past the reply that {!put_reply} wrote at [pos].
+    Raises [Invalid_argument] if the bytes there are not such a reply. *)
+
 (** {1 Primitives} (exposed for tests and for app snapshot codecs) *)
 
 val write_varint : Buffer.t -> int -> unit
@@ -102,3 +135,20 @@ val decode_stable_entry : string -> (Types.entry, string) result
 val encode_stable_snapshot : Types.snapshot -> string
 
 val decode_stable_snapshot : string -> (Types.snapshot, string) result
+
+val encode_stable_snapshot_with :
+  next_instance:int ->
+  app_state:string ->
+  sessions:(int * 's) list ->
+  session_size:('s -> int) ->
+  write_session:(cursor -> 's -> unit) ->
+  base_config:Config.t ->
+  pending_configs:(int * Config.t) list ->
+  string
+(** {!encode_stable_snapshot} of the snapshot with these fields, written in
+    one pass into a buffer sized up front. Each session is a client id and
+    a value that [write_session] writes as the rest of the session record:
+    [varint floor | varint count | reply*], replies as {!put_reply} writes
+    them in ascending seq order, in exactly [session_size] bytes. The
+    sessions are written in list order. Raises [Invalid_argument] if the
+    bytes written do not match the sizes announced. *)

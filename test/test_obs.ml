@@ -208,13 +208,13 @@ let test_prof_counters () =
     Hashtbl.replace counters name (by + Option.value ~default:0 (Hashtbl.find_opt counters name))
   in
   let prof = Obs.Prof.create ~clock:(fun () -> !clock) ~count in
-  let r =
-    Obs.Prof.time prof (Obs.Prof.stage "step") (fun () ->
-        clock := !clock +. 2e-6;
-        42)
-  in
-  Alcotest.(check int) "time is transparent" 42 r;
-  Obs.Prof.time prof (Obs.Prof.stage "step") (fun () -> clock := !clock +. 1e-6);
+  let step = Obs.Prof.stage "step" in
+  let t0 = Obs.Prof.start prof in
+  clock := !clock +. 2e-6;
+  Obs.Prof.record_since prof step t0;
+  let t0 = Obs.Prof.start prof in
+  clock := !clock +. 1e-6;
+  Obs.Prof.record_since prof step t0;
   Obs.Prof.record prof (Obs.Prof.stage "decode") ~ns:500;
   Alcotest.(check int) "samples counted" 2 (Hashtbl.find counters "prof.step.n");
   Alcotest.(check int) "nanoseconds summed" 3000 (Hashtbl.find counters "prof.step.ns");

@@ -396,6 +396,127 @@ let test_latency_is_two_rtt_ish () =
     true
     (mean >= 0.0035 && mean <= 0.006)
 
+(* --- snapshot bytes ---------------------------------------------------------- *)
+
+(* A memory store whose [on_put] sees every write before it lands. *)
+module Hooked = struct
+  module Storage = Cp_storage.Storage
+
+  type t = { inner : Storage.t; on_put : string -> string -> unit }
+
+  let backend t = Storage.backend t.inner
+
+  let put t k v =
+    t.on_put k v;
+    Storage.put t.inner k v
+
+  let get t k = Storage.get t.inner k
+
+  let remove t k = Storage.remove t.inner k
+
+  let mem t k = Storage.mem t.inner k
+
+  let keys t = Storage.keys t.inner
+
+  let sub t ~name = { t with inner = Storage.sub t.inner ~name }
+
+  let flush t = Storage.flush t.inner
+
+  let wipe t = Storage.wipe t.inner
+
+  let stats t = Storage.stats t.inner
+
+  let close t = Storage.close t.inner
+end
+
+(* A main builds its snapshot's stable bytes from the reply bytes its
+   sessions keep, not from a decoded [Types.snapshot]. Every snapshot a
+   machine persists must still decode, re-encode to the same bytes, and
+   carry the sessions the machine holds when it has executed exactly the
+   snapshot's prefix (the sessions at a prefix are a function of the log,
+   so this also holds when the live incarnation is the one a restart is
+   replacing). The run covers evictions (window 4, a closed-loop client
+   from seq 1), a pipelined open-loop client over a jittery network, a
+   catch-up by snapshot (main 1 partitioned while the leader compacts) and
+   a restart from storage (main 0 crashed and restarted with its disk). *)
+let test_snapshot_bytes_identity () =
+  let policy =
+    { Cheap_paxos.Cheap.policy with Cp_engine.Policy.name = "cheap-noreconf"; reconfigure = false }
+  in
+  let params = { Cp_engine.Params.default with snapshot_every = 10; session_window = 4 } in
+  let cluster = ref None in
+  let payloads = ref 0 and compared = ref 0 and evicted = ref false in
+  let check id bytes =
+    incr payloads;
+    match Cp_proto.Codec.decode_stable_snapshot bytes with
+    | Error e -> Alcotest.fail ("snapshot payload does not decode: " ^ e)
+    | Ok snap ->
+      Alcotest.(check bool) "payload re-encodes to the same bytes" true
+        (String.equal bytes (Cp_proto.Codec.encode_stable_snapshot snap));
+      let sessions =
+        List.map
+          (fun (c, (floor, replies)) ->
+            if floor > 0 then evicted := true;
+            (c, { Cp_engine.Session.floor; replies }))
+          snap.sessions
+        |> List.sort compare
+      in
+      Option.iter
+        (fun cluster ->
+          let r = Cluster.replica cluster id in
+          if Replica.executed r = snap.next_instance then begin
+            incr compared;
+            Alcotest.(check bool)
+              (Printf.sprintf "machine %d snapshot at %d holds the live sessions" id
+                 snap.next_instance)
+              true
+              (sessions = Replica.sessions r)
+          end)
+        !cluster
+  in
+  let storage id =
+    Cp_storage.Storage.Packed
+      ( (module Hooked),
+        { Hooked.inner = Cp_storage.Mem.store ();
+          on_put = (fun k v -> if k = "snapshot" then check id v) } )
+  in
+  let c =
+    Cluster.create ~seed:17 ~net:Cp_sim.Netmodel.lossy ~params ~storage ~policy
+      ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
+      ~app:(module Counter) ()
+  in
+  cluster := Some c;
+  let n = 2000 in
+  let _, closed =
+    Cluster.add_client c ~ops:(fun seq -> if seq <= n then Some (Counter.inc 1) else None) ()
+  in
+  let _, pipelined =
+    Cluster.add_open_client c ~rate:4000. ~max_outstanding:16
+      ~ops:(fun seq -> if seq <= n then Some (Counter.inc 1) else None)
+      ()
+  in
+  Faults.schedule c
+    [
+      (0.05, Faults.Partition [ [ 1 ]; [ 0; 2; 1000; 1001 ] ]);
+      (0.25, Faults.Heal);
+      (0.4, Faults.Crash 0);
+      (0.6, Faults.Restart 0);
+    ];
+  Cluster.run ~until:0.7 c;
+  Alcotest.(check bool) "clients finished" true
+    (Cluster.run_until c ~deadline:60. (fun () ->
+         Client.is_finished closed && Cp_smr.Open_client.is_finished pipelined));
+  Alcotest.(check bool) "main 1 caught up by snapshot" true
+    (Cluster.metric c 1 "snapshot_installs" > 0);
+  Alcotest.(check bool) "main 0 recovered past a snapshot" true
+    (Replica.log_base (Cluster.replica c 0) > 0);
+  Alcotest.(check bool) "sessions evicted" true !evicted;
+  Alcotest.(check bool)
+    (Printf.sprintf "snapshots compared against live sessions (%d of %d)" !compared !payloads)
+    true
+    (!compared > 10);
+  assert_safe c
+
 let suite =
   [
     Alcotest.test_case "initial leader is min main" `Quick test_initial_leader_is_min_main;
@@ -422,4 +543,6 @@ let suite =
     Alcotest.test_case "classic never reconfigures" `Quick test_classic_never_reconfigures;
     Alcotest.test_case "cluster determinism" `Quick test_cluster_determinism;
     Alcotest.test_case "latency sanity" `Quick test_latency_is_two_rtt_ish;
+    Alcotest.test_case "snapshot bytes: decode, re-encode, live sessions" `Quick
+      test_snapshot_bytes_identity;
   ]

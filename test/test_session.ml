@@ -149,6 +149,73 @@ let prop_count_matches_cache =
       !ok && counted imported && counted copy && counted s
       && Session.cached_count imported = Session.cached_count s)
 
+(* The bytes a session keeps for snapshots always encode its [export]: a
+   one-session snapshot written from [Session.write_image] equals the
+   [Codec] encoding of the same snapshot built from [export]. Records come
+   in and out of seq order, repeat, fall at or below the floor, under any
+   window; replies vary in length so their length prefixes do too. The
+   image is checked at random points (which also rebuilds stale bytes), and
+   it must hold after [import] and [copy] and after further records on
+   each, with the original untouched by the copy's records. *)
+let prop_image_matches_export =
+  let base_config = Cp_proto.Config.cheap ~f:1 in
+  let image_ok s =
+    let img = Session.export s in
+    let reference =
+      Cp_proto.Codec.encode_stable_snapshot
+        {
+          Cp_proto.Types.next_instance = 3;
+          app_state = "app";
+          sessions = [ (7, (img.Session.floor, img.Session.replies)) ];
+          base_config;
+          pending_configs = [];
+        }
+    in
+    let kept =
+      Cp_proto.Codec.encode_stable_snapshot_with ~next_instance:3 ~app_state:"app"
+        ~sessions:[ (7, s) ] ~session_size:Session.image_size
+        ~write_session:Session.write_image ~base_config ~pending_configs:[]
+    in
+    String.equal reference kept
+  in
+  let reply seq = String.make (seq * 37 mod 300) (Char.chr (97 + (seq mod 26))) in
+  (* Mostly the next seq, as a client that is not pipelining sends them,
+     so the window evicts and the kept bytes move to the front. *)
+  let ops =
+    QCheck.(
+      list
+        (pair
+           (oneofl [ `Next; `Next; `Next; `Next; `Small; `Large ])
+           (pair (int_range 1 300) (oneofl [ true; false; false; false ]))))
+  in
+  let run s ~window ops =
+    List.for_all
+      (fun (kind, (n, check)) ->
+        let seq =
+          match kind with
+          | `Next -> Session.max_seq s + 1
+          | `Small -> 1 + (n mod 40)
+          | `Large -> n
+        in
+        Session.record s ~window seq (reply seq);
+        (not check) || image_ok s)
+      ops
+  in
+  QCheck.Test.make ~name:"write_image = Codec encoding of export, also after import and copy"
+    ~count:300
+    QCheck.(quad (int_range 1 12) ops ops ops)
+    (fun (window, first, on_import, on_copy) ->
+      let s = Session.create () in
+      let ok = run s ~window first && image_ok s in
+      let before = Session.export s in
+      let imported = Session.import before in
+      let copy = Session.copy s in
+      let ok = ok && image_ok imported && image_ok copy in
+      let ok = ok && run imported ~window on_import && image_ok imported in
+      let ok = ok && run copy ~window on_copy && image_ok copy in
+      ok && Session.export s = before && image_ok s
+      && (run s ~window on_copy && image_ok s))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suite =
@@ -161,4 +228,4 @@ let suite =
     Alcotest.test_case "export/import roundtrip" `Quick test_export_import_roundtrip;
     Alcotest.test_case "pipelined client end-to-end" `Quick test_pipelined_client_end_to_end;
   ]
-  @ qsuite [ prop_exactly_once; prop_count_matches_cache ]
+  @ qsuite [ prop_exactly_once; prop_count_matches_cache; prop_image_matches_export ]
