@@ -39,11 +39,12 @@ let policy =
 
 (* f = 1: mains {0, 1}, auxiliary {2}. Node 0 campaigns at creation (fresh
    boot, smallest main); node 1 boots a follower; node 2 boots an aux. *)
-let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) ?(policy = policy) () =
+let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) ?(policy = policy)
+    ?(app = (module Toy : Appi.S)) () =
   let initial = Config.cheap ~f:1 in
   Core.create ~self ~now:0. ~rng:(Rng.create (self + 7)) ~role ~policy ~params ~initial
-    ~universe_mains:initial.Config.mains ~universe_auxes:initial.Config.aux_pool
-    ~app:(module Toy : Appi.S) ~recovery:State.fresh_boot
+    ~universe_mains:initial.Config.mains ~universe_auxes:initial.Config.aux_pool ~app
+    ~recovery:State.fresh_boot
 
 let sends_to dst effects =
   Effect.sends effects |> List.filter_map (fun (d, m) -> if d = dst then Some m else None)
@@ -177,9 +178,9 @@ let test_learner_snapshot_drops_votes () =
 
 (* --- leader ------------------------------------------------------------- *)
 
-let elect () =
+let elect ?params ?app () =
   (* Node 0 boots as candidate; one promise from node 1 completes phase 1. *)
-  let t, boot_effs = mk ~self:0 () in
+  let t, boot_effs = mk ~self:0 ?params ?app () in
   (match t.State.state with
   | State.Candidate _ -> ()
   | _ -> Alcotest.fail "node 0 should campaign on first boot");
@@ -262,6 +263,69 @@ let test_learner_gap_blocks_execution () =
   Alcotest.(check int) "gap at 0 blocks execution" 0 t.State.executed_;
   let t, _ = Learner.step t ~now:0.2 (Learner.Learn { instance = 0; entry = Types.Noop }) in
   Alcotest.(check int) "filling the gap executes both" 2 t.State.executed_
+
+(* A leader's learner executing a chosen prefix of KV commands under
+   [session_window = 2]: an in-batch duplicate, a retry whose reply is
+   still cached, a retry evicted by a later record (no reply), and a
+   second client interleaved with the first. The effect stream must not
+   depend on how the prefix reaches the learner: one instance at a time,
+   or held back by a gap at instance 0 and then executed in one go. *)
+let test_learner_session_dedup () =
+  let a = 100 and b = 200 in
+  let cmd client seq op = { Types.client; seq; op } in
+  let prefix =
+    [|
+      Types.App (cmd a 1 (Cp_smr.Kv.put "a" "1"));
+      Types.Batch
+        [ cmd a 2 (Cp_smr.Kv.put "a" "2"); cmd b 1 (Cp_smr.Kv.get "a"); cmd a 2 (Cp_smr.Kv.put "a" "2") ];
+      Types.App (cmd a 1 (Cp_smr.Kv.put "a" "1"));
+      Types.Batch [ cmd a 3 (Cp_smr.Kv.get "a"); cmd b 2 (Cp_smr.Kv.put "a" "3") ];
+      Types.App (cmd a 1 (Cp_smr.Kv.put "a" "1"));
+      Types.Batch
+        [ cmd b 1 (Cp_smr.Kv.get "a"); cmd a 4 (Cp_smr.Kv.get "a"); cmd a 2 (Cp_smr.Kv.put "a" "2") ];
+    |]
+  in
+  let expected =
+    [
+      "applied"; "resp 100/1 OK"; "executed 0";
+      "applied"; "resp 100/2 OK"; "applied"; "resp 200/1 2"; "resp 100/2 OK"; "executed 1";
+      "resp 100/1 OK"; "executed 2";
+      "applied"; "resp 100/3 2"; "applied"; "resp 200/2 OK"; "executed 3";
+      (* 100/1 was evicted when 100/3 was recorded: no reply, no apply *)
+      "executed 4";
+      (* 100/2 was evicted by 100/4 inside the same batch *)
+      "resp 200/1 2"; "applied"; "resp 100/4 3"; "executed 5";
+    ]
+  in
+  let trace effs =
+    List.filter_map
+      (function
+        | Effect.Metric ("applied", 1) -> Some "applied"
+        | Effect.Send (_, Types.ClientResp { client; seq; result }) ->
+          Some (Printf.sprintf "resp %d/%d %s" client seq result)
+        | Effect.Emit (Cp_obs.Event.Command_executed { instance }) ->
+          Some (Printf.sprintf "executed %d" instance)
+        | _ -> None)
+      effs
+  in
+  let params = { Params.default with Params.session_window = 2 } in
+  let run order =
+    let t, _, _ = elect ~params ~app:(module Cp_smr.Kv : Appi.S) () in
+    Alcotest.(check bool) "leader" true (State.is_leader t);
+    Alcotest.(check int) "nothing executed at election" 0 t.State.executed_;
+    let t, effs =
+      List.fold_left
+        (fun (t, acc) i ->
+          let t, effs = Learner.step t ~now:0.2 (Learner.Learn { instance = i; entry = prefix.(i) }) in
+          (t, acc @ effs))
+        (t, []) order
+    in
+    Alcotest.(check int) "prefix executed" (Array.length prefix) t.State.executed_;
+    Alcotest.(check (list string)) "replies, applies and executions" expected (trace effs);
+    Alcotest.(check string) "final KV value" "3" (t.State.app.Appi.apply (Cp_smr.Kv.get "a"))
+  in
+  run [ 0; 1; 2; 3; 4; 5 ];
+  run [ 1; 2; 3; 4; 5; 0 ]
 
 (* --- catchup ------------------------------------------------------------ *)
 
@@ -471,6 +535,8 @@ let suite =
     Alcotest.test_case "leader: follower redirects" `Quick test_leader_redirect_when_follower;
     Alcotest.test_case "learner: learn executes" `Quick test_learner_learn_executes;
     Alcotest.test_case "learner: gap blocks execution" `Quick test_learner_gap_blocks_execution;
+    Alcotest.test_case "learner: session dedup over a chosen prefix" `Quick
+      test_learner_session_dedup;
     Alcotest.test_case "catchup: serves range" `Quick test_catchup_serves_range;
     Alcotest.test_case "catchup: commit learns" `Quick test_catchup_commit_learns;
     Alcotest.test_case "catchup: gap triggers request" `Quick test_catchup_gap_triggers_request;
