@@ -5,7 +5,9 @@
       no measured tables or figures, so these quantify its analytical
       claims and the implementation's own costs, each table printed and
       written as CSV under bench_results/, ending in one claim-by-claim
-      verdict table.
+      verdict table. E16 (the parallel applier's scaling curve) is
+      retired: apply is under 1% of request latency, so mains apply
+      chosen commands in one serial loop.
    2. Bechamel microbenchmarks of the core data structures and of an
       end-to-end simulated commit, so regressions in the hot paths are
       visible independently of the protocol-level numbers.

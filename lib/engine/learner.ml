@@ -37,93 +37,21 @@ let maybe_snapshot t =
     metric t "snapshots"
   end
 
-(* --- Windowed command execution -------------------------------------
-   Contiguous App/Batch instances are folded into one window and applied
-   through [t.app.Appi.apply_batch] — the hook the parallel applier
-   ([Cp_exec.Applier.attach]) overrides to run non-conflicting commands
-   on worker domains. Everything observable must stay indistinguishable
-   from per-command serial execution, and replicas window the ready
-   prefix at different boundaries, so the window logic may not depend on
-   where windows split:
-
-   - A classification pass decides, per command and in log order, what
-     serial execution would do (execute / cached reply / ancient dup).
-     Session dedup and eviction are simulated on scratch [Session.copy]s
-     — eviction depends only on sequence numbers and cardinality, never
-     on reply values, so placeholder records evolve the scratch exactly
-     as real execution will.
-   - The to-execute ops go through [apply_batch] (results in log order).
-   - A join pass then walks the window in log order, recording real
-     replies, emitting the per-command and per-instance effects in the
-     exact order the serial path produced them. Effects are queued and
-     drained at the end of the step either way, so the drained effect
-     stream — and hence golden traces — is byte-identical. *)
-
-type cmd_plan =
-  | Exec of int (* result slot in the window's ops array *)
-  | Dup of int (* in-window duplicate of an executed command *)
-  | Cached of string (* reply still cached from before the window *)
-  | Ancient (* evicted long ago; no reply possible *)
-
-let classify_many t cmds =
-  let scratch : (int, Session.t) Hashtbl.t = Hashtbl.create 8 in
-  let first : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-  let ops = ref [] in
-  let n_exec = ref 0 in
-  let plan =
-    List.map
-      (fun (cmd : Types.command) ->
-        let sess =
-          match Hashtbl.find_opt scratch cmd.client with
-          | Some s -> s
-          | None ->
-            let s = Session.copy (session_for t cmd.client) in
-            Hashtbl.replace scratch cmd.client s;
-            s
-        in
-        match Session.status sess cmd.seq with
-        | `New ->
-          let slot = !n_exec in
-          incr n_exec;
-          ops := cmd.op :: !ops;
-          Hashtbl.replace first (cmd.client, cmd.seq) slot;
-          Session.record sess ~window:t.params.Params.session_window cmd.seq "";
-          (cmd, Exec slot)
-        | `Cached r -> (
-          match Hashtbl.find_opt first (cmd.client, cmd.seq) with
-          | Some slot -> (cmd, Dup slot)
-          | None -> (cmd, Cached r))
-        | `Evicted -> (cmd, Ancient))
-      cmds
-  in
-  (plan, Array.of_list (List.rev !ops))
-
-(* A one-command window (the common case under [batch_max_cmds = 1]) has
-   no later command for the scratch state to inform: classify it straight
-   from the live session. *)
-let classify_one t (cmd : Types.command) =
-  match Session.status (session_for t cmd.client) cmd.seq with
-  | `New -> ([ (cmd, Exec 0) ], [| cmd.op |])
-  | `Cached r -> ([ (cmd, Cached r) ], [||])
-  | `Evicted -> ([ (cmd, Ancient) ], [||])
-
-let classify_window t cmds =
-  match cmds with
-  | [ cmd ] -> classify_one t cmd
-  | _ -> classify_many t cmds
-
-let join_cmd t (cmd : Types.command) plan results =
+(* Execute one chosen command with at-most-once semantics: a new seq is
+   applied and its reply recorded, a replay whose reply is still cached
+   gets it again, and a replay evicted from the session window gets none.
+   Only the leader answers the client. *)
+let exec_cmd t (cmd : Types.command) =
+  let sess = session_for t cmd.client in
   let reply =
-    match plan with
-    | Exec slot ->
-      let result = results.(slot) in
-      Session.record (session_for t cmd.client)
-        ~window:t.params.Params.session_window cmd.seq result;
+    match Session.status sess cmd.seq with
+    | `New ->
+      let result = t.app.Appi.apply cmd.op in
+      Session.record sess ~window:t.params.Params.session_window cmd.seq result;
       metric t "applied";
       Some result
-    | Dup slot -> Some results.(slot)
-    | Cached result -> Some result
-    | Ancient -> None (* ancient duplicate; the reply is gone *)
+    | `Cached result -> Some result
+    | `Evicted -> None (* ancient duplicate; the reply is gone *)
   in
   match t.state with
   | Leader lead -> (
@@ -133,41 +61,6 @@ let join_cmd t (cmd : Types.command) plan results =
       send t cmd.client (Types.ClientResp { client = cmd.client; seq = cmd.seq; result })
     | None -> ())
   | Follower | Candidate _ -> ()
-
-(* Execute the contiguous run of App/Batch instances starting at
-   [t.executed_] as one window. *)
-let exec_window t =
-  let window = ref [] in
-  let len = ref 0 in
-  let stop = ref false in
-  while (not !stop) && t.executed_ + !len < Log.prefix t.log do
-    match Log.get t.log (t.executed_ + !len) with
-    | Some (Types.App cmd) ->
-      window := [ cmd ] :: !window;
-      incr len
-    | Some (Types.Batch cmds) ->
-      window := cmds :: !window;
-      incr len
-    | Some Types.Noop | Some (Types.Reconfig _) | None -> stop := true
-  done;
-  let instances = List.rev !window in
-  let plan, ops = classify_window t (List.concat instances) in
-  let results = t.app.Appi.apply_batch ops in
-  let rest = ref plan in
-  List.iter
-    (fun cmds ->
-      List.iter
-        (fun (_ : Types.command) ->
-          match !rest with
-          | (cmd, p) :: tl ->
-            rest := tl;
-            join_cmd t cmd p results
-          | [] -> assert false)
-        cmds;
-      event t (Obs.Event.Command_executed { instance = t.executed_ });
-      push t (Effect.Span_executed { instance = t.executed_; at = now t });
-      t.executed_ <- t.executed_ + 1)
-    instances
 
 let exec_reconfig t r =
   match Configs.apply_at t.configs ~at:t.executed_ r with
@@ -197,17 +90,15 @@ let exec_reconfig t r =
 let execute_ready t =
   if t.role_ = Main then begin
     while t.executed_ < Log.prefix t.log do
-      match Log.get t.log t.executed_ with
+      (match Log.get t.log t.executed_ with
       | None -> assert false
-      | Some (Types.App _) | Some (Types.Batch _) -> exec_window t
-      | Some entry ->
-        (match entry with
-        | Types.Noop -> ()
-        | Types.Reconfig r -> exec_reconfig t r
-        | Types.App _ | Types.Batch _ -> assert false);
-        event t (Obs.Event.Command_executed { instance = t.executed_ });
-        push t (Effect.Span_executed { instance = t.executed_; at = now t });
-        t.executed_ <- t.executed_ + 1
+      | Some (Types.App cmd) -> exec_cmd t cmd
+      | Some (Types.Batch cmds) -> List.iter (exec_cmd t) cmds
+      | Some Types.Noop -> ()
+      | Some (Types.Reconfig r) -> exec_reconfig t r);
+      event t (Obs.Event.Command_executed { instance = t.executed_ });
+      push t (Effect.Span_executed { instance = t.executed_; at = now t });
+      t.executed_ <- t.executed_ + 1
     done;
     maybe_snapshot t
   end

@@ -22,7 +22,6 @@ type t = {
   pipeline_window : int;
   queue_limit : int;
   span_ttl : float;
-  exec_domains : int;
 }
 
 let default =
@@ -50,7 +49,6 @@ let default =
     pipeline_window = 32;
     queue_limit = 4096;
     span_ttl = 10.;
-    exec_domains = 1;
   }
 
 let scale k t =

@@ -71,13 +71,6 @@ type t = {
           was shed, deduplicated, or superseded) are expired rather than
           retained forever; each expiry bumps ["span_dropped"]. Must exceed
           any honest client round trip including retries. *)
-  exec_domains : int;
-      (** worker domains for the conflict-aware parallel applier
-          ([Cp_exec.Applier]). 1 (the default) executes chosen commands
-          serially on the caller — the exact pre-existing behaviour; > 1
-          asks the runtime that builds the replica to attach an applier of
-          that width. Clamped to the shared pool size; on OCaml 4.14 the
-          sequential backend makes any value behave like 1. *)
 }
 
 val default : t

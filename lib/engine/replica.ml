@@ -99,7 +99,7 @@ let scan stable ~prefix decode =
            | None -> None
          else None)
 
-let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_auxes
+let create ctx ~role ~policy ~params ~initial ~universe_mains ~universe_auxes
     ~app =
   let stable = ctx.Engine.stable in
   let recovery =
@@ -122,9 +122,6 @@ let create ?exec ctx ~role ~policy ~params ~initial ~universe_mains ~universe_au
     Core.create ~self:ctx.Engine.self ~now:(ctx.Engine.now ()) ~rng:ctx.Engine.rng ~role
       ~policy ~params ~initial ~universe_mains ~universe_auxes ~app ~recovery
   in
-  (* Parallel applier, if any: overrides the learner's batch hook. Recovery
-     replay above ran serially, which is always equivalent. *)
-  Option.iter (fun a -> Cp_exec.Applier.attach a core.State.app) exec;
   let prof =
     Obs.Prof.create ~clock:ctx.Engine.now ~count:(fun name ->
         Metrics.add (Metrics.counter ctx.Engine.metrics name))

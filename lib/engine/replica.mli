@@ -19,7 +19,6 @@ type role = Main | Aux
 type t
 
 val create :
-  ?exec:Cp_exec.Applier.t ->
   Types.msg Cp_sim.Engine.ctx ->
   role:role ->
   policy:Policy.t ->
@@ -31,12 +30,6 @@ val create :
   t
 (** Build (or rebuild after a crash — state is recovered from the ctx's
     stable storage) the replica for machine [ctx.self].
-
-    [exec] attaches a conflict-aware parallel applier to the learner's
-    batch-execution hook ([Appi.instance.apply_batch]). Replies, spans,
-    traces, and snapshots are indistinguishable from serial execution
-    (the applier joins results in log order); only wall time changes.
-    Omitted = serial, the exact pre-existing path.
 
     [universe_mains]/[universe_auxes] are the {e machine classes} of every
     id that may ever appear, including spares not in [initial]; the initial

@@ -50,8 +50,8 @@ val cached_count : t -> int
 
 val copy : t -> t
 (** Independent snapshot of the session, in O(1): it shares the immutable
-    map and starts with stale bytes, so the scratch copies that window
-    classification makes on every window cost no byte copy. *)
+    map and starts with stale bytes, so cloning a state with many sessions
+    (the deep model checker's branching) costs no byte copy. *)
 
 val image_size : t -> int
 (** Bytes {!write_image} writes. Rebuilds stale bytes first. *)

@@ -3,8 +3,8 @@
     Everything in [cp_exec] goes through this signature, so the rest of the
     library compiles unchanged on both compiler legs. On the sequential
     backend [parallel] is [false], mutexes are no-ops and [Domain_.spawn]
-    runs the thunk inline — the pool then never spawns and the applier
-    falls back to serial application. *)
+    runs the thunk inline — the pool then never spawns and every task runs
+    on the thread that submits it. *)
 
 val parallel : bool
 (** True when real domains are available. *)

@@ -2,9 +2,9 @@
 
    Tasks are routed to an explicit worker index, so a caller that needs two
    tasks ordered simply sends them to the same worker — the per-worker
-   queue is FIFO and each worker is single-threaded. This is what the
-   conflict-aware applier builds on: same-key commands share a worker,
-   which preserves log order for free, with no cross-worker waits.
+   queue is FIFO and each worker is single-threaded. The UDP node relies
+   on it: a group's handlers all go to one worker, so they run in arrival
+   order with no cross-worker waits.
 
    Idle workers block on a condition variable (never spin): the test and
    CI machines are small, and a spinning worker on a 1-core box would
@@ -127,27 +127,3 @@ let shutdown t =
           w.domain <- None
         | None -> ())
       t.workers
-
-(* Process-shared pool. Domains are a bounded per-process resource (the
-   runtime caps them at ~128), and sim tests create many short-lived
-   clusters, so per-cluster pools would leak domains. One shared pool,
-   sized for the bench's 1..8-domain scaling curve, serves every applier;
-   an applier restricts itself to the first [workers] indices. *)
-
-let shared_mu = Backend.Mutex.create ()
-
-let shared_pool : t option ref = ref None
-
-let shared ?clock () =
-  Backend.Mutex.lock shared_mu;
-  let p =
-    match !shared_pool with
-    | Some p -> p
-    | None ->
-      let domains = max 8 (min 16 (Backend.cpu_count ())) in
-      let p = create ?clock ~domains () in
-      shared_pool := Some p;
-      p
-  in
-  Backend.Mutex.unlock shared_mu;
-  p

@@ -15,13 +15,6 @@ val create :
 (** [clock] (seconds) feeds per-worker busy-time accounting; the default
     always returns [0.], disabling utilization stats. *)
 
-val shared : ?clock:(unit -> float) -> unit -> t
-(** The process-wide pool, created on first use (first caller's [clock]
-    wins). Sized [max 8 (min 16 recommended_domain_count)] so the bench
-    scaling curve up to 8 domains is serviceable everywhere; appliers
-    restrict themselves to a worker prefix. Never shut down — idle
-    workers block and do not prevent process exit. *)
-
 val size : t -> int
 (** Number of worker domains; [0] means sequential (submit runs inline). *)
 
@@ -33,5 +26,5 @@ val submit : t -> worker:int -> (unit -> unit) -> unit
 val stats : t -> stats
 
 val shutdown : t -> unit
-(** Stop and join all workers. Queued tasks may be dropped; only use on
-    private pools at teardown — never on {!shared}. *)
+(** Stop and join all workers. Queued tasks may be dropped; only use at
+    teardown. *)

@@ -45,8 +45,8 @@ let machine_ids (initial : Config.t) ~spare_mains =
   (initial.Config.mains @ spares, initial.Config.aux_pool, spares)
 
 let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.default)
-    ?proc_time ?(spare_mains = 0) ?(obs = true) ?router ?wheel_tick ?conflict_keys
-    ?storage ~groups ~policy ~initial ~app () =
+    ?proc_time ?(spare_mains = 0) ?(obs = true) ?router ?wheel_tick ?storage
+    ~groups ~policy ~initial ~app () =
   if groups <= 0 then invalid_arg "Fleet.create: need at least one group";
   let router_ =
     match router with
@@ -85,7 +85,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
   let add_machine role id =
     Engine.add_node eng ~id (fun ctx ->
         let m =
-          Group_mux.create ctx ~groups ?wheel_tick ?conflict_keys ~role ~policy
+          Group_mux.create ctx ~groups ?wheel_tick ~role ~policy
             ~params ~initial ~universe_mains ~universe_auxes ~app ()
         in
         Hashtbl.replace t.muxes id m;

@@ -19,7 +19,6 @@ val create :
   ?obs:bool ->
   ?router:Router.t ->
   ?wheel_tick:float ->
-  ?conflict_keys:(string -> string list) ->
   ?storage:(int -> Cp_storage.Storage.t) ->
   groups:int ->
   policy:Cp_engine.Policy.t ->

@@ -105,7 +105,7 @@ let make_group_ctx t ~gid =
     tctx = Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:outer.Engine.self ~group:gid);
   }
 
-let create ctx ~groups ?(wheel_tick = 2.5e-4) ?conflict_keys ~role ~policy ~params
+let create ctx ~groups ?(wheel_tick = 2.5e-4) ~role ~policy ~params
     ~initial ~universe_mains ~universe_auxes ~app () =
   if groups <= 0 then invalid_arg "Group_mux.create: need at least one group";
   let t =
@@ -119,21 +119,8 @@ let create ctx ~groups ?(wheel_tick = 2.5e-4) ?conflict_keys ~role ~policy ~para
   t.groups <-
     Array.init groups (fun gid ->
         let gctx = make_group_ctx t ~gid in
-        (* One parallel applier per group (opt-in via [exec_domains]): each
-           group's learner schedules onto its own worker-prefix of the
-           shared pool, with counters landing in the group's metrics. *)
-        let exec =
-          if role = Replica.Main && params.Cp_engine.Params.exec_domains > 1 then
-            Some
-              (Cp_exec.Applier.create ~workers:params.Cp_engine.Params.exec_domains
-                 ~count:(fun name by -> Metrics.incr gctx.Engine.metrics ~by name)
-                 ~conflict_keys:
-                   (Option.value conflict_keys ~default:Cp_proto.Appi.all_conflict)
-                 ())
-          else None
-        in
         let replica =
-          Replica.create ?exec gctx ~role ~policy ~params ~initial ~universe_mains
+          Replica.create gctx ~role ~policy ~params ~initial ~universe_mains
             ~universe_auxes ~app
         in
         {

@@ -17,7 +17,6 @@ val create :
   (int * Types.msg) Cp_sim.Engine.ctx ->
   groups:int ->
   ?wheel_tick:float ->
-  ?conflict_keys:(string -> string list) ->
   role:Cp_engine.Replica.role ->
   policy:Cp_engine.Policy.t ->
   params:Cp_engine.Params.t ->

@@ -1525,184 +1525,6 @@ let e15_fleet =
   { eid = "E15"; title = "Sharded fleet: eight groups sharing one auxiliary"; clock = Sim;
     run = e15_run }
 
-(* E16: the conflict-aware parallel applier's scaling curve (1/2/4/8 worker
-   domains over a commuting-heavy, CPU-weighted workload), with serial
-   equivalence verified in the same run, plus a simulated cluster executing
-   with exec_domains = 4 to show the protocol path uses it while the
-   auxiliary stays quiescent. The >= 2x @ 4 domains gate only binds where it
-   can physically hold: a parallel backend on >= 4 cores; elsewhere it is
-   recorded as skipped and the equivalence checks still gate. *)
-let e16_run ~quick =
-  let module Applier = Cp_exec.Applier in
-  let module Backend = Cp_exec.Backend in
-  let module Stripes = Cp_exec.Stripes in
-  let cores = Backend.cpu_count () in
-  let n_ops = if quick then 1024 else 4096 in
-  let n_keys = 256 in
-  let iters = 4000 in
-  (* Per-key accumulate after a CPU-weighted hash spin, so the apply path
-     dominates and disjoint keys genuinely commute. A 2% slice of wildcard
-     ops keeps the conflict-serialization path exercised. *)
-  let rng = Rng.create 4242 in
-  let ops =
-    Array.init n_ops (fun i ->
-        if i mod 50 = 49 then "SCAN"
-        else Printf.sprintf "WORK k%d %d" (Rng.int rng n_keys) (i land 7))
-  in
-  let spin key salt =
-    let h = ref 0x811c9dc5 in
-    for i = 0 to iters - 1 do
-      h :=
-        (!h lxor (Char.code key.[i mod String.length key] + i + salt)) * 0x01000193
-        land 0x3fffffff
-    done;
-    !h
-  in
-  let conflict_keys op =
-    match String.split_on_char ' ' op with
-    | [ "WORK"; k; _ ] -> [ k ]
-    | _ -> [ Cp_proto.Appi.wildcard ]
-  in
-  let apply_on state op =
-    match String.split_on_char ' ' op with
-    | [ "WORK"; k; salt ] ->
-      let v = spin k (int_of_string salt) in
-      Stripes.with_key state k (fun tbl ->
-          let acc = (Option.value (Hashtbl.find_opt tbl k) ~default:0 + v) land 0x3fffffff in
-          Hashtbl.replace tbl k acc;
-          string_of_int acc)
-    | _ ->
-      (* wildcard: fold the whole state, like a consistent scan would *)
-      string_of_int (Stripes.fold state (fun _ v acc -> (acc + v) land 0x3fffffff) 0)
-  in
-  let dump state =
-    Stripes.fold state (fun k v acc -> (k, v) :: acc) []
-    |> List.sort compare
-    |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-    |> String.concat ","
-  in
-  (* Serial reference: results in log order and the final state. *)
-  let ref_state = Stripes.create () in
-  let ref_results = Array.map (apply_on ref_state) ops in
-  let ref_dump = dump ref_state in
-  let time_at workers =
-    let serialized = ref 0 and parallel_batches = ref 0 in
-    let count name by =
-      if name = "exec_conflict_serialized" then serialized := !serialized + by
-      else if name = "exec_parallel_batches" then parallel_batches := !parallel_batches + by
-    in
-    let run () =
-      let state = Stripes.create () in
-      let a = Applier.create ~workers ~count ~conflict_keys () in
-      let t0 = Unix.gettimeofday () in
-      let results = Applier.batch_apply a ~apply:(apply_on state) ops in
-      (Unix.gettimeofday () -. t0, results, dump state)
-    in
-    (* best-of-3 wall time; equivalence must hold on every repetition *)
-    let reps = List.init 3 (fun _ -> run ()) in
-    let secs = List.fold_left (fun acc (s, _, _) -> Float.min acc s) infinity reps in
-    let equiv = List.for_all (fun (_, results, d) -> results = ref_results && d = ref_dump) reps in
-    (workers, secs, equiv, !serialized > 0, !parallel_batches > 0)
-  in
-  let curve = List.map time_at [ 1; 2; 4; 8 ] in
-  let at w = List.find (fun (w', _, _, _, _) -> w' = w) curve in
-  let secs w = match at w with _, s, _, _, _ -> s in
-  let scaling =
-    Table.create
-      ~header:[ "workers"; "seconds"; "op/s"; "speedup"; "equivalent"; "serialized"; "parallel" ]
-  in
-  List.iter
-    (fun (w, s, equiv, ser, par) ->
-      Table.add_row scaling
-        [
-          string_of_int w; f6 s; f1 (float_of_int n_ops /. s); f2 (secs 1 /. s);
-          string_of_bool equiv; string_of_bool ser; string_of_bool par;
-        ])
-    curve;
-  let speedup4 = secs 1 /. secs 4 in
-  let gate_applicable = Backend.parallel && cores >= 4 in
-  (* Wildcard SCANs must force serializations, and a parallel backend must
-     actually take the parallel path at width 4. *)
-  let _, _, _, ser4, par4 = at 4 in
-  (* Full protocol path: an f=1 cluster executing through a 4-wide applier
-     (commands spread over 64 keys), auxiliary quiescent throughout. *)
-  let params = { Cp_engine.Params.default with Cp_engine.Params.exec_domains = 4 } in
-  let cluster =
-    Cluster.create ~seed:91 ~params ~conflict_keys:Cp_smr.Kv.conflict_keys
-      ~policy:Cheap_paxos.Cheap.policy ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
-      ~app:(module Cp_smr.Kv) ()
-  in
-  let per_client = if quick then 20 else 60 in
-  let handles =
-    List.init 24 (fun i ->
-        let ops =
-          Workload.kv_ops ~rng:(Rng.create (7100 + i)) ~keys:64 ~read_ratio:0. ~count:per_client ()
-        in
-        Cluster.add_client cluster ~think:0. ~ops ())
-  in
-  let finished =
-    Cluster.run_until cluster ~deadline:60. (fun () ->
-        List.for_all (fun (_, c) -> Cp_smr.Client.is_finished c) handles)
-  in
-  let mains_metric = Cluster.sum_metric cluster ~ids:(Cluster.mains cluster) in
-  let exec_parallel = mains_metric "exec_parallel_batches" in
-  let aux_recv =
-    List.map (fun aux -> (aux, Cluster.metric cluster aux "msgs_recv")) (Cluster.auxes cluster)
-  in
-  let main = leg_table () in
-  let row = add_leg main in
-  row "setup" "backend parallel" (string_of_bool Backend.parallel);
-  row "setup" "cpu cores" (string_of_int cores);
-  row "setup" "ops" (string_of_int n_ops);
-  row "setup" "distinct keys" (string_of_int n_keys);
-  row "setup" "spin iters" (string_of_int iters);
-  row "applier" "speedup at 4 workers" (f3 speedup4);
-  row "applier" "scaling gate applicable" (string_of_bool gate_applicable);
-  row "cluster" "finished" (string_of_bool finished);
-  row "cluster" "exec_parallel_batches" (string_of_int exec_parallel);
-  row "cluster" "exec_conflict_serialized"
-    (string_of_int (mains_metric "exec_conflict_serialized"));
-  List.iter
-    (fun (aux, n) -> row "cluster" (Printf.sprintf "aux n%d recv" aux) (string_of_int n))
-    aux_recv;
-  let aux_quiet = List.for_all (fun (_, n) -> n <= 50) aux_recv in
-  let outcomes =
-    [
-      Outcome.make ~id:"E16/serial-equivalence"
-        ~claim:"parallel apply is equivalent to serial apply at every width"
-        ~expected:"same results and final state"
-        ~measured:
-          (Printf.sprintf "equivalent at %d/%d widths"
-             (List.length (List.filter (fun (_, _, e, _, _) -> e) curve))
-             (List.length curve))
-        ~pass:(List.for_all (fun (_, _, e, _, _) -> e) curve);
-      Outcome.make ~id:"E16/scaling" ~claim:"commuting commands scale across domains"
-        ~expected:">= 2x at 4 workers (parallel backend, >= 4 cores)"
-        ~measured:
-          (Printf.sprintf "%.2fx%s" speedup4
-             (if gate_applicable then ""
-              else Printf.sprintf " (skipped: parallel=%b, %d cores)" Backend.parallel cores))
-        ~pass:((not gate_applicable) || speedup4 >= 2.0);
-      Outcome.make ~id:"E16/conflict-counters"
-        ~claim:"conflicts serialize; a parallel backend takes the parallel path"
-        ~expected:"serialized > 0; parallel batches > 0 if parallel"
-        ~measured:(Printf.sprintf "serialized=%b parallel=%b" ser4 par4)
-        ~pass:(ser4 && (par4 || not Backend.parallel));
-      Outcome.make ~id:"E16/cluster"
-        ~claim:"a cluster applies through the parallel executor, auxiliary quiet"
-        ~expected:"finished; aux <= 50 msgs; parallel batches > 0 if parallel"
-        ~measured:
-          (Printf.sprintf "finished=%b, aux msgs=%s, parallel batches=%d" finished
-             (String.concat "/" (List.map (fun (_, n) -> string_of_int n) aux_recv))
-             exec_parallel)
-        ~pass:(finished && aux_quiet && (exec_parallel > 0 || not Backend.parallel));
-    ]
-  in
-  ([ ("", main); ("scaling", scaling) ], outcomes)
-
-let e16_executor =
-  { eid = "E16"; title = "Conflict-aware parallel executor"; clock = Wall; run = e16_run }
-
 (* E17: syscall batching and zero-copy encoding on the wire path. One
    protocol step fans a burst of P2as to each peer. The unbatched leg is
    the pre-outbox wire path (encode to a string, copy it into a Bytes, one
@@ -1975,7 +1797,6 @@ let all =
     e13_open_loop;
     e14_tracing;
     e15_fleet;
-    e16_executor;
     e17_wire;
     e18_storage;
   ]

@@ -5,7 +5,8 @@
     Multi-Paxos baseline on the simulated network. Each experiment returns
     its printable tables plus claim-vs-measured {!Outcome.t} verdicts for
     EXPERIMENTS.md. E14-E18 measure the implementation's own costs
-    (tracing, sharding, parallel apply, the wire path, durable storage).
+    (tracing, sharding, the wire path, durable storage). E16, the
+    parallel applier's scaling curve, is retired with the applier.
 
     [quick] shrinks sweeps and op counts; without it the full versions
     run. *)

@@ -22,7 +22,6 @@ type spec = {
   spare_mains : int;
   proc_time : float option;
   obs : bool;
-  conflict_keys : (string -> string list) option;
 }
 
 let default_spec ~sys =
@@ -42,7 +41,6 @@ let default_spec ~sys =
     spare_mains = 0;
     proc_time = None;
     obs = true;
-    conflict_keys = None;
   }
 
 type result = {
@@ -61,8 +59,8 @@ let run spec =
   let policy, initial = policy_and_config spec.sys in
   let cluster =
     Cluster.create ~seed:spec.seed ~net:spec.net ~params:spec.params
-      ?proc_time:spec.proc_time ~spare_mains:spec.spare_mains ~obs:spec.obs
-      ?conflict_keys:spec.conflict_keys ~policy ~initial ~app:spec.app ()
+      ?proc_time:spec.proc_time ~spare_mains:spec.spare_mains ~obs:spec.obs ~policy ~initial
+      ~app:spec.app ()
   in
   Faults.schedule cluster spec.faults;
   let client_handles =

@@ -30,10 +30,6 @@ type spec = {
       (** tracing on (default): event rings + causal trace ids. [false]
           runs the identical simulation without recording — the bench's
           obs-overhead baseline. *)
-  conflict_keys : (string -> string list) option;
-      (** app conflict declaration for the parallel applier; only consulted
-          when [params.exec_domains > 1] (see {!Cp_runtime.Cluster.create});
-          [None] = all-conflict (serial). *)
 }
 
 val default_spec : sys:sys -> spec

@@ -47,10 +47,8 @@ type t = {
   (* Handler tasks run on this pool: group [gid] on worker [gid mod
      workers], whose FIFO queue keeps the group's handlers in arrival
      order. With no workers, tasks run inline on the receive or timer
-     thread. The pool is private to the node — never the process-shared
-     applier pool — because a handler may fan a command window out to the
-     shared pool and wait for it: queued on the same workers, a window
-     sub-task could land behind the very handler waiting on it. *)
+     thread. Handlers apply chosen commands themselves, serially, so
+     nothing else ever submits to this pool. *)
   pool : Cp_exec.Pool.t;
   workers : int; (* requested width, reported even when the backend runs inline *)
   wheel_mu : Mutex.t; (* guards [wheel] and [armed] *)
@@ -620,7 +618,7 @@ let shutdown t =
        Close only after all have exited. *)
     List.iter (fun th -> try Thread.join th with _ -> ()) t.threads;
     (* With the dispatch threads gone nothing submits anymore; stop the
-       node's private pool (the shared applier pool is never ours to stop). *)
+       node's pool. *)
     Cp_exec.Pool.shutdown t.pool;
     (match t.admin_sock with
     | Some s -> ( try Unix.close s with Unix.Unix_error _ -> ())

@@ -14,45 +14,20 @@ module type S = sig
   val restore : string -> state
 end
 
-module type Sc = sig
-  include S
-
-  val conflict_keys : string -> string list
-end
-
-let wildcard = "*"
-
-let all_conflict _ = [ wildcard ]
-
-module Wildcard (A : S) : Sc with type state = A.state = struct
-  include A
-
-  let conflict_keys = all_conflict
-end
-
 type instance = {
   app_name : string;
   apply : string -> string;
   read_only : string -> bool;
-  conflict_keys : string -> string list;
-  mutable apply_batch : string array -> string array;
   snapshot : unit -> string;
   restore : string -> unit;
 }
 
 let instantiate (module A : S) =
   let state = ref (A.init ()) in
-  let apply op = A.apply !state op in
   {
     app_name = A.name;
-    apply;
+    apply = (fun op -> A.apply !state op);
     read_only = A.read_only;
-    conflict_keys = all_conflict;
-    apply_batch = (fun ops -> Array.map apply ops);
     snapshot = (fun () -> A.snapshot !state);
     restore = (fun s -> state := A.restore s);
   }
-
-let instantiate_sc (module A : Sc) =
-  let inst = instantiate (module A : S) in
-  { inst with conflict_keys = A.conflict_keys }

@@ -28,46 +28,13 @@ module type S = sig
   val restore : string -> state
 end
 
-(** An application that additionally declares which commands conflict, for
-    the parallel applier in [cp_exec]. Two ops conflict iff their key lists
-    intersect (the wildcard ["*"] intersects everything); conflicting ops are
-    applied in log order, non-conflicting ops may run concurrently. The
-    declaration must be sound: if two ops do not commute, they must share a
-    key. Returning [["*"]] for every op (the {!Wildcard} default) is always
-    safe and recovers serial execution. *)
-module type Sc = sig
-  include S
-
-  val conflict_keys : string -> string list
-end
-
-val wildcard : string
-(** The conflict key that conflicts with every op: ["*"]. *)
-
-val all_conflict : string -> string list
-(** [all_conflict op = ["*"]] — the conservative default. *)
-
-module Wildcard (A : S) : Sc with type state = A.state
-(** Lift any app to [Sc] with the all-conflict default, so out-of-tree apps
-    keep compiling (and keep serial semantics) unchanged. *)
-
-(** A first-class, mutable application instance as used by a replica.
-
-    [conflict_keys] defaults to {!all_conflict} and [apply_batch] to
-    sequential [Array.map apply] when built by {!instantiate}; the parallel
-    applier overrides [apply_batch] at wiring time. [apply_batch] must be
-    observationally identical to applying each op in array order. *)
+(** A first-class, mutable application instance as used by a replica. *)
 type instance = {
   app_name : string;
   apply : string -> string;
   read_only : string -> bool;
-  conflict_keys : string -> string list;
-  mutable apply_batch : string array -> string array;
   snapshot : unit -> string;
   restore : string -> unit;
 }
 
 val instantiate : (module S) -> instance
-
-val instantiate_sc : (module Sc) -> instance
-(** Like {!instantiate} but keeps the app's real conflict declaration. *)

@@ -21,7 +21,7 @@ let machine_ids (initial : Config.t) ~spare_mains =
   (initial.Config.mains @ spares, initial.Config.aux_pool, spares)
 
 let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.default)
-    ?proc_time ?(spare_mains = 0) ?(obs = true) ?conflict_keys ?storage ~policy
+    ?proc_time ?(spare_mains = 0) ?(obs = true) ?storage ~policy
     ~initial ~app () =
   let proc_time = Option.map (fun cost _msg -> cost) proc_time in
   (* Client submissions start a fresh causal chain: each command gets its
@@ -48,20 +48,8 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
   in
   let add_machine role id =
     Engine.add_node eng ~id (fun ctx ->
-        (* Opt-in parallel applier (params.exec_domains > 1): per-machine so
-           its counters land in the machine's metrics. *)
-        let exec =
-          if role = Replica.Main && params.Cp_engine.Params.exec_domains > 1 then
-            Some
-              (Cp_exec.Applier.create ~workers:params.Cp_engine.Params.exec_domains
-                 ~count:(fun name by -> Metrics.incr ctx.Engine.metrics ~by name)
-                 ~conflict_keys:
-                   (Option.value conflict_keys ~default:Appi.all_conflict)
-                 ())
-          else None
-        in
         let r =
-          Replica.create ?exec ctx ~role ~policy ~params ~initial ~universe_mains
+          Replica.create ctx ~role ~policy ~params ~initial ~universe_mains
             ~universe_auxes ~app
         in
         Hashtbl.replace t.replicas id r;

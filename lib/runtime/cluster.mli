@@ -15,7 +15,6 @@ val create :
   ?proc_time:float ->
   ?spare_mains:int ->
   ?obs:bool ->
-  ?conflict_keys:(string -> string list) ->
   ?storage:(int -> Cp_storage.Storage.t) ->
   policy:Cp_engine.Policy.t ->
   initial:Config.t ->
@@ -33,13 +32,7 @@ val create :
     [obs] (default true) is passed to {!Cp_sim.Engine.create}: [false]
     disables event rings and causal trace ids without perturbing the
     simulation schedule. Client submissions are registered as fresh-trace
-    messages, so every command gets its own cross-node trace id.
-
-    When [params.exec_domains > 1], each main gets a conflict-aware
-    parallel applier ({!Cp_exec.Applier}) of that width, using
-    [conflict_keys] (default: all-conflict, i.e. serial) to decide which
-    commands commute. Results are value-identical to serial execution, so
-    the simulation stays deterministic. *)
+    messages, so every command gets its own cross-node trace id. *)
 
 val engine : t -> Types.msg Cp_sim.Engine.t
 

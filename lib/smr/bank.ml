@@ -1,45 +1,40 @@
-module Stripes = Cp_exec.Stripes
-
-(* Striped for the parallel applier: per-account ops on different accounts
-   may run on different domains. TRANSFER declares both accounts, TOTAL the
-   wildcard, so the applier serializes them against everything they touch. *)
-type state = int Stripes.t
+type state = (string, int) Hashtbl.t
 
 let name = "bank"
 
-let init () : state = Stripes.create ()
+let init () : state = Hashtbl.create 16
 
 let apply (s : state) op =
-  let bal a = Stripes.find_opt s a in
+  let bal a = Hashtbl.find_opt s a in
   match String.split_on_char ' ' op with
   | [ "OPEN"; a; n ] -> (
     match (bal a, int_of_string_opt n) with
     | None, Some n when n >= 0 ->
-      Stripes.replace s a n;
+      Hashtbl.replace s a n;
       "OK"
     | _ -> "FAIL")
   | [ "DEPOSIT"; a; n ] -> (
     match (bal a, int_of_string_opt n) with
     | Some b, Some n when n >= 0 ->
-      Stripes.replace s a (b + n);
+      Hashtbl.replace s a (b + n);
       "OK"
     | _ -> "FAIL")
   | [ "WITHDRAW"; a; n ] -> (
     match (bal a, int_of_string_opt n) with
     | Some b, Some n when n >= 0 && b >= n ->
-      Stripes.replace s a (b - n);
+      Hashtbl.replace s a (b - n);
       "OK"
     | _ -> "FAIL")
   | [ "TRANSFER"; a; b; n ] -> (
     match (bal a, bal b, int_of_string_opt n) with
     | Some ba, Some bb, Some n when n >= 0 && ba >= n && a <> b ->
-      Stripes.replace s a (ba - n);
-      Stripes.replace s b (bb + n);
+      Hashtbl.replace s a (ba - n);
+      Hashtbl.replace s b (bb + n);
       "OK"
     | _ -> "FAIL")
   | [ "BALANCE"; a ] -> (
     match bal a with Some b -> string_of_int b | None -> "FAIL")
-  | [ "TOTAL" ] -> string_of_int (Stripes.fold s (fun _ b acc -> acc + b) 0)
+  | [ "TOTAL" ] -> string_of_int (Hashtbl.fold (fun _ b acc -> acc + b) s 0)
   | _ -> "ERR"
 
 let read_only op =
@@ -47,18 +42,9 @@ let read_only op =
   | [ "BALANCE"; _ ] | [ "TOTAL" ] -> true
   | _ -> false
 
-let conflict_keys op =
-  match String.split_on_char ' ' op with
-  | [ "OPEN"; a; _ ] | [ "DEPOSIT"; a; _ ] | [ "WITHDRAW"; a; _ ] | [ "BALANCE"; a ]
-    ->
-    [ a ]
-  | [ "TRANSFER"; a; b; _ ] -> [ a; b ]
-  | _ -> [ Cp_proto.Appi.wildcard ]
+let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_si s
 
-let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_si (Stripes.merged s)
-
-let restore str : state =
-  Stripes.of_table (Snap.table_restore ~app:name Snap.read_pair_si ~size:16 str)
+let restore str : state = Snap.table_restore ~app:name Snap.read_pair_si ~size:16 str
 
 let open_ a n = Printf.sprintf "OPEN %s %d" a n
 

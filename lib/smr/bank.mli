@@ -8,7 +8,7 @@
     ["TOTAL"]. Results: ["OK"], ["FAIL"] (unknown account / insufficient
     funds), or a number. *)
 
-include Cp_proto.Appi.Sc
+include Cp_proto.Appi.S
 
 val open_ : string -> int -> string
 

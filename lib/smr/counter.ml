@@ -14,11 +14,6 @@ let apply (s : state) op =
 
 let read_only op = op = "GET"
 
-(* Every op reads or writes the single register (results echo the current
-   value), so all commands conflict: one key, fully serial under the
-   parallel applier — which is the honest declaration. *)
-let conflict_keys _ = [ "c" ]
-
 let snapshot (s : state) = string_of_int !s
 
 let restore str : state = ref (int_of_string str)

@@ -2,7 +2,7 @@
     by tests that only care about ordering. Operations: ["INC n"], ["GET"];
     both return the current value. *)
 
-include Cp_proto.Appi.Sc
+include Cp_proto.Appi.S
 
 val inc : int -> string
 

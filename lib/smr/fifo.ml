@@ -27,9 +27,6 @@ let apply (s : state) op =
 (* POP mutates (it dequeues), so only LEN rides the lease fast path. *)
 let read_only op = op = "LEN"
 
-(* PUSH/POP/LEN all observe or mutate the one queue: fully serial. *)
-let conflict_keys _ = [ "q" ]
-
 let snapshot (s : state) =
   Snap.to_string (fun buf ->
       Snap.write_list buf Cp_proto.Codec.write_string s.front;

@@ -1,48 +1,33 @@
-module Stripes = Cp_exec.Stripes
-
-(* Striped so the parallel applier may run different-key ops on different
-   domains; the applier guarantees same-key ops never run concurrently,
-   and the stripe locks cover different keys sharing a stripe. Snapshots
-   merge and sort, so the bytes are identical to the old flat Hashtbl. *)
-type state = string Stripes.t
+type state = (string, string) Hashtbl.t
 
 let name = "kv"
 
-let init () : state = Stripes.create ()
+let init () : state = Hashtbl.create 64
 
 let apply (s : state) op =
   match String.split_on_char ' ' op with
   | [ "GET"; k ] -> (
-    match Stripes.find_opt s k with Some v -> v | None -> "NONE")
+    match Hashtbl.find_opt s k with Some v -> v | None -> "NONE")
   | [ "PUT"; k; v ] ->
-    Stripes.replace s k v;
+    Hashtbl.replace s k v;
     "OK"
   | [ "DEL"; k ] ->
-    Stripes.remove s k;
+    Hashtbl.remove s k;
     "OK"
-  | [ "CAS"; k; old; new_ ] ->
-    (* Read-modify-write under the stripe lock: per-key atomicity even if
-       a same-stripe (different-key) op runs concurrently. *)
-    Stripes.with_key s k (fun tbl ->
-        match Hashtbl.find_opt tbl k with
-        | Some v when v = old ->
-          Hashtbl.replace tbl k new_;
-          "OK"
-        | Some _ | None -> "FAIL")
+  | [ "CAS"; k; old; new_ ] -> (
+    match Hashtbl.find_opt s k with
+    | Some v when v = old ->
+      Hashtbl.replace s k new_;
+      "OK"
+    | Some _ | None -> "FAIL")
   | _ -> "ERR"
 
 let read_only op =
   match String.split_on_char ' ' op with [ "GET"; _ ] -> true | _ -> false
 
-let conflict_keys op =
-  match String.split_on_char ' ' op with
-  | [ "GET"; k ] | [ "PUT"; k; _ ] | [ "DEL"; k ] | [ "CAS"; k; _; _ ] -> [ k ]
-  | _ -> [ Cp_proto.Appi.wildcard ]
+let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_ss s
 
-let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_ss (Stripes.merged s)
-
-let restore str : state =
-  Stripes.of_table (Snap.table_restore ~app:name Snap.read_pair_ss ~size:64 str)
+let restore str : state = Snap.table_restore ~app:name Snap.read_pair_ss ~size:64 str
 
 let get k = "GET " ^ k
 

@@ -5,7 +5,7 @@
     ["NONE"], the value, or ["FAIL"] for a failed compare-and-swap. Keys and
     values must not contain spaces (the workload generators comply). *)
 
-include Cp_proto.Appi.Sc
+include Cp_proto.Appi.S
 
 val get : string -> string
 

@@ -1,46 +1,35 @@
-module Stripes = Cp_exec.Stripes
-
-(* lock -> owner; striped so independent locks contend nowhere. *)
-type state = string Stripes.t
+(* lock -> owner *)
+type state = (string, string) Hashtbl.t
 
 let name = "lock"
 
-let init () : state = Stripes.create ()
+let init () : state = Hashtbl.create 16
 
 let apply (s : state) op =
   match String.split_on_char ' ' op with
-  | [ "ACQUIRE"; owner; lock ] ->
-    Stripes.with_key s lock (fun tbl ->
-        match Hashtbl.find_opt tbl lock with
-        | None ->
-          Hashtbl.replace tbl lock owner;
-          "OK"
-        | Some o when o = owner -> "OK"
-        | Some o -> "BUSY " ^ o)
-  | [ "RELEASE"; owner; lock ] ->
-    Stripes.with_key s lock (fun tbl ->
-        match Hashtbl.find_opt tbl lock with
-        | Some o when o = owner ->
-          Hashtbl.remove tbl lock;
-          "OK"
-        | Some _ | None -> "FAIL")
+  | [ "ACQUIRE"; owner; lock ] -> (
+    match Hashtbl.find_opt s lock with
+    | None ->
+      Hashtbl.replace s lock owner;
+      "OK"
+    | Some o when o = owner -> "OK"
+    | Some o -> "BUSY " ^ o)
+  | [ "RELEASE"; owner; lock ] -> (
+    match Hashtbl.find_opt s lock with
+    | Some o when o = owner ->
+      Hashtbl.remove s lock;
+      "OK"
+    | Some _ | None -> "FAIL")
   | [ "HOLDER"; lock ] -> (
-    match Stripes.find_opt s lock with Some o -> o | None -> "NONE")
+    match Hashtbl.find_opt s lock with Some o -> o | None -> "NONE")
   | _ -> "ERR"
 
 let read_only op =
   match String.split_on_char ' ' op with [ "HOLDER"; _ ] -> true | _ -> false
 
-let conflict_keys op =
-  match String.split_on_char ' ' op with
-  | [ "ACQUIRE"; _; lock ] | [ "RELEASE"; _; lock ] | [ "HOLDER"; lock ] ->
-    [ lock ]
-  | _ -> [ Cp_proto.Appi.wildcard ]
+let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_ss s
 
-let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_ss (Stripes.merged s)
-
-let restore str : state =
-  Stripes.of_table (Snap.table_restore ~app:name Snap.read_pair_ss ~size:16 str)
+let restore str : state = Snap.table_restore ~app:name Snap.read_pair_ss ~size:16 str
 
 let acquire ~owner lock = Printf.sprintf "ACQUIRE %s %s" owner lock
 

@@ -7,7 +7,7 @@
     non-owner), ["NONE"] (unheld). Re-acquiring a lock you already hold is
     ["OK"] (idempotent). *)
 
-include Cp_proto.Appi.Sc
+include Cp_proto.Appi.S
 
 val acquire : owner:string -> string -> string
 

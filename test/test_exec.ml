@@ -1,14 +1,9 @@
-(* Tests of the multicore executor: SPSC ring, domain pool, dependency
-   tracking, striped state, and — the property everything else exists to
-   protect — serial equivalence of the conflict-aware parallel applier. *)
+(* Tests of the domain pool that runs the UDP node's per-group handlers,
+   and of the SPSC ring under each worker's queue. *)
 
 module Spsc = Cp_exec.Spsc
 module Pool = Cp_exec.Pool
-module Deps = Cp_exec.Deps
-module Stripes = Cp_exec.Stripes
-module Applier = Cp_exec.Applier
 module Backend = Cp_exec.Backend
-module Appi = Cp_proto.Appi
 
 (* --- SPSC ring --------------------------------------------------------- *)
 
@@ -84,291 +79,6 @@ let test_pool_sequential_inline () =
   Alcotest.(check bool) "inline" true !ran;
   Pool.shutdown pool
 
-(* --- Deps -------------------------------------------------------------- *)
-
-let keysets ops = Array.of_list (List.map snd ops)
-
-let test_deps_chains_and_barriers () =
-  (* ops: a, b, a, *, c — same-key chain (0→2), wildcard barrier (3) that
-     everything pre-3 precedes and that 4 depends on. *)
-  let keys = keysets [ (0, [ "a" ]); (1, [ "b" ]); (2, [ "a" ]); (3, [ "*" ]); (4, [ "c" ]) ] in
-  let d = Deps.build ~workers:4 ~keys in
-  Alcotest.(check (list int)) "op2 after op0" [ 0 ] d.Deps.preds.(2);
-  Alcotest.(check bool) "op3 is barrier" true d.Deps.barrier.(3);
-  Alcotest.(check bool) "op3 preds include 1 and 2" true
-    (List.mem 1 d.Deps.preds.(3) && List.mem 2 d.Deps.preds.(3));
-  Alcotest.(check (list int)) "op4 after barrier" [ 3 ] d.Deps.preds.(4);
-  Alcotest.(check int) "wildcards" 1 d.Deps.wildcards;
-  match Deps.linear_extensions d with
-  | None -> Alcotest.fail "extension enumeration truncated"
-  | Some exts ->
-    (* 0,1 in either order; then 2 (after 0); then 3; then 4. 0-1-2 orders:
-       012, 021? no — 2 needs 0 first: 012, 102, 120 → 3 extensions. *)
-    Alcotest.(check int) "3 linear extensions" 3 (List.length exts)
-
-let test_deps_empty_keys_conservative () =
-  let keys = [| [ "a" ]; []; [ "a" ] |] in
-  let d = Deps.build ~workers:4 ~keys in
-  Alcotest.(check bool) "declared-nothing is a barrier" true d.Deps.barrier.(1);
-  Alcotest.(check (list int)) "op2 ordered behind barrier" [ 1 ] d.Deps.preds.(2)
-
-let test_deps_multikey_straddle () =
-  (* A two-key op whose keys hash to different workers must be a barrier;
-     find such a pair deterministically. *)
-  let workers = 4 in
-  let k1 = "a" in
-  let k2 =
-    let rec find i =
-      let k = Printf.sprintf "k%d" i in
-      if Deps.worker_of_key ~workers k <> Deps.worker_of_key ~workers k1 then k
-      else find (i + 1)
-    in
-    find 0
-  in
-  let d = Deps.build ~workers ~keys:[| [ k1 ]; [ k1; k2 ]; [ k2 ] |] in
-  Alcotest.(check bool) "straddling op is barrier" true d.Deps.barrier.(1);
-  Alcotest.(check (list int)) "key1 chain ordered" [ 0 ] d.Deps.preds.(1);
-  Alcotest.(check (list int)) "key2 successor ordered" [ 1 ] d.Deps.preds.(2)
-
-(* --- Stripes ----------------------------------------------------------- *)
-
-let test_stripes_basics () =
-  let s = Stripes.create () in
-  Stripes.replace s "x" 1;
-  Stripes.replace s "y" 2;
-  Alcotest.(check (option int)) "find" (Some 1) (Stripes.find_opt s "x");
-  Alcotest.(check int) "length" 2 (Stripes.length s);
-  Stripes.remove s "x";
-  Alcotest.(check (option int)) "removed" None (Stripes.find_opt s "x");
-  let sum = Stripes.fold s (fun _ v acc -> acc + v) 0 in
-  Alcotest.(check int) "fold" 2 sum;
-  let m = Stripes.merged s in
-  Alcotest.(check (option int)) "merged" (Some 2) (Hashtbl.find_opt m "y");
-  let s2 = Stripes.of_table m in
-  Alcotest.(check (option int)) "of_table" (Some 2) (Stripes.find_opt s2 "y")
-
-let test_stripes_concurrent_disjoint () =
-  if Backend.parallel then begin
-    let s = Stripes.create () in
-    let pool = Pool.create ~domains:4 () in
-    let n = 4000 in
-    for i = 0 to n - 1 do
-      Pool.submit pool ~worker:(i mod 4) (fun () ->
-          Stripes.replace s (Printf.sprintf "k%d" i) i)
-    done;
-    Pool.shutdown pool;
-    Alcotest.(check int) "all inserts present" n (Stripes.length s)
-  end
-
-(* --- Applier: randomized serial equivalence ---------------------------- *)
-
-(* A key-value accumulate app over striped state, with a tunable fraction
-   of wildcard SCANs; per-op results and the sorted final state must match
-   serial log order exactly, at every scheduling width. *)
-let eq_conflict_keys op =
-  match String.split_on_char ' ' op with
-  | [ "ADD"; k; _ ] -> [ k ]
-  | [ "MOV"; a; b; _ ] -> [ a; b ]
-  | _ -> [ Appi.wildcard ]
-
-let eq_gen_ops rng n =
-  Array.init n (fun _ ->
-      let r = Cp_util.Rng.int rng 100 in
-      let key i = Printf.sprintf "k%d" i in
-      if r < 70 then
-        Printf.sprintf "ADD %s %d" (key (Cp_util.Rng.int rng 16)) (Cp_util.Rng.int rng 9)
-      else if r < 95 then
-        Printf.sprintf "MOV %s %s %d"
-          (key (Cp_util.Rng.int rng 16))
-          (key (Cp_util.Rng.int rng 16))
-          (Cp_util.Rng.int rng 9)
-      else "SCAN")
-
-let eq_apply state op =
-  match String.split_on_char ' ' op with
-  | [ "ADD"; k; v ] ->
-    Stripes.with_key state k (fun tbl ->
-        let acc = Option.value (Hashtbl.find_opt tbl k) ~default:0 + int_of_string v in
-        Hashtbl.replace tbl k acc;
-        string_of_int acc)
-  | [ "MOV"; a; b; v ] ->
-    (* Read-modify-write on two keys: both are declared, so the applier
-       either colocates or runs it as a barrier — never concurrently with
-       a writer of either key. Lock stripes in a fixed order. *)
-    let v = int_of_string v in
-    let take () =
-      Stripes.with_key state a (fun tbl ->
-          let cur = Option.value (Hashtbl.find_opt tbl a) ~default:0 in
-          let moved = min cur v in
-          Hashtbl.replace tbl a (cur - moved);
-          moved)
-    in
-    let moved = take () in
-    Stripes.with_key state b (fun tbl ->
-        Hashtbl.replace tbl b (Option.value (Hashtbl.find_opt tbl b) ~default:0 + moved));
-    Printf.sprintf "MOVED %d" moved
-  | _ -> string_of_int (Stripes.fold state (fun _ v acc -> acc + v) 0)
-
-let eq_dump state =
-  Stripes.fold state (fun k v acc -> (k, v) :: acc) []
-  |> List.sort compare
-  |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-  |> String.concat ","
-
-let run_equivalence ~mk_applier ~label () =
-  for seed = 1 to 10 do
-    let rng = Cp_util.Rng.create (1000 + seed) in
-    let ops = eq_gen_ops rng (50 + Cp_util.Rng.int rng 150) in
-    let serial_state = Stripes.create () in
-    let serial = Array.map (eq_apply serial_state) ops in
-    let state = Stripes.create () in
-    let a = mk_applier () in
-    let results = Applier.batch_apply a ~apply:(eq_apply state) ops in
-    if results <> serial then
-      Alcotest.failf "%s seed %d: reply sequence diverges from serial" label seed;
-    Alcotest.(check string)
-      (Printf.sprintf "%s seed %d: final state" label seed)
-      (eq_dump serial_state) (eq_dump state)
-  done
-
-let test_applier_equivalence_widths () =
-  List.iter
-    (fun w ->
-      run_equivalence
-        ~mk_applier:(fun () -> Applier.create ~workers:w ~conflict_keys:eq_conflict_keys ())
-        ~label:(Printf.sprintf "workers=%d" w)
-        ())
-    [ 1; 2; 4 ]
-
-let test_applier_sequential_fallback () =
-  run_equivalence
-    ~mk_applier:(fun () -> Applier.sequential ~conflict_keys:eq_conflict_keys ())
-    ~label:"sequential" ();
-  let a = Applier.sequential ~conflict_keys:eq_conflict_keys () in
-  Alcotest.(check bool) "sequential applier is not parallel" false (Applier.parallel a)
-
-let test_applier_counters () =
-  let serialized = ref 0 and parallel_b = ref 0 and serial_b = ref 0 and barrier = ref 0 in
-  let count name by =
-    match name with
-    | "exec_conflict_serialized" -> serialized := !serialized + by
-    | "exec_parallel_batches" -> parallel_b := !parallel_b + by
-    | "exec_serial_batches" -> serial_b := !serial_b + by
-    | "exec_barrier_ops" -> barrier := !barrier + by
-    | _ -> ()
-  in
-  let a = Applier.create ~workers:4 ~count ~conflict_keys:eq_conflict_keys () in
-  let state = Stripes.create () in
-  let ops =
-    Array.append
-      (Array.init 40 (fun i -> Printf.sprintf "ADD k%d 1" (i mod 8)))
-      [| "SCAN" |]
-  in
-  ignore (Applier.batch_apply a ~apply:(eq_apply state) ops);
-  Alcotest.(check bool) "same-key chains serialized" true (!serialized > 0);
-  Alcotest.(check int) "wildcard counted as barrier" 1 !barrier;
-  if Applier.parallel a then begin
-    Alcotest.(check int) "parallel window" 1 !parallel_b;
-    Alcotest.(check int) "no serial window" 0 !serial_b
-  end
-  else Alcotest.(check int) "serial window on fallback" 1 !serial_b
-
-let test_applier_exn_propagates () =
-  let a = Applier.create ~workers:2 ~conflict_keys:(fun _ -> [ "k" ]) () in
-  match Applier.batch_apply a ~apply:(fun _ -> failwith "app boom") [| "x"; "y" |] with
-  | _ -> Alcotest.fail "expected the op exception to re-raise"
-  | exception Failure msg -> Alcotest.(check string) "original exn" "app boom" msg
-
-(* --- Applier attached to an app instance ------------------------------- *)
-
-let test_attach_kv_instance () =
-  let inst = Appi.instantiate_sc (module Cp_smr.Kv) in
-  let a = Applier.create ~workers:4 ~conflict_keys:inst.Appi.conflict_keys () in
-  Applier.attach a inst;
-  let ops =
-    Array.init 64 (fun i ->
-        Cp_smr.Kv.put (Printf.sprintf "k%d" (i mod 16)) (string_of_int i))
-  in
-  let results = inst.Appi.apply_batch ops in
-  Alcotest.(check bool) "all OK" true (Array.for_all (( = ) "OK") results);
-  let reference = Appi.instantiate_sc (module Cp_smr.Kv) in
-  Array.iter (fun op -> ignore (reference.Appi.apply op)) ops;
-  Alcotest.(check string) "snapshot matches serial" (reference.Appi.snapshot ())
-    (inst.Appi.snapshot ())
-
-(* --- Bounded model check (mc_exec) ------------------------------------- *)
-
-let test_mc_apps () =
-  let check name app ops =
-    let r = Cp_mc.Mc_exec.check ~workers:2 ~app ~ops () in
-    Alcotest.(check bool) (name ^ ": not truncated") false r.Cp_mc.Mc_exec.truncated;
-    Alcotest.(check bool)
-      (name ^ ": schedules explored")
-      true
-      (r.Cp_mc.Mc_exec.schedules >= 1);
-    match r.Cp_mc.Mc_exec.violation with
-    | None -> ()
-    | Some v -> Alcotest.failf "%s: %s" name v
-  in
-  check "kv"
-    (module Cp_smr.Kv : Appi.Sc)
-    [
-      Cp_smr.Kv.put "a" "1"; Cp_smr.Kv.put "b" "2"; Cp_smr.Kv.get "a";
-      Cp_smr.Kv.cas "b" ~old:"2" ~new_:"3"; Cp_smr.Kv.put "c" "4"; Cp_smr.Kv.get "b";
-    ];
-  check "bank"
-    (module Cp_smr.Bank : Appi.Sc)
-    [
-      Cp_smr.Bank.open_ "a" 100; Cp_smr.Bank.open_ "b" 50;
-      Cp_smr.Bank.deposit "a" 10; Cp_smr.Bank.transfer "a" "b" 30;
-      Cp_smr.Bank.balance "b"; Cp_smr.Bank.total;
-    ];
-  check "counter"
-    (module Cp_smr.Counter : Appi.Sc)
-    [ Cp_smr.Counter.inc 1; Cp_smr.Counter.get; Cp_smr.Counter.inc 2 ];
-  check "fifo"
-    (module Cp_smr.Fifo : Appi.Sc)
-    [ Cp_smr.Fifo.push "x"; Cp_smr.Fifo.push "y"; Cp_smr.Fifo.pop; Cp_smr.Fifo.len ];
-  check "lock"
-    (module Cp_smr.Lock : Appi.Sc)
-    [
-      Cp_smr.Lock.acquire ~owner:"c1" "m"; Cp_smr.Lock.acquire ~owner:"c2" "n";
-      Cp_smr.Lock.release ~owner:"c1" "m"; Cp_smr.Lock.acquire ~owner:"c2" "m";
-    ]
-
-(* Mutation: an unsound declaration (two increments of one cell claiming
-   disjoint keys) must produce a violation — proving the checker can fail. *)
-let test_mc_mutation_detected () =
-  let module Unsound = struct
-    type state = int ref
-
-    let name = "unsound"
-    let init () = ref 0
-
-    let apply s op =
-      match String.split_on_char ' ' op with
-      | "SET" :: v :: _ ->
-        s := int_of_string v;
-        string_of_int !s
-      | _ -> "ERR"
-
-    let read_only _ = false
-    let snapshot s = string_of_int !s
-    let restore s = ref (int_of_string s)
-
-    (* The lie: SETs of the same cell claim per-op keys, so the checker
-       sees no dependency between them. *)
-    let conflict_keys op = [ op ]
-  end in
-  let r =
-    Cp_mc.Mc_exec.check ~workers:2
-      ~app:(module Unsound : Appi.Sc)
-      ~ops:[ "SET 1 a"; "SET 2 b" ] ()
-  in
-  match r.Cp_mc.Mc_exec.violation with
-  | Some _ -> ()
-  | None -> Alcotest.fail "unsound conflict declaration went undetected"
-
 let suite =
   [
     Alcotest.test_case "spsc: fifo + capacity" `Quick test_spsc_fifo;
@@ -377,24 +87,4 @@ let suite =
     Alcotest.test_case "pool: per-worker fifo" `Quick test_pool_worker_fifo;
     Alcotest.test_case "pool: exceptions isolated" `Quick test_pool_exn_isolated;
     Alcotest.test_case "pool: domains=0 runs inline" `Quick test_pool_sequential_inline;
-    Alcotest.test_case "deps: chains and barriers" `Quick test_deps_chains_and_barriers;
-    Alcotest.test_case "deps: empty declaration is conservative" `Quick
-      test_deps_empty_keys_conservative;
-    Alcotest.test_case "deps: straddling multi-key op is barrier" `Quick
-      test_deps_multikey_straddle;
-    Alcotest.test_case "stripes: basics" `Quick test_stripes_basics;
-    Alcotest.test_case "stripes: concurrent disjoint writers" `Quick
-      test_stripes_concurrent_disjoint;
-    Alcotest.test_case "applier: serial equivalence at widths 1/2/4" `Slow
-      test_applier_equivalence_widths;
-    Alcotest.test_case "applier: sequential fallback equivalence" `Quick
-      test_applier_sequential_fallback;
-    Alcotest.test_case "applier: conflict counters" `Quick test_applier_counters;
-    Alcotest.test_case "applier: op exception re-raised" `Quick
-      test_applier_exn_propagates;
-    Alcotest.test_case "applier: attached kv instance" `Quick test_attach_kv_instance;
-    Alcotest.test_case "mc-exec: all five apps equivalent on small batches" `Slow
-      test_mc_apps;
-    Alcotest.test_case "mc-exec: unsound declaration detected" `Quick
-      test_mc_mutation_detected;
   ]

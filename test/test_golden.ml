@@ -39,33 +39,6 @@ let check_case case () =
     | None -> Alcotest.failf "%s: traces differ (length only?)" case.Golden.name
   end
 
-(* Executor guard: the same golden streams must be byte-identical when the
-   mains execute through the conflict-aware parallel applier. The applier
-   reorders only the in-memory apply calls of commuting commands — every
-   effect (sends, events, spans, metrics) is pushed in serial log order —
-   so attaching it must be invisible to the obs ring. [failover_batch]
-   runs it with the all-conflict default (every window serialized through
-   the barrier path); [lease_reads] runs the KV app with its real per-key
-   declarations, so genuinely parallel scheduling is exercised against the
-   committed bytes. *)
-let check_case_exec base_case ~conflict_keys () =
-  let case =
-    {
-      base_case with
-      Golden.spec =
-        {
-          base_case.Golden.spec with
-          Cp_harness.Scenario.params =
-            {
-              base_case.Golden.spec.Cp_harness.Scenario.params with
-              Cp_engine.Params.exec_domains = 4;
-            };
-          conflict_keys;
-        };
-    }
-  in
-  check_case case ()
-
 (* The Chrome trace-event export of the failover case is pinned the same
    way: a seeded schedule must render to byte-identical Perfetto JSON. *)
 let check_chrome () =
@@ -89,10 +62,5 @@ let suite =
       Alcotest.test_case ("golden trace: " ^ case.Golden.name) `Slow (check_case case))
     Golden.cases
   @ [
-      Alcotest.test_case "golden trace: failover_batch + applier (all-conflict)" `Slow
-        (check_case_exec Golden.failover_batch ~conflict_keys:None);
-      Alcotest.test_case "golden trace: lease_reads + applier (kv keys)" `Slow
-        (check_case_exec Golden.lease_reads
-           ~conflict_keys:(Some Cp_smr.Kv.conflict_keys));
       Alcotest.test_case "golden chrome export: failover_batch" `Slow check_chrome;
     ]

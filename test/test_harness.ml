@@ -83,10 +83,11 @@ let test_outcome_table () =
 
 (* --- The runner ---------------------------------------------------- *)
 
+(* E16 (the parallel applier's scaling curve) is retired with the applier. *)
 let test_all_lists_e1_to_e18 () =
   Alcotest.(check (list string))
-    "E1..E18, once each, in order"
-    (List.init 18 (fun i -> Printf.sprintf "E%d" (i + 1)))
+    "E1..E18 but E16, once each, in order"
+    (List.filter (( <> ) "E16") (List.init 18 (fun i -> Printf.sprintf "E%d" (i + 1))))
     (List.map (fun e -> e.Experiments.eid) Experiments.all)
 
 let read_lines path =

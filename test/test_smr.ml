@@ -239,46 +239,6 @@ let prop_kv_deterministic =
       let b = Appi.instantiate (module Kv) in
       List.for_all (fun op -> a.Appi.apply op = b.Appi.apply op) ops)
 
-(* --- Conflict keys ---------------------------------------------------- *)
-
-(* Each app declares which state-machine keys an op touches; the parallel
-   applier only reorders ops with disjoint declarations, so an app that
-   claims too few keys corrupts state and one that claims the wildcard
-   everywhere just serializes. Pin the declarations per app. *)
-
-let check_keys name f op expected =
-  Alcotest.(check (list string)) (name ^ ": " ^ op) expected (f op)
-
-let test_conflict_keys () =
-  let kv = check_keys "kv" Kv.conflict_keys in
-  kv (Kv.get "a") [ "a" ];
-  kv (Kv.put "a" "1") [ "a" ];
-  kv (Kv.del "b") [ "b" ];
-  kv (Kv.cas "c" ~old:"1" ~new_:"2") [ "c" ];
-  kv "GARBAGE" [ Appi.wildcard ];
-  let bank = check_keys "bank" Bank.conflict_keys in
-  bank (Bank.open_ "a" 10) [ "a" ];
-  bank (Bank.deposit "a" 5) [ "a" ];
-  bank (Bank.withdraw "a" 5) [ "a" ];
-  bank (Bank.balance "a") [ "a" ];
-  bank (Bank.transfer "a" "b" 3) [ "a"; "b" ];
-  bank "TOTAL" [ Appi.wildcard ];
-  bank "GARBAGE" [ Appi.wildcard ];
-  let lock = check_keys "lock" Lock.conflict_keys in
-  lock (Lock.acquire ~owner:"c1" "m") [ "m" ];
-  lock (Lock.release ~owner:"c1" "m") [ "m" ];
-  lock (Lock.holder "m") [ "m" ];
-  lock "GARBAGE" [ Appi.wildcard ];
-  (* Counter and fifo are single-cell machines: every op shares one key,
-     which serializes them without invoking the wildcard barrier. *)
-  check_keys "counter" Counter.conflict_keys (Counter.inc 1) [ "c" ];
-  check_keys "counter" Counter.conflict_keys Counter.get [ "c" ];
-  check_keys "fifo" Fifo.conflict_keys (Fifo.push "x") [ "q" ];
-  check_keys "fifo" Fifo.conflict_keys Fifo.pop [ "q" ];
-  check_keys "fifo" Fifo.conflict_keys Fifo.len [ "q" ];
-  (* The growth-compatible default for apps that never declare keys. *)
-  check_keys "default" Appi.all_conflict "PUT a 1" [ Appi.wildcard ]
-
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suite =
@@ -294,6 +254,5 @@ let suite =
     Alcotest.test_case "snapshots are insertion-order independent" `Quick
       test_snapshot_insertion_order_independent;
     Alcotest.test_case "restore rejects garbage" `Quick test_snapshot_rejects_garbage;
-    Alcotest.test_case "conflict keys per app" `Quick test_conflict_keys;
   ]
   @ qsuite [ prop_bank_conservation; prop_fifo_order; prop_kv_deterministic ]
