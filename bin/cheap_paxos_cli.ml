@@ -333,7 +333,7 @@ let base_port_arg =
 let f_arg =
   Arg.(value & opt int 1 & info [ "f" ] ~docv:"F" ~doc:"Fault tolerance (f+1 mains, f auxes).")
 
-let run_node id f base_port admin_port exec_domains storage =
+let run_node id f base_port admin_port storage =
   let initial = Cheap_paxos.Cheap.initial_config ~f in
   let universe_mains = List.init (f + 1) Fun.id in
   let universe_auxes = List.init f (fun i -> f + 1 + i) in
@@ -360,7 +360,7 @@ let run_node id f base_port admin_port exec_domains storage =
                                     (Printf.sprintf "g%d" gid))))
   in
   let node =
-    Cp_netio.Node.create ?admin_port ?storage:node_storage ~exec_domains
+    Cp_netio.Node.create ?admin_port ?storage:node_storage
       ~port_of:(fun i -> base_port + i)
       ~id_of_port:(fun p -> p - base_port)
       ~id ~seed:(Unix.getpid ())
@@ -373,15 +373,12 @@ let run_node id f base_port admin_port exec_domains storage =
         Cp_engine.Replica.handlers r)
       ()
   in
-  Printf.printf "machine %d (%s) serving on udp/127.0.0.1:%d%s%s — ctrl-c to stop\n%!" id
+  Printf.printf "machine %d (%s) serving on udp/127.0.0.1:%d%s — ctrl-c to stop\n%!" id
     (match role with Cp_engine.Replica.Main -> "main" | Aux -> "auxiliary")
     (base_port + id)
     (match admin_port with
     | Some p -> Printf.sprintf ", admin http on tcp/127.0.0.1:%d" p
-    | None -> "")
-    (if exec_domains > 1 then
-       Printf.sprintf ", parallel dispatch on %d domains" exec_domains
-     else "");
+    | None -> "");
   (match storage with
   | `Mem -> ()
   | `Wal dir ->
@@ -405,20 +402,10 @@ let node_cmd =
              /metrics (Prometheus text, including the pipeline profiler), and \
              /timeline (this node's event ring as Chrome trace-event JSON).")
   in
-  let exec_domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "exec-domains" ] ~docv:"N"
-          ~doc:
-            "With $(docv) > 1: run this node's per-group handlers on a private pool \
-             of $(docv) worker domains (at most 16). Default 0 runs them inline on \
-             the receive and timer threads.")
-  in
   Cmd.v (Cmd.info "node" ~doc)
     Term.(
-      const (fun id f bp ap ed st -> run_node id f bp ap ed st)
-      $ id $ f_arg $ base_port_arg $ admin_port $ exec_domains
+      const run_node
+      $ id $ f_arg $ base_port_arg $ admin_port
       $ storage_arg ~unit_:"hosted group")
 
 let run_client_op f base_port op =

@@ -1813,14 +1813,22 @@ let os () =
   | release -> "Linux " ^ String.trim release
   | exception Sys_error _ -> Sys.os_type
 
+(* Online CPUs, one "processor" line each in /proc/cpuinfo; 1 where there
+   is no /proc. *)
+let cores () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | info ->
+    let is_cpu = String.starts_with ~prefix:"processor" in
+    max 1 (List.length (List.filter is_cpu (String.split_on_char '\n' info)))
+  | exception Sys_error _ -> 1
+
 let host_table ~quick =
-  let t = Table.create ~header:[ "cores"; "ocaml"; "os"; "parallel backend"; "mode" ] in
+  let t = Table.create ~header:[ "cores"; "ocaml"; "os"; "mode" ] in
   Table.add_row t
     [
-      string_of_int (Cp_exec.Backend.cpu_count ());
+      string_of_int (cores ());
       Sys.ocaml_version;
       os ();
-      string_of_bool Cp_exec.Backend.parallel;
       (if quick then "quick" else "full");
     ];
   t

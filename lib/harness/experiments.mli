@@ -39,5 +39,5 @@ val run : ?csv_dir:string -> quick:bool -> exp list -> Outcome.t list
     [csv_dir] (created if missing), also write each table as CSV
     ([<eid>.csv], [<eid>-<name>.csv]) plus [verdicts.csv], [index.csv]
     (eid, title, clock, outcomes, failed) and [host.csv] (cores, OCaml
-    version, OS, parallel backend, mode).
+    version, OS, mode).
     @raise Sys_error if [csv_dir] cannot be created or written. *)

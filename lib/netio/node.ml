@@ -44,13 +44,6 @@ type t = {
   storage : int -> Storage.t; (* per-group store factory, keyed by gid *)
   g0 : group;
   groups : group Imap.t Atomic.t; (* copy-on-write, so lookups take no lock *)
-  (* Handler tasks run on this pool: group [gid] on worker [gid mod
-     workers], whose FIFO queue keeps the group's handlers in arrival
-     order. With no workers, tasks run inline on the receive or timer
-     thread. Handlers apply chosen commands themselves, serially, so
-     nothing else ever submits to this pool. *)
-  pool : Cp_exec.Pool.t;
-  workers : int; (* requested width, reported even when the backend runs inline *)
   wheel_mu : Mutex.t; (* guards [wheel] and [armed] *)
   cond : Condition.t; (* with [wheel_mu]: wakes the timer thread *)
   wheel : (int * string) Wheel.t; (* all groups' timers; payload (gid, tag) *)
@@ -165,8 +158,8 @@ let rx_count t ?(by = 1) name =
   Metrics.incr t.rx ~by name;
   Mutex.unlock t.shared_mu
 
-(* An exception escaping a protocol handler must not kill the thread or
-   worker running it: count it and carry on. Caller holds [g]'s lock. *)
+(* An exception escaping a protocol handler must not kill the thread
+   running it: count it and carry on. Caller holds [g]'s lock. *)
 let guard t g ~where f =
   try f ()
   with exn ->
@@ -229,8 +222,6 @@ let disarm t wid =
   Mutex.unlock t.wheel_mu;
   live
 
-let submit t g task = Cp_exec.Pool.submit t.pool ~worker:g.g_gid (fun () -> locked g task)
-
 let fire_timer t g wid tag () =
   if disarm t wid then
     if !(g.g_fenced) then Metrics.incr g.g_metrics "fenced_drops"
@@ -243,8 +234,9 @@ let fire_timer t g wid tag () =
 
 (* Sleep toward the wheel's next deadline in slices of at most 2 ms (so
    cancellation and shutdown stay timely; Condition has no timed wait in
-   the stdlib), then fire what came due — one task per timer, submitted
-   after releasing the wheel, since a handler sets timers of its own. *)
+   the stdlib), then fire what came due — one task per timer, each under
+   its group's lock, run after releasing the wheel, since a handler sets
+   timers of its own. *)
 let timer_loop t =
   Mutex.lock t.wheel_mu;
   while not t.stopping do
@@ -266,7 +258,7 @@ let timer_loop t =
         List.iter
           (fun (wid, (gid, tag)) ->
             match find_group t gid with
-            | Some g -> submit t g (fire_timer t g wid tag)
+            | Some g -> locked g (fire_timer t g wid tag)
             | None -> () (* unreachable: groups are never removed *))
           (List.rev !due);
         Mutex.lock t.wheel_mu
@@ -298,16 +290,16 @@ let deliver t g ~src ~decode_ns frames () =
       end)
     frames
 
-(* Hand each group its share of a datagram, in wire order, as one task: the
-   replies the whole share provokes leave together when the task's lock is
-   released. Frames for a group this node does not host are counted and
-   dropped. *)
+(* Run each group's share of a datagram, in wire order, as one task under
+   its group's lock: the replies the whole share provokes leave together
+   when the lock is released. Frames for a group this node does not host
+   are counted and dropped. *)
 let rec dispatch t ~src ~decode_ns = function
   | [] -> ()
   | (f : Codec.framed) :: _ as frames ->
     let mine, rest = List.partition (fun (f' : Codec.framed) -> f'.f_gid = f.f_gid) frames in
     (match find_group t f.f_gid with
-    | Some g -> submit t g (deliver t g ~src ~decode_ns mine)
+    | Some g -> locked g (deliver t g ~src ~decode_ns mine)
     | None -> rx_count t ~by:(List.length mine) "mux_unknown_group");
     dispatch t ~src ~decode_ns:0 rest
 
@@ -356,10 +348,10 @@ let recv_loop t =
    [g<gid>_]-prefixed otherwise. *)
 let prefixed ~gid name = if gid = 0 then name else Printf.sprintf "g%d_%s" gid name
 
-(* Counters are summed across every group, the receive thread, and the
-   pool's per-domain utilization (so [msgs_sent] keeps meaning the node
-   total); observation series keep group 0's names and get a [g<gid>_]
-   prefix elsewhere. Each group is read under its own lock. *)
+(* Counters are summed across every group and the receive thread (so
+   [msgs_sent] keeps meaning the node total); observation series keep
+   group 0's names and get a [g<gid>_] prefix elsewhere. Each group is read
+   under its own lock. *)
 let merged_snapshot t =
   let tbl = Hashtbl.create 64 in
   let add (name, v) =
@@ -381,16 +373,6 @@ let merged_snapshot t =
   Mutex.lock t.shared_mu;
   List.iter add (Metrics.counters t.rx);
   Mutex.unlock t.shared_mu;
-  if t.workers > 0 then begin
-    let st = Cp_exec.Pool.stats t.pool in
-    add ("exec.domains", t.workers);
-    for i = 0 to min t.workers (Array.length st.Cp_exec.Pool.busy_ns) - 1 do
-      add (Printf.sprintf "exec.domain%d.busy_ns" i, st.Cp_exec.Pool.busy_ns.(i));
-      add (Printf.sprintf "exec.domain%d.tasks" i, st.Cp_exec.Pool.tasks.(i));
-      if st.Cp_exec.Pool.errors.(i) > 0 then
-        add (Printf.sprintf "exec.domain%d.errors" i, st.Cp_exec.Pool.errors.(i))
-    done
-  end;
   {
     Metrics.counters = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []);
     summaries;
@@ -544,7 +526,7 @@ let add_group t ~gid ~build =
   install t (new_group ~sock:t.sock ~addr_of:t.addr_of ~storage:t.storage ~gid ~tctx) ~build
 
 let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
-    ?admin_port ?(wheel_tick = 1e-3) ?(exec_domains = 0)
+    ?admin_port ?(wheel_tick = 1e-3)
     ?(storage = fun _ -> Cp_storage.Mem.store ()) ~port_of ~id_of_port ~id ~seed ~build () =
   let inet = Unix.inet_addr_of_string host in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -567,9 +549,6 @@ let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
       Some s
   in
   let addr_of dst = Unix.ADDR_INET (inet, port_of dst) in
-  (* Up to 1 domain means no workers: every task runs inline on the thread
-     that dispatches it. *)
-  let workers = if exec_domains > 1 then min exec_domains 16 else 0 in
   let t =
     {
       id;
@@ -581,8 +560,6 @@ let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
       storage;
       g0 = new_group ~sock ~addr_of ~storage ~gid:0 ~tctx:(Obs.Traceid.create ~origin:id);
       groups = Atomic.make Imap.empty;
-      pool = Cp_exec.Pool.create ~clock:Unix.gettimeofday ~domains:workers ();
-      workers;
       wheel_mu = Mutex.create ();
       cond = Condition.create ();
       wheel = Wheel.create ~tick:wheel_tick ~now:0. ();
@@ -617,9 +594,6 @@ let shutdown t =
        within its sleep slice; admin thread within its accept timeout.
        Close only after all have exited. *)
     List.iter (fun th -> try Thread.join th with _ -> ()) t.threads;
-    (* With the dispatch threads gone nothing submits anymore; stop the
-       node's pool. *)
-    Cp_exec.Pool.shutdown t.pool;
     (match t.admin_sock with
     | Some s -> ( try Unix.close s with Unix.Unix_error _ -> ())
     | None -> ());

@@ -12,10 +12,11 @@
     group's handlers holds that group's lock (run-to-completion, as in the
     simulator), and the burst it sends leaves as one datagram per
     destination when it returns. A task (one datagram's frames for one
-    group, or one timer) is one delivery burst: the group's store is
-    flushed once when it ends, before its datagrams leave, and every
-    transmit flushes the store first, so no ack leaves before what it
-    acknowledges is durable. If a flush raises, the group is fenced:
+    group, or one timer) runs on the receiver or timer thread that picked
+    it up, and is one delivery burst: the group's store is flushed once
+    when it ends, before its datagrams leave, and every transmit flushes
+    the store first, so no ack leaves before what it acknowledges is
+    durable. If a flush raises, the group is fenced:
     [storage_flush_errors] counts it, its pending datagrams are dropped,
     and from then on it transmits nothing and runs no handler; the frames
     and timers it refuses count in [fenced_drops]. Wire-path health is
@@ -36,7 +37,6 @@ val create :
   ?trace_capacity:int ->
   ?admin_port:int ->
   ?wheel_tick:float ->
-  ?exec_domains:int ->
   ?storage:(int -> Cp_storage.Storage.t) ->
   port_of:(int -> int) ->
   id_of_port:(int -> int) ->
@@ -66,21 +66,7 @@ val create :
     the handler runs, so chains propagate across machines exactly as in the
     simulator. [admin_port], when given, additionally binds a TCP listener
     on [host:admin_port] serving a minimal HTTP endpoint — see
-    {!admin_response}.
-
-    [exec_domains] (default 0) sizes the node's private {!Cp_exec.Pool}.
-    At [<= 1] the pool has no workers and each task runs inline on the
-    receiver or timer thread that dispatched it — the single-threaded
-    runtime. At [> 1] the node starts that many worker domains (at most
-    16) and routes group [gid]'s tasks to worker [gid mod domains]:
-    per-worker FIFO queues keep every group strictly serialized in arrival
-    order, while distinct groups execute concurrently. Within a group,
-    chosen commands are applied one at a time in log order by the handler
-    that learns them; the pool parallelizes groups, never commands. One
-    datagram's frames for one group form one task. {!metrics_text} and {!counter} then also report
-    [exec.domains] and per-domain [exec.domain<i>.busy_ns] /
-    [exec.domain<i>.tasks]. On the pre-OCaml-5 backend the pool has no
-    workers and dispatch runs inline — same semantics, one domain. *)
+    {!admin_response}. *)
 
 val add_group : t -> gid:int -> build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> Cp_proto.Types.msg Cp_sim.Engine.handlers) -> unit
 (** Host an additional replica group on this node's socket, timer wheel,
@@ -100,8 +86,8 @@ val shutdown : t -> unit
 (** Stop threads and close the socket. Idempotent. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
-(** Run [f] under group 0's lock — excluding group 0's handlers, in every
-    dispatch mode — for inspecting protocol state owned by the node (e.g.
+(** Run [f] under group 0's lock — excluding group 0's handlers on both
+    the receiver and the timer thread — for inspecting protocol state owned by the node (e.g.
     a client handle) without racing its threads. Anything [f] sends through
     group 0's ctx leaves when [f] returns. Other groups' handlers keep
     running; use {!with_group} for them. *)
@@ -121,8 +107,7 @@ val metrics : t -> Cp_sim.Metrics.t
 val counter : t -> string -> int
 (** One counter's node-wide total: every group's store, the receive
     thread's drop counters ([wire_decode_errors], [mux_unknown_group],
-    unmapped-port [handler_errors]), and the pool's [exec.*] utilization
-    counters. *)
+    unmapped-port [handler_errors]). *)
 
 val group_metrics : t -> int -> Cp_sim.Metrics.t
 (** Group [gid]'s metric store. Take {!with_group} before reading while

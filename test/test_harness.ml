@@ -150,7 +150,7 @@ let test_runner_reports_failure () =
     (csv "index");
   (match csv "host" with
   | [ header; row ] ->
-    Alcotest.(check string) "host.csv header" "cores,ocaml,os,parallel backend,mode" header;
+    Alcotest.(check string) "host.csv header" "cores,ocaml,os,mode" header;
     Alcotest.(check bool) "host.csv mode" true (String.ends_with ~suffix:",quick" row)
   | _ -> Alcotest.fail "host.csv: expected a header and one row");
   Alcotest.(check (list string)) "every table written"

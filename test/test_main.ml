@@ -30,7 +30,6 @@ let () =
       ("obs", Test_obs.suite);
       ("timeline", Test_timeline.suite);
       ("fleet", Test_fleet.suite);
-      ("exec", Test_exec.suite);
       ("golden", Test_golden.suite);
       ("transport", Test_transport.suite);
       ("storage", Test_storage.suite);
