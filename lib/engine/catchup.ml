@@ -30,22 +30,35 @@ let on_commit t ~instance ~entry =
   if instance > Log.prefix t.log + t.params.Params.gap_threshold then
     maybe_catchup t ~their_floor:instance
 
+(* Up to [catchup_batch] chosen entries from [lo], cut so the response
+   fits one datagram by the {!Types.size_of} estimate (which charges every
+   integer more than the codec spends on it). The first entry is always
+   served, so a lagging main advances however large its entries are. *)
+let serve t ~lo ~snapshot =
+  let hi = min (Log.prefix t.log) (lo + t.params.Params.catchup_batch) in
+  let rec fit size acc = function
+    | [] -> List.rev acc
+    | ((_, e) as ie) :: rest ->
+      let size = size + Types.int_field + Types.entry_size e in
+      if size > Codec.max_datagram && acc <> [] then List.rev acc
+      else fit size (ie :: acc) rest
+  in
+  let empty = Types.size_of (Types.CatchupResp { entries = []; snapshot }) in
+  fit empty [] (Log.range t.log ~lo ~hi)
+
 let on_catchup_req t ~src ~from_instance =
   if t.role_ = Main then begin
     if from_instance < Log.base t.log then begin
       match t.last_snapshot with
       | Some stored ->
         let snap = Lazy.force stored.snap in
-        let entries =
-          Log.range t.log ~lo:snap.next_instance
-            ~hi:(min (Log.prefix t.log) (snap.next_instance + t.params.Params.catchup_batch))
-        in
-        send t src (Types.CatchupResp { entries; snapshot = Some snap })
+        let snapshot = Some snap in
+        let entries = serve t ~lo:snap.next_instance ~snapshot in
+        send t src (Types.CatchupResp { entries; snapshot })
       | None -> ()
     end
     else begin
-      let hi = min (Log.prefix t.log) (from_instance + t.params.Params.catchup_batch) in
-      let entries = Log.range t.log ~lo:from_instance ~hi in
+      let entries = serve t ~lo:from_instance ~snapshot:None in
       if entries <> [] then send t src (Types.CatchupResp { entries; snapshot = None })
     end
   end

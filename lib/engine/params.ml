@@ -42,11 +42,11 @@ let default =
     enable_leases = false;
     lease_guard = 25e-3;
     lease_margin = 0.2;
-    batch_max_cmds = 1;
-    batch_max_bytes = 64 * 1024;
+    batch_max_cmds = 64;
+    batch_max_bytes = 1024;
     batch_linger = 0.;
     session_window = 1024;
-    pipeline_window = 32;
+    pipeline_window = 4;
     queue_limit = 4096;
     span_ttl = 10.;
   }

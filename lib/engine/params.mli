@@ -16,7 +16,10 @@ type t = {
           auxiliaries on a pending instance (Cheap policy) *)
   retransmit : float;  (** retransmission period for unacked proposals *)
   snapshot_every : int;  (** instances between application snapshots *)
-  catchup_batch : int;  (** max log entries per catch-up response *)
+  catchup_batch : int;
+      (** max log entries per catch-up response; a response is also cut
+          short of one datagram by the size model, but always carries at
+          least one entry *)
   gap_threshold : int;
       (** how many instances a replica lets its chosen prefix trail a peer's
           announced commit point (a [Commit] instance or a heartbeat's
@@ -43,17 +46,24 @@ type t = {
   batch_max_cmds : int;
       (** maximum client commands packed into one log instance (1 = no
           batching). Batching divides per-command consensus cost by the
-          achieved batch size. *)
+          achieved batch size. Default 64: with [batch_linger = 0] a batch
+          only forms from commands that queued while the pipeline was full,
+          so the cap rarely binds before [batch_max_bytes] does. *)
   batch_max_bytes : int;
       (** byte budget per batch entry: the leader stops adding commands to a
-          batch once their accumulated wire size reaches this (a single
-          oversized command still ships alone) *)
+          batch once their accumulated {!Cp_proto.Types.command_size}
+          reaches this (a single oversized command still ships alone).
+          Default 1024, which bounds an election's frame: a new leader's
+          [P1b] carries every vote at or above its prefix, up to [alpha]
+          instances, and [alpha] batches of about 1 KiB (~36 KB) fit one
+          65,507-byte datagram where 64 KiB batches never could. *)
   batch_linger : float;
       (** how long the leader may hold a sub-[batch_max_cmds] batch open
-          waiting for more commands. 0 (default) proposes immediately; a
-          positive linger trades that much latency for bigger batches.
-          Flushes are driven by [tick], so the effective linger is quantized
-          to it. *)
+          waiting for more commands. 0 (default) proposes immediately, so an
+          idle leader still proposes a lone command at once as [App] and
+          batches form only behind a full pipeline; a positive linger trades
+          that much latency for bigger batches. Flushes are driven by
+          [tick], so the effective linger is quantized to it. *)
   session_window : int;
       (** cached replies retained per client session for at-most-once
           replay answers; must exceed any client's pipelining depth *)
@@ -61,7 +71,9 @@ type t = {
       (** maximum concurrently-pending (proposed, not yet chosen) instances.
           Lowering it makes commands queue behind in-flight instances, which
           is what lets batches form; the α-window still caps the pipeline
-          regardless. *)
+          regardless. Default 4: under load, commands that arrive while 4
+          instances are unchosen queue, and leave together as one [Batch]
+          when the first of them is chosen. *)
   queue_limit : int;
       (** backpressure: the leader's command queue is capped at this many
           waiting commands; further client submissions are dropped (counted

@@ -346,8 +346,8 @@ let e5_run ~quick =
   let total = if quick then 1500 else 4000 in
   let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
   let cluster =
-    Cluster.create ~seed:501 ~policy:Cheap_paxos.Cheap.policy ~initial
-      ~app:(module Cp_smr.Kv) ()
+    Cluster.create ~seed:501 ~params:Scenario.per_command_params
+      ~policy:Cheap_paxos.Cheap.policy ~initial ~app:(module Cp_smr.Kv) ()
   in
   let rng = Rng.create 77 in
   let ops = Workload.kv_ops ~rng ~keys:64 ~read_ratio:0.3 ~value_size:64 ~count:total () in
@@ -459,7 +459,8 @@ let e6_run ~quick =
       (* Failure-free run. *)
       let run_one ~faults ~seed =
         let cluster =
-          Cluster.create ~seed ~policy ~initial:initial_cfg ~app:(module Cp_smr.Counter) ()
+          Cluster.create ~seed ~params:Scenario.per_command_params ~policy
+            ~initial:initial_cfg ~app:(module Cp_smr.Counter) ()
         in
         Faults.schedule cluster faults;
         let ops = Workload.counter_ops ~count:total in
@@ -540,7 +541,7 @@ let e7_run ~quick =
                 (counter_spec ~sys ~seed:(700 + f) ~ops) with
                 net;
                 (* Timeouts must track the network's RTT. *)
-                params = Cp_engine.Params.scale scale Cp_engine.Params.default;
+                params = Cp_engine.Params.scale scale Scenario.per_command_params;
                 deadline = 10. *. scale;
               }
             in
@@ -674,7 +675,8 @@ let e9_run ~quick =
       | `Classic -> (Cp_engine.Policy.classic, Cp_proto.Config.classic ~n:3)
     in
     let cluster =
-      Cluster.create ~seed:901 ~policy ~initial ~app:(module Cp_smr.Counter) ()
+      Cluster.create ~seed:901 ~params:Scenario.per_command_params ~policy ~initial
+        ~app:(module Cp_smr.Counter) ()
     in
     (* Alternate crashing machines 1 and 0 with repair in between: an
        unbounded failure sequence, one at a time. *)
@@ -850,7 +852,9 @@ let e10_run ~quick =
   in
   let one_client ~leases =
     let seed = 1001 in
-    let params = { Cp_engine.Params.default with Cp_engine.Params.enable_leases = leases } in
+    let params =
+      { Scenario.per_command_params with Cp_engine.Params.enable_leases = leases }
+    in
     let cluster =
       Cluster.create ~seed ~params ~policy:Cheap_paxos.Cheap.policy
         ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
@@ -877,11 +881,7 @@ let e10_run ~quick =
       params =
         (* Batching off: the comparison isolates per-read ordering cost
            (one consensus instance per read) against the lease fast path. *)
-        {
-          Cp_engine.Params.default with
-          Cp_engine.Params.enable_leases = leases;
-          batch_max_cmds = 1;
-        };
+        { Scenario.per_command_params with Cp_engine.Params.enable_leases = leases };
       clients;
       ops_per_client = per_client;
       app = (module Cp_smr.Kv);
@@ -915,7 +915,8 @@ let e10_run ~quick =
         (kv_spec ~seed ~leases:true ~clients:4 ~per_client:120 ~keys:4
            ~rng_base:(8000 + (100 * seed)))
         with
-        params = { Cp_engine.Params.default with Cp_engine.Params.enable_leases = true };
+        params =
+          { Scenario.per_command_params with Cp_engine.Params.enable_leases = true };
         faults =
           [
             (* Clients 1000-1001 stay with the old leaseholder (node 0) and
@@ -1008,12 +1009,12 @@ let e11_run ~quick =
         (fun sys ->
           let params =
             {
-              Cp_engine.Params.default with
+              Scenario.per_command_params with
               Cp_engine.Params.batch_max_cmds = batch;
               (* A shallow pipeline is what lets batches accumulate. *)
               pipeline_window =
                 (if batch > 1 then 2
-                 else Cp_engine.Params.default.Cp_engine.Params.pipeline_window);
+                 else Scenario.per_command_params.Cp_engine.Params.pipeline_window);
             }
           in
           let spec =
@@ -1168,8 +1169,9 @@ let e13_run ~quick =
       List.iter
         (fun (sys_label, policy, initial) ->
           let cluster =
-            Cluster.create ~seed:(1300 + int_of_float rate) ~proc_time:10e-6 ~policy
-              ~initial ~app:(module Cp_smr.Counter) ()
+            Cluster.create ~seed:(1300 + int_of_float rate)
+              ~params:Scenario.per_command_params ~proc_time:10e-6 ~policy ~initial
+              ~app:(module Cp_smr.Counter) ()
           in
           let id, client =
             Cluster.add_open_client cluster ~rate ~max_outstanding:256
@@ -1423,9 +1425,7 @@ let e15_run ~quick =
   (* Batching off isolates pipeline parallelism across groups; the window is
      pinned low enough that one group's leader is the bottleneck under this
      client population: the per-group resource the fleet multiplies. *)
-  let params =
-    { Cp_engine.Params.default with Cp_engine.Params.batch_max_cmds = 1; pipeline_window = 8 }
-  in
+  let params = { Scenario.per_command_params with Cp_engine.Params.pipeline_window = 8 } in
   let table = leg_table () in
   let row = add_leg table in
   row "setup" "clients" (string_of_int clients);

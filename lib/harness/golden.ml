@@ -49,7 +49,7 @@ let failover_batch =
         net = { Cp_sim.Netmodel.lan with drop_prob = 0.02; dup_prob = 0.01 };
         params =
           {
-            Cp_engine.Params.default with
+            Scenario.per_command_params with
             batch_max_cmds = 4;
             batch_linger = 1e-3;
             pipeline_window = 8;
@@ -72,7 +72,7 @@ let lease_reads =
       {
         base with
         seed = 22;
-        params = { Cp_engine.Params.default with enable_leases = true };
+        params = { Scenario.per_command_params with enable_leases = true };
         clients = 2;
         ops_per_client = 30;
         think = 5e-4;
@@ -97,7 +97,8 @@ let partition_heal =
       {
         base with
         seed = 33;
-        params = { Cp_engine.Params.default with pipeline_window = 8; snapshot_every = 32 };
+        params =
+          { Scenario.per_command_params with pipeline_window = 8; snapshot_every = 32 };
         clients = 2;
         ops_per_client = 40;
         think = 1e-3;
@@ -141,7 +142,7 @@ let ring_counters () =
     Cp_transport.Ring.add_node fab ~id ~build:(fun ctx ->
         Cp_engine.Replica.handlers
           (Cp_engine.Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy
-             ~params:Cp_engine.Params.default ~initial ~universe_mains:mains
+             ~params:Scenario.per_command_params ~initial ~universe_mains:mains
              ~universe_auxes:auxes ~app:(module Cp_smr.Counter)))
   in
   List.iter (fun id -> replica id Cp_engine.Replica.Main) mains;

@@ -24,12 +24,20 @@ type spec = {
   obs : bool;
 }
 
+let per_command_params =
+  {
+    Cp_engine.Params.default with
+    Cp_engine.Params.batch_max_cmds = 1;
+    batch_max_bytes = 65536;
+    pipeline_window = 32;
+  }
+
 let default_spec ~sys =
   {
     sys;
     seed = 1;
     net = Cp_sim.Netmodel.lan;
-    params = Cp_engine.Params.default;
+    params = per_command_params;
     clients = 1;
     ops_per_client = 200;
     think = 0.;

@@ -32,8 +32,16 @@ type spec = {
           obs-overhead baseline. *)
 }
 
+val per_command_params : Cp_engine.Params.t
+(** {!Cp_engine.Params.default} with batching off: one command per instance
+    ([batch_max_cmds = 1], [batch_max_bytes = 65536]) and a pipeline of 32.
+    The simulator's claims count messages, instances and throughput per
+    command, so every experiment and golden runs on these unless it sets
+    its own batching. *)
+
 val default_spec : sys:sys -> spec
-(** Counter app, 1 client, 200 ops, LAN, no faults, 10 s deadline. *)
+(** Counter app, 1 client, 200 ops, LAN, no faults, 10 s deadline, and
+    {!per_command_params}. *)
 
 type result = {
   cluster : Cp_runtime.Cluster.t;

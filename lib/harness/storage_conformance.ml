@@ -95,7 +95,7 @@ let ring_load ~ops ~storage =
       Cp_transport.Ring.add_node fab ~id ~build:(fun ctx ->
           Replica.handlers
             (Replica.create ctx ~role ~policy:Cheap_paxos.Cheap.policy
-               ~params:Cp_engine.Params.default ~initial ~universe_mains:mains
+               ~params:Scenario.per_command_params ~initial ~universe_mains:mains
                ~universe_auxes:auxes ~app:(module Cp_smr.Kv))))
     replicas;
   let client_list =
@@ -109,7 +109,7 @@ let ring_load ~ops ~storage =
         Cp_transport.Ring.add_node fab ~id ~build:(fun ctx ->
             let c =
               Cp_smr.Client.create ctx ~mains
-                ~timeout:Cp_engine.Params.default.Cp_engine.Params.client_timeout ~ops ()
+                ~timeout:Scenario.per_command_params.Cp_engine.Params.client_timeout ~ops ()
             in
             cell := Some c;
             Cp_smr.Client.handlers c);

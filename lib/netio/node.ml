@@ -190,7 +190,7 @@ let send g dst msg =
   | len -> Msg_counters.encoded c len
   | exception Codec.Overflow -> (
     Metrics.incr m "wire_copies";
-    let buf = Bytes.create 65507 in
+    let buf = Bytes.create Codec.max_datagram in
     match Codec.encode_into buf ~pos:0 ~gid:g.g_gid ~tid msg with
     | len ->
       Msg_counters.encoded c len;

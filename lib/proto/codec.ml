@@ -242,6 +242,8 @@ let encode msg =
 
 exception Overflow
 
+let max_datagram = 65507
+
 type cursor = { cbuf : Bytes.t; mutable cpos : int }
 
 module Bytes_sink = struct

@@ -30,6 +30,11 @@ val decode : string -> (Types.msg, string) result
 
 exception Overflow
 
+val max_datagram : int
+(** 65507, the largest UDP payload over IPv4: the most one datagram of
+    frames may carry. A message that must travel whole (a [P1b], a
+    [CatchupResp]) has to encode into a buffer this size. *)
+
 val encode_into : Bytes.t -> pos:int -> gid:int -> tid:int -> Types.msg -> int
 (** Write one length-prefixed frame ([u16-le length | varint gid | varint tid
     | msg]) into [buf] at [pos] and return the position one past its last

@@ -95,6 +95,10 @@ val kinds : string array
 val size_of : msg -> int
 (** Wire-size estimate in bytes (headers + payload), used for byte metrics. *)
 
+val int_field : int
+(** Bytes the size model charges per integer field (the codec's varints
+    take at most this for any instance, ballot, client id or seq in use). *)
+
 val command_size : command -> int
 (** Wire-size estimate of one command's payload; the leader charges this
     against [Params.batch_max_bytes] when filling a batch. *)

@@ -13,7 +13,12 @@ type t = {
 }
 
 let create ?(capacity = 61440) ~send () =
-  { send; cap = min 65507 (max 512 capacity); bufs = Hashtbl.create 8; dirty = [] }
+  {
+    send;
+    cap = min Codec.max_datagram (max 512 capacity);
+    bufs = Hashtbl.create 8;
+    dirty = [];
+  }
 
 (* [Hashtbl.find] rather than [find_opt]: the steady-state hit allocates
    nothing (no [Some] box) — this is once per frame on the wire path. *)

@@ -225,6 +225,84 @@ let test_linger_delays_flush () =
     true
     (slow >= fast +. 0.1)
 
+(* [Params.default], nothing overridden, at the sans-IO core: an idle leader
+   proposes a lone command at once, exactly as with one command per
+   instance; commands that arrive while the pipeline holds 4 unchosen
+   instances wait, and leave as one [Batch] as soon as the first of those
+   is chosen. *)
+let test_default_params_batch_behind_pipeline () =
+  let module Leader = Cp_engine.Leader in
+  let p = Cp_engine.Params.default in
+  let client = 1000 in
+  let cmd seq = { Types.client; seq; op = Printf.sprintf "c%d" seq } in
+  let lone params =
+    let t, _, _ = Test_roles.elect ~params () in
+    snd (Leader.step t ~now:0.2 (Leader.Client_req (cmd 1)))
+  in
+  let effs = lone p in
+  Alcotest.(check bool)
+    "a lone command has the effects it has with one command per instance" true
+    (effs = lone Cp_harness.Scenario.per_command_params);
+  Alcotest.(check bool)
+    "a lone command is proposed at once as App" true
+    (List.exists
+       (function
+         | Types.P2a { instance = 0; entry = Types.App { seq = 1; _ }; _ } -> true
+         | _ -> false)
+       (Test_roles.sends_to 1 effs));
+  let t, ballot, _ = Test_roles.elect () in
+  let step t now input = Leader.step t ~now input in
+  let p2as effs =
+    List.filter_map
+      (function Types.P2a { instance; entry; _ } -> Some (instance, entry) | _ -> None)
+      (Test_roles.sends_to 1 effs)
+  in
+  let resps effs =
+    List.filter_map
+      (function Types.ClientResp { seq; _ } -> Some seq | _ -> None)
+      (Test_roles.sends_to client effs)
+  in
+  let t = ref t in
+  let submit seq =
+    let t', effs = step !t 0.2 (Leader.Client_req (cmd seq)) in
+    t := t';
+    p2as effs
+  in
+  let window = p.pipeline_window in
+  for seq = 1 to window do
+    match submit seq with
+    | [ (i, Types.App { seq = s; _ }) ] when i = seq - 1 && s = seq -> ()
+    | _ -> Alcotest.failf "command %d should be proposed alone at instance %d" seq (seq - 1)
+  done;
+  let queued = 6 in
+  for seq = window + 1 to window + queued do
+    Alcotest.(check int)
+      (Printf.sprintf "command %d waits" seq)
+      0
+      (List.length (submit seq))
+  done;
+  let ack instance =
+    let t', effs = step !t 0.3 (Leader.P2b { from = 1; ballot; instance }) in
+    t := t';
+    effs
+  in
+  let effs = ack 0 in
+  Alcotest.(check (list int)) "instance 0 answers its command" [ 1 ] (resps effs);
+  (match p2as effs with
+  | [ (i, Types.Batch cmds) ] when i = window ->
+    Alcotest.(check (list int))
+      "the queued commands leave together, in order"
+      (List.init queued (fun k -> window + 1 + k))
+      (List.map (fun c -> c.Types.seq) cmds)
+  | _ -> Alcotest.fail "expected one Batch proposal when instance 0 is chosen");
+  let later =
+    List.concat_map (fun i -> resps (ack i)) (List.init window (fun k -> k + 1))
+  in
+  Alcotest.(check (list int))
+    "one ClientResp per command, in order"
+    (List.init (window - 1 + queued) (fun k -> k + 2))
+    later
+
 let suite =
   [
     Alcotest.test_case "batching correct" `Quick test_batching_correct;
@@ -238,4 +316,6 @@ let suite =
       test_per_command_spans_in_batches;
     Alcotest.test_case "byte cap bounds batches" `Quick test_batch_byte_cap;
     Alcotest.test_case "linger delays flush" `Quick test_linger_delays_flush;
+    Alcotest.test_case "defaults: batch behind a full pipeline" `Quick
+      test_default_params_batch_behind_pipeline;
   ]

@@ -429,6 +429,63 @@ let prop_decode_frames_total =
     (fun s ->
       match Codec.decode_frames s with Ok _ | Error _ -> true)
 
+(* A batch as the leader cuts it under [Params.default]: bench-sized PUTs
+   (a 64-byte value under a 4-digit key, as the end-to-end load offers)
+   added until the command count or the byte budget stops it. Client ids
+   and seqs are large, so their varints are not flattered. *)
+let full_batch ~seq =
+  let p = Cp_engine.Params.default in
+  let rec fill n bytes acc =
+    if n = p.batch_max_cmds || bytes >= p.batch_max_bytes then Types.Batch (List.rev acc)
+    else
+      let cmd =
+        {
+          Types.client = 1_000_000 + n;
+          seq = seq + n;
+          op = Cp_smr.Kv.put (Printf.sprintf "k%d" (1000 + n)) (String.make 64 'v');
+        }
+      in
+      fill (n + 1) (bytes + Types.command_size cmd) (cmd :: acc)
+  in
+  fill 0 0 []
+
+let fits_datagram msg =
+  match
+    Codec.encode_into (Bytes.create Codec.max_datagram) ~pos:0 ~gid:0 ~tid:max_int msg
+  with
+  | _ -> true
+  | exception Codec.Overflow -> false
+
+(* The default batch cap is what keeps an election possible over UDP: a new
+   leader's P1b carries every vote at or above its prefix, up to [alpha]
+   instances, and must fit one datagram whole. *)
+let test_default_batches_fit_datagram () =
+  let p = Cp_engine.Params.default in
+  let ballot = Ballot.make ~round:1_000_000 ~leader:1 in
+  let at = 1_000_000_000 in
+  let entry = full_batch ~seq:at in
+  (match entry with
+  | Types.Batch cmds ->
+    Alcotest.(check bool)
+      (Printf.sprintf "the byte budget, not the count, cuts the batch (%d cmds)"
+         (List.length cmds))
+      true
+      (List.length cmds > 1 && List.length cmds < p.batch_max_cmds)
+  | _ -> Alcotest.fail "expected a batch");
+  let votes =
+    List.init p.alpha (fun i ->
+        (at + i, { Types.vballot = ballot; ventry = full_batch ~seq:(at + (64 * i)) }))
+  in
+  List.iter
+    (fun (name, msg) ->
+      Alcotest.(check bool) (name ^ " fits one datagram") true (fits_datagram msg))
+    [
+      ( "P1b of alpha full votes",
+        Types.P1b { ballot; from = 1; votes; compacted_upto = at } );
+      ("P2a", Types.P2a { ballot; instance = at; entry });
+      ("Commit", Types.Commit { instance = at; entry });
+    ]
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suite =
@@ -462,3 +519,7 @@ let suite =
         prop_outbox_datagrams_roundtrip;
         prop_decode_frames_total;
       ]
+  @ [
+      Alcotest.test_case "default batches fit one datagram" `Quick
+        test_default_batches_fit_datagram;
+    ]

@@ -349,6 +349,49 @@ let test_catchup_serves_range () =
     Alcotest.(check int) "all three chosen entries served" 3 (List.length entries)
   | _ -> Alcotest.fail "expected exactly one CatchupResp"
 
+(* 300 chosen batches at the default byte cap come to ~300 KB, far past one
+   datagram, though [catchup_batch] would allow 256 of them. Each response
+   stops short of a datagram, and successive requests still reach the end. *)
+let test_catchup_bounded_by_datagram () =
+  let t = ref (fst (mk ~self:1 ~app:(module Cp_smr.Kv : Appi.S) ())) in
+  let n = 300 in
+  for i = 0 to n - 1 do
+    let entry = Test_codec.full_batch ~seq:(1 + (64 * i)) in
+    t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = i; entry }))
+  done;
+  let rec serve from responses =
+    if from >= n then responses
+    else
+      let _, effs =
+        Catchup.step !t ~now:0.5 (Catchup.Catchup_req { src = 0; from_instance = from })
+      in
+      match sends_to 0 effs with
+      | [
+       (Types.CatchupResp { entries = (first, _) :: _ as entries; snapshot = None } as resp);
+      ] ->
+        Alcotest.(check int) "starts at the requested instance" from first;
+        Alcotest.(check bool)
+          (Printf.sprintf "response from %d fits one datagram" from)
+          true (Test_codec.fits_datagram resp);
+        serve (from + List.length entries) (responses + 1)
+      | _ -> Alcotest.fail "expected exactly one non-empty CatchupResp"
+  in
+  let responses = serve 0 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "split across responses (%d)" responses)
+    true (responses > 1);
+  (* An entry larger than any datagram is still served, alone. *)
+  let huge = Types.App { Types.client = 7; seq = 1; op = String.make 70_000 'x' } in
+  t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = n; entry = huge }));
+  t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = n + 1; entry = huge }));
+  let _, effs =
+    Catchup.step !t ~now:0.5 (Catchup.Catchup_req { src = 0; from_instance = n })
+  in
+  match sends_to 0 effs with
+  | [ Types.CatchupResp { entries = [ (i, _) ]; snapshot = None } ] ->
+    Alcotest.(check int) "the oversized entry alone" n i
+  | _ -> Alcotest.fail "expected one CatchupResp carrying one entry"
+
 let test_catchup_commit_learns () =
   let t, _ = mk ~self:1 () in
   let t, _ =
@@ -550,4 +593,6 @@ let suite =
       test_leader_stall_is_not_peer_failure;
     Alcotest.test_case "detector: follower stall is no leader failure" `Quick
       test_follower_stall_is_not_leader_failure;
+    Alcotest.test_case "catchup: bounded by one datagram" `Quick
+      test_catchup_bounded_by_datagram;
   ]
