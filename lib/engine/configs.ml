@@ -46,6 +46,9 @@ let covering t ~low =
        (fun (from, cfg) -> if from > low then Some cfg else None)
        t.timeline
 
+let for_all_covering t ~low p =
+  p (config_for t low) && List.for_all (fun (from, cfg) -> from <= low || p cfg) t.timeline
+
 let export t ~next =
   let base = config_for t next in
   let pending = List.filter (fun (from, _) -> from > next) t.timeline in

@@ -28,6 +28,10 @@ val covering : t -> low:int -> Cp_proto.Config.t list
 (** All configurations governing any instance ≥ [low] (the ones a leader
     candidate must gather phase-1 quorums from), ascending by epoch. *)
 
+val for_all_covering : t -> low:int -> (Cp_proto.Config.t -> bool) -> bool
+(** [for_all_covering t ~low p] is [List.for_all p (covering t ~low)],
+    without building the list. *)
+
 val export : t -> next:int -> Cp_proto.Config.t * (int * Cp_proto.Config.t) list
 (** For a snapshot at [next]: the config in force at [next] plus later
     scheduled changes as [(effective_from, cfg)]. *)

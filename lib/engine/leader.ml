@@ -62,6 +62,27 @@ let phase2_targets t cfg ~widened =
   in
   List.filter (fun id -> id <> t.self) base
 
+(* Deferred reads (see {!Lease.read_fenced}): if the lease holds, serve from
+   local state every parked read whose fence has cleared and leave the rest
+   parked; if it has lapsed, leave the parked reads to [lapsed]. Called
+   where a fence clears — [check_chosen], once the newly chosen prefix has
+   executed, so a read leaves in the same step as the write it waited on
+   (the write's reply first) — and by the tick, which sends the parked reads
+   down the ordered path if the lease lapsed. The commit path passes
+   [ignore]: the ordered path re-enters [check_chosen]. *)
+let drain_deferred_reads t lead ~lapsed =
+  if not (Queue.is_empty lead.l_reads) then
+    if Lease.refresh_lease t lead ~reason:"expired" then begin
+      let pending = Queue.create () in
+      Queue.transfer lead.l_reads pending;
+      Queue.iter
+        (fun (cmd : Types.command) ->
+          if Lease.read_fenced t lead cmd then Queue.push cmd lead.l_reads
+          else Lease.serve_lease_read t cmd)
+        pending
+    end
+    else lapsed ()
+
 let rec check_chosen t lead i =
   match Hashtbl.find_opt lead.l_pending i with
   | None -> ()
@@ -81,7 +102,7 @@ let rec check_chosen t lead i =
       in
       event t (Obs.Event.Command_chosen { instance = i; batch = List.length cmd_keys });
       push t (Effect.Span_chosen { instance = i; cmds = cmd_keys; at = now t });
-      ignore (Learner.learn t i p.p_entry);
+      if Learner.learn t i p.p_entry then drain_deferred_reads t lead ~lapsed:ignore;
       List.iter
         (fun m -> if m <> t.self then send t m (Types.Commit { instance = i; entry = p.p_entry }))
         t.universe_mains;
@@ -506,25 +527,16 @@ let on_client_read t (cmd : Types.command) =
     else Queue.push cmd t.pre_queue
   | Follower -> send t cmd.client (Types.Redirect { leader_hint = t.leader_hint_ })
 
-(* Deferred reads: serve those whose fence has cleared — still from local
-   state if the lease survived, through the ordered path if it lapsed.
-   Driven by the tick, so a deferred read resolves within a tick of its
-   fence clearing. *)
-let drain_deferred_reads t lead =
-  if not (Queue.is_empty lead.l_reads) then begin
-    let pending = Queue.create () in
-    Queue.transfer lead.l_reads pending;
-    let valid = Lease.refresh_lease t lead ~reason:"expired" in
-    Queue.iter
-      (fun (cmd : Types.command) ->
-        if not valid then begin
-          metric t "lease_read_fallbacks";
-          on_client_req t cmd
-        end
-        else if Lease.read_fenced t lead cmd then Queue.push cmd lead.l_reads
-        else Lease.serve_lease_read t cmd)
-      pending
-  end
+(* The tick's share of the deferred reads: with the lease lapsed, every
+   parked read (fenced or not) goes through the ordered path. *)
+let fall_back_deferred_reads t lead =
+  let pending = Queue.create () in
+  Queue.transfer lead.l_reads pending;
+  Queue.iter
+    (fun (cmd : Types.command) ->
+      metric t "lease_read_fallbacks";
+      on_client_req t cmd)
+    pending
 
 (* ------------------------------------------------------------------ *)
 (* Tick: timeouts, retransmission, failure detection                   *)
@@ -658,7 +670,7 @@ let on_tick t =
       suspect_mains t lead;
       pump t lead;
       ignore (Lease.refresh_lease t lead ~reason:"expired");
-      drain_deferred_reads t lead
+      drain_deferred_reads t lead ~lapsed:(fun () -> fall_back_deferred_reads t lead)
     end
   | Candidate c ->
     if t_now -. c.c_started > t.params.Params.leader_timeout then begin

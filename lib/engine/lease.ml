@@ -23,19 +23,20 @@ open State
 let lease_valid t lead =
   t.params.Params.enable_leases
   &&
-  let cfgs = Configs.covering t.configs ~low:(Log.prefix t.log) in
-  let mains = List.concat_map (fun c -> c.Config.mains) cfgs |> List.sort_uniq compare in
   let deadline =
     now t -. ((1. -. t.params.Params.lease_margin) *. t.params.Params.lease_guard)
   in
-  List.for_all
-    (fun m ->
-      m = t.self
-      ||
-      match Hashtbl.find_opt lead.l_echo m with
-      | Some echoed -> echoed >= deadline
-      | None -> false)
-    mains
+  let fresh m =
+    m = t.self
+    ||
+    match Hashtbl.find_opt lead.l_echo m with
+    | Some echoed -> echoed >= deadline
+    | None -> false
+  in
+  (* Runs on every lease read: walk the covering configs in place rather
+     than collect their mains (a main in two configs is checked twice). *)
+  Configs.for_all_covering t.configs ~low:(Log.prefix t.log) (fun c ->
+      List.for_all fresh c.Config.mains)
 
 (* Re-evaluate the lease and report the edge; returns its current validity. *)
 let refresh_lease t lead ~reason =
@@ -57,15 +58,26 @@ let refresh_lease t lead ~reason =
    the same client still queued or in flight — the client issued it first,
    so program order requires the read to see it. Writes from *other* clients
    still in flight are concurrent with this read, so serving before they
-   apply is a legal linearization (they only reply after execution). *)
+   apply is a legal linearization (they only reply after execution).
+   A fenced read parks in [l_reads]; the leader serves it in the step that
+   executes the write it waits on ({!Leader.drain_deferred_reads}), and
+   only if the lease has lapsed by then does the tick send it down the
+   ordered path. *)
+exception Fenced
+
 let read_fenced t lead (cmd : Types.command) =
   t.executed_ < lead.l_recover_hi
-  || Hashtbl.fold
-       (fun (c, s) () acc -> acc || (c = cmd.client && s < cmd.seq))
-       lead.l_inflight_cmds false
-  || Queue.fold
-       (fun acc (q : Types.command) -> acc || (q.client = cmd.client && q.seq < cmd.seq))
-       false lead.l_queue
+  ||
+  (* Stop at the first earlier command of the client's, queued or in flight. *)
+  let earlier client seq =
+    if client = cmd.client && seq < cmd.seq then raise_notrace Fenced
+  in
+  match
+    Hashtbl.iter (fun (c, s) () -> earlier c s) lead.l_inflight_cmds;
+    Queue.iter (fun (q : Types.command) -> earlier q.client q.seq) lead.l_queue
+  with
+  | () -> false
+  | exception Fenced -> true
 
 let serve_lease_read t (cmd : Types.command) =
   metric t "lease_reads";

@@ -66,7 +66,8 @@ type lead = {
       (* last reported lease_valid edge; drives Lease_acquired/Lease_lost *)
   l_reads : Types.command Queue.t;
       (* read-only commands fenced behind the apply point of writes they
-         could observe; re-checked and drained by the tick *)
+         could observe; served when those writes execute, or sent down the
+         ordered path by the tick if the lease lapsed *)
   l_suspected : (int, unit) Hashtbl.t;
       (* mains currently failing the leader's failure detector; while any
          main is suspected, new proposals are widened to the auxiliaries

@@ -562,6 +562,176 @@ let test_follower_stall_is_not_leader_failure () =
           ()))
     (first_firing t ~start:0.140 ~ticks:40 ~fired:(fun t _ -> campaigning t))
 
+(* --- deferred lease reads ---------------------------------------------- *)
+
+let lease_on = { Params.default with Params.enable_leases = true }
+
+(* Node 0 leading after main 1's promise at 0.1, without the checks of
+   [elect]. *)
+let leading ?params ?app () =
+  let t, _ = mk ~self:0 ?params ?app () in
+  let ballot =
+    match t.State.state with State.Candidate c -> c.State.c_ballot | _ -> assert false
+  in
+  let t, _ =
+    Leader.step t ~now:0.1 (Leader.P1b { from = 1; ballot; votes = []; compacted = 0 })
+  in
+  match t.State.state with
+  | State.Leader lead -> (t, lead, ballot)
+  | _ -> Alcotest.fail "node 0 should lead after one promise"
+
+let client = 1000
+
+let replies effs =
+  List.filter_map
+    (function
+      | Types.ClientResp { client = c; seq; result } when c = client -> Some (seq, result)
+      | _ -> None)
+    (sends_to client effs)
+
+let has_metric name effs =
+  List.exists (function Effect.Metric (n, _) -> n = name | _ -> false) effs
+
+(* A KV leader holding the lease (main 1 echoed the heartbeat sent at 0.1),
+   with PUT (client, 1) proposed at instance 0 and GET (client, 2) parked
+   behind it. *)
+let leader_with_parked_read () =
+  let t, lead, ballot = leading ~params:lease_on ~app:(module Cp_smr.Kv : Appi.S) () in
+  let t, _ =
+    Leader.step t ~now:0.1 (Leader.Heartbeat_ack { from = 1; ballot; prefix = 0; echo = 0.1 })
+  in
+  Alcotest.(check bool) "lease held" true lead.State.l_lease_held;
+  let put = { Types.client; seq = 1; op = Cp_smr.Kv.put "k" "v1" } in
+  let t, _ = Leader.step t ~now:0.101 (Leader.Client_req put) in
+  let get = { Types.client; seq = 2; op = Cp_smr.Kv.get "k" } in
+  let t, effs = Leader.step t ~now:0.102 (Leader.Client_read get) in
+  Alcotest.(check bool) "the read is deferred" true (has_metric "lease_reads_deferred" effs);
+  Alcotest.(check int) "and not answered" 0 (List.length (replies effs));
+  Alcotest.(check int) "one parked read" 1 (Queue.length lead.State.l_reads);
+  (t, lead, ballot)
+
+let test_deferred_read_served_at_apply () =
+  let t, lead, ballot = leader_with_parked_read () in
+  let _, effs = Leader.step t ~now:0.103 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  Alcotest.(check (list (pair int string)))
+    "the write's reply, then the read's, which sees the write" [ (1, "OK"); (2, "v1") ]
+    (replies effs);
+  Alcotest.(check int) "nothing left parked" 0 (Queue.length lead.State.l_reads)
+
+let test_deferred_read_lapsed_lease_falls_back () =
+  let t, lead, ballot = leader_with_parked_read () in
+  (* The echo of 0.1 is older than (1 - lease_margin) * lease_guard at 0.125. *)
+  let t, effs = Leader.step t ~now:0.125 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  Alcotest.(check (list (pair int string))) "only the write is answered" [ (1, "OK") ]
+    (replies effs);
+  Alcotest.(check int) "the read stays parked" 1 (Queue.length lead.State.l_reads);
+  let _, effs = Leader.step t ~now:0.126 Leader.Tick in
+  Alcotest.(check bool) "the tick counts a fallback" true
+    (has_metric "lease_read_fallbacks" effs);
+  Alcotest.(check int) "nothing left parked" 0 (Queue.length lead.State.l_reads);
+  Alcotest.(check int) "no reply yet" 0 (List.length (replies effs));
+  Alcotest.(check bool) "the read is proposed through the log" true
+    (List.exists
+       (function
+         | Types.P2a { instance = 1; entry = Types.App { Types.client = c; seq = 2; _ }; _ } ->
+           c = client
+         | _ -> false)
+       (sends_to 1 effs))
+
+let test_deferred_read_waits_for_every_earlier_write () =
+  let t, lead, ballot = leader_with_parked_read () in
+  (* A second PUT (client, 3) lands at instance 1; the GET (client, 2) is
+     not behind it, but a GET (client, 4) is behind both. *)
+  let put = { Types.client; seq = 3; op = Cp_smr.Kv.put "k" "v3" } in
+  let t, _ = Leader.step t ~now:0.1025 (Leader.Client_req put) in
+  let get = { Types.client; seq = 4; op = Cp_smr.Kv.get "k" } in
+  let t, _ = Leader.step t ~now:0.1026 (Leader.Client_read get) in
+  Alcotest.(check int) "two parked reads" 2 (Queue.length lead.State.l_reads);
+  let t, effs = Leader.step t ~now:0.103 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  Alcotest.(check (list (pair int string)))
+    "instance 0 releases only the read behind it" [ (1, "OK"); (2, "v1") ] (replies effs);
+  Alcotest.(check int) "the read behind instance 1 stays parked" 1
+    (Queue.length lead.State.l_reads);
+  let _, effs = Leader.step t ~now:0.104 (Leader.P2b { from = 1; ballot; instance = 1 }) in
+  Alcotest.(check (list (pair int string))) "instance 1 releases it" [ (3, "OK"); (4, "v3") ]
+    (replies effs)
+
+(* The per-read predicates against the folds they replaced. *)
+
+let reference_read_fenced (t : State.t) (lead : State.lead) (cmd : Types.command) =
+  t.State.executed_ < lead.State.l_recover_hi
+  || Hashtbl.fold
+       (fun (c, s) () acc -> acc || (c = cmd.Types.client && s < cmd.Types.seq))
+       lead.State.l_inflight_cmds false
+  || Queue.fold
+       (fun acc (q : Types.command) ->
+         acc || (q.Types.client = cmd.Types.client && q.Types.seq < cmd.Types.seq))
+       false lead.State.l_queue
+
+let prop_read_fenced =
+  let leader = lazy (leading ()) in
+  let key = QCheck.(pair (int_range 0 3) (int_range 0 8)) in
+  QCheck.Test.make ~name:"lease: read_fenced equals the reference fold" ~count:500
+    QCheck.(quad (small_list key) (small_list key) key bool)
+    (fun (inflight, queued, (client, seq), recovering) ->
+      let t, lead, _ = Lazy.force leader in
+      Hashtbl.reset lead.State.l_inflight_cmds;
+      List.iter (fun k -> Hashtbl.replace lead.State.l_inflight_cmds k ()) inflight;
+      Queue.clear lead.State.l_queue;
+      List.iter
+        (fun (client, seq) -> Queue.push { Types.client; seq; op = "w" } lead.State.l_queue)
+        queued;
+      lead.State.l_recover_hi <- (t.State.executed_ + if recovering then 1 else 0);
+      let cmd = { Types.client; seq; op = "?r" } in
+      Lease.read_fenced t lead cmd = reference_read_fenced t lead cmd)
+
+let reference_lease_valid (t : State.t) (lead : State.lead) =
+  t.State.params.Params.enable_leases
+  &&
+  let cfgs = Cp_engine.Configs.covering t.State.configs ~low:(Log.prefix t.State.log) in
+  let mains = List.concat_map (fun c -> c.Config.mains) cfgs |> List.sort_uniq compare in
+  let deadline =
+    t.State.clock -. ((1. -. t.State.params.Params.lease_margin) *. t.State.params.Params.lease_guard)
+  in
+  List.for_all
+    (fun m ->
+      m = t.State.self
+      ||
+      match Hashtbl.find_opt lead.State.l_echo m with
+      | Some echoed -> echoed >= deadline
+      | None -> false)
+    mains
+
+(* Random configuration timelines (adds and removals of mains 0..4 taking
+   effect at instances 3..3+k), a random executed prefix, and each main's
+   echo either missing or a random age around the lease deadline. *)
+let prop_lease_valid =
+  let change = QCheck.(pair bool (int_range 0 4)) in
+  let age = QCheck.(option (float_range 0. 0.03)) in
+  QCheck.Test.make ~name:"lease: lease_valid equals the reference over covering mains"
+    ~count:300
+    QCheck.(triple (int_range 0 6) (small_list change) (list_of_size (Gen.return 5) age))
+    (fun (learned, changes, ages) ->
+      let t, lead, _ = leading ~params:lease_on () in
+      let t = ref t in
+      for i = 0 to learned - 1 do
+        t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = i; entry = Types.Noop }))
+      done;
+      let t = !t in
+      List.iteri
+        (fun at (add, m) ->
+          ignore
+            (Cp_engine.Configs.apply_at t.State.configs ~at
+               (if add then Types.Add_main m else Types.Remove_main m)))
+        changes;
+      t.State.clock <- 0.2;
+      List.iteri
+        (fun m -> function
+          | Some a -> Hashtbl.replace lead.State.l_echo m (0.2 -. a)
+          | None -> Hashtbl.remove lead.State.l_echo m)
+        ages;
+      Lease.lease_valid t lead = reference_lease_valid t lead)
+
 let suite =
   [
     Alcotest.test_case "acceptor: p1a promise" `Quick test_acceptor_promise;
@@ -595,4 +765,11 @@ let suite =
       test_follower_stall_is_not_leader_failure;
     Alcotest.test_case "catchup: bounded by one datagram" `Quick
       test_catchup_bounded_by_datagram;
+    Alcotest.test_case "lease: deferred read served at the write's apply point" `Quick
+      test_deferred_read_served_at_apply;
+    Alcotest.test_case "lease: a lapsed lease leaves the parked read to the tick" `Quick
+      test_deferred_read_lapsed_lease_falls_back;
+    Alcotest.test_case "lease: deferred read waits for every earlier write" `Quick
+      test_deferred_read_waits_for_every_earlier_write;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_read_fenced; prop_lease_valid ]
