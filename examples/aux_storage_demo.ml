@@ -47,6 +47,9 @@ let () =
   Printf.printf "finished=%b committed=%d\n" finished (Client.done_count client);
   Printf.printf "final aux stable bytes: %d (log lives only on the mains)\n"
     (Storage.bytes_used (Engine.stable eng aux));
-  match Cp_runtime.Inspect.check_safety cluster with
-  | Ok () -> print_endline "safety check: OK"
-  | Error e -> failwith e
+  let safe =
+    match Cp_runtime.Inspect.check_safety cluster with
+    | Ok () -> print_endline "safety check: OK"; true
+    | Error e -> print_endline ("safety check: FAILED: " ^ e); false
+  in
+  if not (finished && safe) then exit 1

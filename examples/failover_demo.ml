@@ -62,6 +62,9 @@ let () =
   in
   Printf.printf "largest interruption of service: %.1f ms\n" (gap *. 1e3);
 
-  match Cp_runtime.Inspect.check_safety cluster with
-  | Ok () -> print_endline "safety check: OK"
-  | Error e -> failwith e
+  let safe =
+    match Cp_runtime.Inspect.check_safety cluster with
+    | Ok () -> print_endline "safety check: OK"; true
+    | Error e -> print_endline ("safety check: FAILED: " ^ e); false
+  in
+  if not (finished && aux_msgs <> [] && safe) then exit 1

@@ -62,7 +62,6 @@ let () =
   let expected = accounts * opening_balance in
   Printf.printf "bank total: %d (expected %d) -> %s\n" total expected
     (if total = expected then "conserved" else "VIOLATED");
-  assert (total = expected);
 
   (* Give the repaired machine time to rejoin: it was removed while down,
      and comes back via a JoinReq -> Add_main reconfiguration. *)
@@ -78,6 +77,9 @@ let () =
   let cfg = Cp_engine.Replica.latest_config (Cluster.replica cluster 0) in
   Format.printf "final configuration: %a@." Cp_proto.Config.pp cfg;
 
-  match Cp_runtime.Inspect.check_safety cluster with
-  | Ok () -> print_endline "safety check: OK"
-  | Error e -> failwith e
+  let safe =
+    match Cp_runtime.Inspect.check_safety cluster with
+    | Ok () -> print_endline "safety check: OK"; true
+    | Error e -> print_endline ("safety check: FAILED: " ^ e); false
+  in
+  if not (finished && total = expected && back && safe) then exit 1

@@ -61,6 +61,9 @@ let () =
   | [ (_, _, _, holder) ] -> Printf.printf "final holder: %s\n" holder
   | _ -> assert false);
 
-  match Cp_runtime.Inspect.check_safety cluster with
-  | Ok () -> print_endline "safety check: OK"
-  | Error e -> failwith e
+  let safe =
+    match Cp_runtime.Inspect.check_safety cluster with
+    | Ok () -> print_endline "safety check: OK"; true
+    | Error e -> print_endline ("safety check: FAILED: " ^ e); false
+  in
+  if not (finished && safe) then exit 1

@@ -65,6 +65,8 @@ let () =
     Thread.delay 0.02
   done;
 
+  let finished = Node.with_lock client_node (fun () -> Client.is_finished client) in
+  Printf.printf "client finished: %b\n" finished;
   print_endline "client history over real sockets:";
   List.iter
     (fun (_, _, op, result) -> Printf.printf "  %-28s -> %s\n" op result)
@@ -72,10 +74,11 @@ let () =
 
   Thread.delay 0.1;
   let r0 = Hashtbl.find replicas 0 and r1 = Hashtbl.find replicas 1 in
-  Printf.printf "replica logs agree: %b (prefixes %d / %d)\n"
-    (Replica.log_range r0 ~lo:0 ~hi:max_int = Replica.log_range r1 ~lo:0 ~hi:max_int)
-    (Replica.prefix r0) (Replica.prefix r1);
+  let agree = Replica.log_range r0 ~lo:0 ~hi:max_int = Replica.log_range r1 ~lo:0 ~hi:max_int in
+  Printf.printf "replica logs agree: %b (prefixes %d / %d)\n" agree (Replica.prefix r0)
+    (Replica.prefix r1);
   Printf.printf "auxiliary stored votes: %d\n"
     (Replica.acceptor_vote_count (Hashtbl.find replicas 2));
   List.iter Node.shutdown (client_node :: nodes);
-  print_endline "done."
+  print_endline "done.";
+  if not (finished && agree) then exit 1

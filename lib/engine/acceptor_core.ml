@@ -79,24 +79,3 @@ let self_accept t ballot instance entry =
     | Acceptor.P2_nack _ | Acceptor.Stale -> false
   end
   else false
-
-(* ------------------------------------------------------------------ *)
-(* The sans-IO step surface                                            *)
-(* ------------------------------------------------------------------ *)
-
-type input =
-  | P1a of { src : int; ballot : Ballot.t; low : int }
-  | P2a of { src : int; ballot : Ballot.t; instance : int; entry : Types.entry }
-  | Commit_floor of { upto : int }
-
-let handle t = function
-  | P1a { src; ballot; low } -> on_p1a t ~src ~ballot ~low
-  | P2a { src; ballot; instance; entry } -> on_p2a t ~src ~ballot ~instance ~entry
-  | Commit_floor { upto } -> on_commit_floor t ~upto
-
-(* [step state ~now input] advances the acceptor role and returns the state
-   together with every effect the transition produced, in emission order. *)
-let step t ~now:clock input =
-  t.clock <- clock;
-  handle t input;
-  (t, drain t)

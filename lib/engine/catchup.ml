@@ -72,24 +72,3 @@ let on_catchup_resp t ~entries ~snapshot =
     (match snapshot with Some s -> Learner.install_snapshot t s | None -> ());
     List.iter (fun (i, e) -> ignore (Learner.learn t i e)) entries
   end
-
-(* ------------------------------------------------------------------ *)
-(* The sans-IO step surface                                            *)
-(* ------------------------------------------------------------------ *)
-
-type input =
-  | Commit of { instance : int; entry : Types.entry }
-  | Catchup_req of { src : int; from_instance : int }
-  | Catchup_resp of { entries : (int * Types.entry) list; snapshot : Types.snapshot option }
-
-let handle t = function
-  | Commit { instance; entry } -> on_commit t ~instance ~entry
-  | Catchup_req { src; from_instance } -> on_catchup_req t ~src ~from_instance
-  | Catchup_resp { entries; snapshot } -> on_catchup_resp t ~entries ~snapshot
-
-(* [step state ~now input] advances the catch-up role and returns the state
-   together with every effect the transition produced, in emission order. *)
-let step t ~now:clock input =
-  t.clock <- clock;
-  handle t input;
-  (t, drain t)

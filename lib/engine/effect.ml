@@ -35,23 +35,6 @@ type t =
   | Span_executed of { instance : int; at : float }
   | Span_reset  (** leadership changed: open latency spans are void *)
 
-let classify = function
-  | Send _ -> "send"
-  | Persist_header _ -> "persist_header"
-  | Persist_vote _ -> "persist_vote"
-  | Drop_vote _ -> "drop_vote"
-  | Persist_log _ -> "persist_log"
-  | Persist_snapshot _ -> "persist_snapshot"
-  | Drop_log _ -> "drop_log"
-  | Set_timer _ -> "set_timer"
-  | Emit _ -> "emit"
-  | Metric _ -> "metric"
-  | Observe _ -> "observe"
-  | Span_submitted _ -> "span_submitted"
-  | Span_chosen _ -> "span_chosen"
-  | Span_executed _ -> "span_executed"
-  | Span_reset -> "span_reset"
-
 (* Coarse profiler stage per effect class; the interpreter charges each
    effect's execution time to one of these (see {!Cp_obs.Prof}).
    [exec_persist] times the puts and removes only: the flush that makes

@@ -701,34 +701,3 @@ let on_tick t =
       end
     end
     else maybe_join t
-
-(* ------------------------------------------------------------------ *)
-(* The sans-IO step surface                                            *)
-(* ------------------------------------------------------------------ *)
-
-type input =
-  | P1b of { from : int; ballot : Ballot.t; votes : (int * Types.vote) list; compacted : int }
-  | P2b of { from : int; ballot : Ballot.t; instance : int }
-  | Nack of { promised : Ballot.t }
-  | Heartbeat_ack of { from : int; ballot : Ballot.t; prefix : int; echo : float }
-  | Join_req of { from : int }
-  | Client_req of Types.command
-  | Client_read of Types.command
-  | Tick
-
-let handle t = function
-  | P1b { from; ballot; votes; compacted } -> on_p1b t ~from ~ballot ~votes ~compacted
-  | P2b { from; ballot; instance } -> on_p2b t ~from ~ballot ~instance
-  | Nack { promised } -> on_nack t ~promised
-  | Heartbeat_ack { from; ballot; prefix; echo } -> on_heartbeat_ack t ~from ~ballot ~prefix ~echo
-  | Join_req { from } -> on_join_req t ~from
-  | Client_req cmd -> on_client_req t cmd
-  | Client_read cmd -> on_client_read t cmd
-  | Tick -> on_tick t
-
-(* [step state ~now input] advances the leader role and returns the state
-   together with every effect the transition produced, in emission order. *)
-let step t ~now:clock input =
-  t.clock <- clock;
-  handle t input;
-  (t, drain t)

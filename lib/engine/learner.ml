@@ -138,22 +138,3 @@ let install_snapshot t (snap : Types.snapshot) =
     push t (Effect.Persist_snapshot { at = snap.next_instance; bytes = stored.snap_bytes });
     metric t "snapshot_installs"
   end
-
-(* ------------------------------------------------------------------ *)
-(* The sans-IO step surface                                            *)
-(* ------------------------------------------------------------------ *)
-
-type input =
-  | Learn of { instance : int; entry : Types.entry }
-  | Install_snapshot of Types.snapshot
-
-let handle t = function
-  | Learn { instance; entry } -> ignore (learn t instance entry)
-  | Install_snapshot snap -> install_snapshot t snap
-
-(* [step state ~now input] advances the learner role and returns the state
-   together with every effect the transition produced, in emission order. *)
-let step t ~now:clock input =
-  t.clock <- clock;
-  handle t input;
-  (t, drain t)

@@ -101,21 +101,3 @@ let on_heartbeat t ~src ~ballot ~commit_floor ~sent_at =
          { ballot; from = t.self; prefix = Log.prefix t.log; echo = sent_at });
     Catchup.maybe_catchup t ~their_floor:commit_floor
   end
-
-(* ------------------------------------------------------------------ *)
-(* The sans-IO step surface                                            *)
-(* ------------------------------------------------------------------ *)
-
-type input =
-  | Heartbeat of { src : int; ballot : Ballot.t; commit_floor : int; sent_at : float }
-
-let handle t = function
-  | Heartbeat { src; ballot; commit_floor; sent_at } ->
-    on_heartbeat t ~src ~ballot ~commit_floor ~sent_at
-
-(* [step state ~now input] advances the lease role and returns the state
-   together with every effect the transition produced, in emission order. *)
-let step t ~now:clock input =
-  t.clock <- clock;
-  handle t input;
-  (t, drain t)

@@ -38,14 +38,8 @@ let group_overhead gid =
   let rec digits n acc = if n < 0x80 then acc else digits (n lsr 7) (acc + 1) in
   1 + digits (gid lsl 1) 1
 
-let machine_ids (initial : Config.t) ~spare_mains =
-  let base = initial.Config.mains @ initial.Config.aux_pool in
-  let top = List.fold_left max (-1) base in
-  let spares = List.init spare_mains (fun i -> top + 1 + i) in
-  (initial.Config.mains @ spares, initial.Config.aux_pool, spares)
-
 let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.default)
-    ?proc_time ?(spare_mains = 0) ?(obs = true) ?router ?wheel_tick ?storage
+    ?proc_time ?(spare_mains = 0) ?(obs = true) ?router ?storage
     ~groups ~policy ~initial ~app () =
   if groups <= 0 then invalid_arg "Fleet.create: need at least one group";
   let router_ =
@@ -68,7 +62,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
       ~kind_index:(fun (_, msg) -> Types.kind_index msg)
       ()
   in
-  let universe_mains, universe_auxes, _ = machine_ids initial ~spare_mains in
+  let universe_mains, universe_auxes = Config.machine_ids initial ~spare_mains in
   let t =
     {
       eng;
@@ -85,7 +79,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
   let add_machine role id =
     Engine.add_node eng ~id (fun ctx ->
         let m =
-          Group_mux.create ctx ~groups ?wheel_tick ~role ~policy
+          Group_mux.create ctx ~groups ~role ~policy
             ~params ~initial ~universe_mains ~universe_auxes ~app ()
         in
         Hashtbl.replace t.muxes id m;

@@ -18,7 +18,6 @@ val create :
   ?spare_mains:int ->
   ?obs:bool ->
   ?router:Router.t ->
-  ?wheel_tick:float ->
   ?storage:(int -> Cp_storage.Storage.t) ->
   groups:int ->
   policy:Cp_engine.Policy.t ->
@@ -28,7 +27,8 @@ val create :
   t
 (** [router] defaults to the striped {!Router.create}[ ~groups ()]; a
     supplied router must not map any slot to a group id [>= groups]. Other
-    parameters as in {!Cp_runtime.Cluster.create}. *)
+    parameters as in {!Cp_runtime.Cluster.create}. Each machine's
+    {!Group_mux} quantizes timers to a 0.25 ms wheel tick. *)
 
 val engine : t -> (int * Types.msg) Cp_sim.Engine.t
 

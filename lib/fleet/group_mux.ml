@@ -105,7 +105,10 @@ let make_group_ctx t ~gid =
     tctx = Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:outer.Engine.self ~group:gid);
   }
 
-let create ctx ~groups ?(wheel_tick = 2.5e-4) ~role ~policy ~params
+(* The timer wheel's quantum: how late a protocol timer can fire. *)
+let wheel_tick = 2.5e-4
+
+let create ctx ~groups ~role ~policy ~params
     ~initial ~universe_mains ~universe_auxes ~app () =
   if groups <= 0 then invalid_arg "Group_mux.create: need at least one group";
   let t =

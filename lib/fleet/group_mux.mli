@@ -16,7 +16,6 @@ type t
 val create :
   (int * Types.msg) Cp_sim.Engine.ctx ->
   groups:int ->
-  ?wheel_tick:float ->
   role:Cp_engine.Replica.role ->
   policy:Cp_engine.Policy.t ->
   params:Cp_engine.Params.t ->
@@ -28,7 +27,7 @@ val create :
   t
 (** Build (or rebuild after a crash — each group recovers from its storage
     namespace) the [groups] replicas of machine [ctx.self]. Every group gets
-    a fresh instance of [app]. [wheel_tick] (default 2.5e-4 s) bounds how
+    a fresh instance of [app]. The timer wheel's 0.25 ms tick bounds how
     late a protocol timer can fire. *)
 
 val handlers : t -> (int * Types.msg) Cp_sim.Engine.handlers

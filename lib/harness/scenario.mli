@@ -61,9 +61,6 @@ val main_ids : result -> int list
 
 val aux_ids : result -> int list
 
-val replica_msgs : result -> kinds:string list -> int
-(** Total messages of the given kinds sent by all machines. *)
-
 val aux_msgs_received : result -> int
 
 val protocol_msgs_per_commit : result -> float

@@ -45,5 +45,3 @@ val check : ?max_states:int -> spec -> result
 (** Breadth-first exhaustive exploration ([max_states] is a safety valve,
     default 2_000_000; hitting it reports a violation-free but truncated
     search via [states = max_states]). *)
-
-val agreement_holds : ?max_states:int -> spec -> bool

@@ -296,5 +296,3 @@ let check ?(max_states = 4_000_000) spec =
         (successors spec st)
   done;
   { states = !states; violation = !violation; max_depth = !max_depth }
-
-let agreement_holds ?max_states spec = (check ?max_states spec).violation = None

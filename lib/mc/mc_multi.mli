@@ -42,5 +42,3 @@ type result = {
 val check : ?max_states:int -> spec -> result
 (** f = 1 model: mains [{0,1}], auxiliary [{2}]; removing main 1 yields the
     acceptor set [{0}]. Exhaustive BFS (default cap 4M states). *)
-
-val agreement_holds : ?max_states:int -> spec -> bool

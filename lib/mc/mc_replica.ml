@@ -247,5 +247,3 @@ let check ?(max_states = 50_000) ?(spec = default_spec) () =
      done
    with Conflict_found why -> violation := Some why);
   { states = !states; violation = !violation; max_depth = !max_depth }
-
-let agreement_holds ?max_states ?spec () = (check ?max_states ?spec ()).violation = None

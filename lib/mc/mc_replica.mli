@@ -38,5 +38,3 @@ val check : ?max_states:int -> ?spec:spec -> unit -> result
     budget: hitting it ends the run violation-free but truncated (the state
     space of the real replica is effectively unbounded — this is a bounded
     refutation search, not a proof). *)
-
-val agreement_holds : ?max_states:int -> ?spec:spec -> unit -> bool

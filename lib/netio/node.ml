@@ -525,8 +525,10 @@ let add_group t ~gid ~build =
   let tctx = Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:t.id ~group:gid) in
   install t (new_group ~sock:t.sock ~addr_of:t.addr_of ~storage:t.storage ~gid ~tctx) ~build
 
-let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
-    ?admin_port ?(wheel_tick = 1e-3)
+(* The timer wheel's quantum: every group's timers are rounded to it. *)
+let wheel_tick = 1e-3
+
+let create ?(host = "127.0.0.1") ?admin_port
     ?(storage = fun _ -> Cp_storage.Mem.store ()) ~port_of ~id_of_port ~id ~seed ~build () =
   let inet = Unix.inet_addr_of_string host in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -565,7 +567,7 @@ let create ?(host = "127.0.0.1") ?(trace_capacity = Obs.Trace.default_capacity)
       wheel = Wheel.create ~tick:wheel_tick ~now:0. ();
       armed = Hashtbl.create 16;
       shared_mu = Mutex.create ();
-      trace_ = Obs.Trace.create ~capacity:trace_capacity ();
+      trace_ = Obs.Trace.create ();
       rx = Metrics.create ();
       admin_sock;
       stopping = false;

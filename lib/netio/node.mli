@@ -34,9 +34,7 @@ type t
 
 val create :
   ?host:string ->
-  ?trace_capacity:int ->
   ?admin_port:int ->
-  ?wheel_tick:float ->
   ?storage:(int -> Cp_storage.Storage.t) ->
   port_of:(int -> int) ->
   id_of_port:(int -> int) ->
@@ -54,12 +52,12 @@ val create :
     closes every store, and storage counters appear in {!metrics_text} and
     the admin [/metrics], namespaced [g<gid>_] for groups other than 0),
     its RNG is seeded from [seed] and [id], its [emit] records into a
-    bounded per-node trace ring of [trace_capacity] entries
-    (default {!Cp_obs.Trace.default_capacity}).
+    bounded per-node trace ring of {!Cp_obs.Trace.default_capacity}
+    entries.
 
     Timers of every hosted group share one {!Cp_fleet.Wheel} behind the
     timer thread — O(1) add/cancel regardless of group count — quantized
-    to [wheel_tick] seconds (default 1e-3).
+    to 1 ms.
 
     Every frame carries its sender's ambient causal trace id
     ({!Cp_proto.Codec.encode_into}); incoming frames' ids are adopted before

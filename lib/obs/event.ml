@@ -48,8 +48,8 @@ let change_fields = function
   | Remove_main m -> [ ("change", `S "remove_main"); ("main", `I m) ]
   | Add_main m -> [ ("change", `S "add_main"); ("main", `I m) ]
 
-(* Flat field list; the JSONL encoder/decoder in {!Trace} relies on every
-   event being representable as string/int fields plus its [kind]. *)
+(* Flat field list; the JSONL encoder in {!Trace} relies on every event
+   being representable as string/int fields plus its [kind]. *)
 let fields = function
   | Ballot_started { round; leader; low } ->
     [ ("round", `I round); ("leader", `I leader); ("low", `I low) ]
@@ -76,96 +76,6 @@ let fields = function
   | Crashed | Restarted -> []
   | Debug line -> [ ("line", `S line) ]
 
-let int_field fs name =
-  match List.assoc_opt name fs with
-  | Some (`I i) -> Ok i
-  | Some (`S _) | None -> Error (Printf.sprintf "missing int field %S" name)
-
-let str_field fs name =
-  match List.assoc_opt name fs with
-  | Some (`S s) -> Ok s
-  | Some (`I _) | None -> Error (Printf.sprintf "missing string field %S" name)
-
-let change_of_fields fs =
-  let ( let* ) = Result.bind in
-  let* c = str_field fs "change" in
-  let* m = int_field fs "main" in
-  match c with
-  | "remove_main" -> Ok (Remove_main m)
-  | "add_main" -> Ok (Add_main m)
-  | other -> Error (Printf.sprintf "unknown change %S" other)
-
-let of_fields ~kind fs =
-  let ( let* ) = Result.bind in
-  match kind with
-  | "ballot_started" ->
-    let* round = int_field fs "round" in
-    let* leader = int_field fs "leader" in
-    let* low = int_field fs "low" in
-    Ok (Ballot_started { round; leader; low })
-  | "ballot_won" ->
-    let* round = int_field fs "round" in
-    let* leader = int_field fs "leader" in
-    Ok (Ballot_won { round; leader })
-  | "stepped_down" ->
-    let* round = int_field fs "round" in
-    let* leader = int_field fs "leader" in
-    Ok (Stepped_down { round; leader })
-  | "leader_changed" ->
-    let* leader = int_field fs "leader" in
-    Ok (Leader_changed { leader })
-  | "phase2_widened" ->
-    let* instance = int_field fs "instance" in
-    Ok (Phase2_widened { instance })
-  | "aux_engaged" ->
-    let* instance = int_field fs "instance" in
-    Ok (Aux_engaged { instance })
-  | "aux_quiesced" ->
-    let* floor = int_field fs "floor" in
-    Ok (Aux_quiesced { floor })
-  | "reconfig_proposed" ->
-    let* c = change_of_fields fs in
-    Ok (Reconfig_proposed c)
-  | "reconfig_committed" ->
-    let* change = change_of_fields fs in
-    let* at = int_field fs "instance" in
-    Ok (Reconfig_committed { change; at })
-  | "command_submitted" ->
-    let* client = int_field fs "client" in
-    let* seq = int_field fs "seq" in
-    Ok (Command_submitted { client; seq })
-  | "command_chosen" ->
-    let* instance = int_field fs "instance" in
-    let* batch = int_field fs "batch" in
-    Ok (Command_chosen { instance; batch })
-  | "command_executed" ->
-    let* instance = int_field fs "instance" in
-    Ok (Command_executed { instance })
-  | "lease_acquired" ->
-    let* round = int_field fs "round" in
-    Ok (Lease_acquired { round })
-  | "lease_lost" ->
-    let* reason = str_field fs "reason" in
-    Ok (Lease_lost { reason })
-  | "lease_read_served" ->
-    let* client = int_field fs "client" in
-    let* seq = int_field fs "seq" in
-    let* upto = int_field fs "upto" in
-    Ok (Lease_read_served { client; seq; upto })
-  | "msg_recv" ->
-    let* src = int_field fs "src" in
-    let* kind = str_field fs "kind" in
-    (* "bytes" is tolerated missing so dumps from before the tracing layer
-       still load. *)
-    let bytes = match int_field fs "bytes" with Ok b -> b | Error _ -> 0 in
-    Ok (Msg_recv { src; kind; bytes })
-  | "crashed" -> Ok Crashed
-  | "restarted" -> Ok Restarted
-  | "debug" ->
-    let* line = str_field fs "line" in
-    Ok (Debug line)
-  | other -> Error (Printf.sprintf "unknown event kind %S" other)
-
 let pp_change ppf = function
   | Remove_main m -> Format.fprintf ppf "remove_main(%d)" m
   | Add_main m -> Format.fprintf ppf "add_main(%d)" m
@@ -184,5 +94,3 @@ let pp ppf ev =
         | `I i -> Format.fprintf ppf " %s=%d" name i
         | `S s -> Format.fprintf ppf " %s=%s" name s)
       (fields ev)
-
-let equal (a : t) (b : t) = a = b

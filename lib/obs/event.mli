@@ -54,10 +54,4 @@ val kind : t -> string
 val fields : t -> (string * [ `I of int | `S of string ]) list
 (** Flat payload of the event, excluding its [kind]. *)
 
-val of_fields :
-  kind:string -> (string * [ `I of int | `S of string ]) list -> (t, string) result
-(** Inverse of [kind]/[fields]; used by the JSONL reader. *)
-
 val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

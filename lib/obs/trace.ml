@@ -75,11 +75,6 @@ let records t =
 
 let dropped t = max 0 (t.next - t.capacity)
 
-let clear t =
-  (* Drop references to retained events so they can be collected. *)
-  Array.fill t.evs 0 (Array.length t.evs) dummy_ev;
-  t.next <- 0
-
 let set_hook t f = t.hook <- Some f
 
 let pp_record ppf r =
@@ -107,8 +102,6 @@ let escape s =
 
 let record_to_json r =
   let b = Buffer.create 96 in
-  (* "tid" only when traced, so pre-trace dumps and untraced records keep
-     the same shape; the reader below treats a missing "tid" as 0. *)
   if r.tid = 0 then
     Buffer.add_string b (Printf.sprintf "{\"at\":%.6f,\"node\":%d,\"event\":\"%s\"" r.at r.node
                            (escape (Event.kind r.ev)))
@@ -132,148 +125,6 @@ let to_jsonl records =
       Buffer.add_char b '\n')
     records;
   Buffer.contents b
-
-(* A minimal parser for the flat objects produced above: string and number
-   values only, no nesting. Enough for round-tripping our own dumps. *)
-let record_of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then begin incr pos; Ok () end
-    else error "expected %C at %d" c !pos
-  in
-  let parse_string () =
-    skip_ws ();
-    if peek () <> Some '"' then error "expected string at %d" !pos
-    else begin
-      incr pos;
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then error "unterminated string"
-        else
-          match line.[!pos] with
-          | '"' -> incr pos; Ok (Buffer.contents b)
-          | '\\' when !pos + 1 < n ->
-            (match line.[!pos + 1] with
-            | '"' -> Buffer.add_char b '"'
-            | '\\' -> Buffer.add_char b '\\'
-            | 'n' -> Buffer.add_char b '\n'
-            | 'r' -> Buffer.add_char b '\r'
-            | 't' -> Buffer.add_char b '\t'
-            | 'u' ->
-              if !pos + 5 < n then begin
-                let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
-                Buffer.add_char b (Char.chr (code land 0xff));
-                pos := !pos + 4
-              end
-            | c -> Buffer.add_char b c);
-            pos := !pos + 2;
-            go ()
-          | c -> Buffer.add_char b c; incr pos; go ()
-      in
-      go ()
-    end
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match line.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do incr pos done;
-    if !pos = start then error "expected number at %d" start
-    else Ok (String.sub line start (!pos - start))
-  in
-  let ( let* ) = Result.bind in
-  let* () = expect '{' in
-  let rec members acc =
-    skip_ws ();
-    match peek () with
-    | Some '}' -> incr pos; Ok (List.rev acc)
-    | _ ->
-      let* key = parse_string () in
-      let* () = expect ':' in
-      skip_ws ();
-      let* value =
-        if peek () = Some '"' then
-          let* s = parse_string () in
-          Ok (`Str s)
-        else
-          let* num = parse_number () in
-          Ok (`Num num)
-      in
-      skip_ws ();
-      (match peek () with
-      | Some ',' ->
-        incr pos;
-        members ((key, value) :: acc)
-      | Some '}' -> incr pos; Ok (List.rev ((key, value) :: acc))
-      | _ -> error "expected ',' or '}' at %d" !pos)
-  in
-  let* kvs = members [] in
-  let* at =
-    match List.assoc_opt "at" kvs with
-    | Some (`Num s) ->
-      (match float_of_string_opt s with Some f -> Ok f | None -> error "bad at %S" s)
-    | _ -> error "missing \"at\""
-  in
-  let* node =
-    match List.assoc_opt "node" kvs with
-    | Some (`Num s) ->
-      (match int_of_string_opt s with Some i -> Ok i | None -> error "bad node %S" s)
-    | _ -> error "missing \"node\""
-  in
-  let* kind =
-    match List.assoc_opt "event" kvs with
-    | Some (`Str s) -> Ok s
-    | _ -> error "missing \"event\""
-  in
-  let* tid =
-    match List.assoc_opt "tid" kvs with
-    | None -> Ok 0
-    | Some (`Num s) ->
-      (match int_of_string_opt s with Some i -> Ok i | None -> error "bad tid %S" s)
-    | Some (`Str _) -> error "bad tid"
-  in
-  let* fields =
-    List.fold_left
-      (fun acc (k, v) ->
-        let* acc = acc in
-        if k = "at" || k = "node" || k = "event" || k = "tid" then Ok acc
-        else
-          match v with
-          | `Str s -> Ok ((k, `S s) :: acc)
-          | `Num s ->
-            (match int_of_string_opt s with
-            | Some i -> Ok ((k, `I i) :: acc)
-            | None -> error "non-integer field %S=%S" k s))
-      (Ok []) kvs
-  in
-  let* ev = Event.of_fields ~kind (List.rev fields) in
-  Ok { at; node; tid; ev }
-
-let of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  List.fold_left
-    (fun acc line ->
-      match acc with
-      | Error _ as e -> e
-      | Ok rs ->
-        if String.trim line = "" then Ok rs
-        else
-          match record_of_json line with
-          | Ok r -> Ok (r :: rs)
-          | Error e -> Error (Printf.sprintf "%s in %S" e line))
-    (Ok []) lines
-  |> Result.map List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Merging per-node traces                                             *)

@@ -1,5 +1,5 @@
 (** Per-node event trace: a bounded ring of timestamped {!Event.t}s with an
-    optional live hook (for printing) and a JSONL dump/load pair.
+    optional live hook (for printing) and a JSONL dump.
 
     One trace per node, owned by the runtime (the simulator engine or the
     UDP node), which stamps time and node id at emission. Bounded capacity
@@ -32,8 +32,6 @@ val length : t -> int
 val dropped : t -> int
 (** Records overwritten by the ring so far; 0 means full history. *)
 
-val clear : t -> unit
-
 val set_hook : t -> (record -> unit) -> unit
 (** Also deliver every subsequent record to [f], live (e.g. CLI printing). *)
 
@@ -54,8 +52,3 @@ val record_to_json : record -> string
 
 val to_jsonl : record list -> string
 (** One object per line. *)
-
-val record_of_json : string -> (record, string) result
-
-val of_jsonl : string -> (record list, string) result
-(** Inverse of {!to_jsonl}; blank lines are skipped. *)

@@ -9,12 +9,9 @@
 val none : int
 (** The null trace id (untraced record / old-format frame). *)
 
-val make : origin:int -> n:int -> int
-(** The [n]-th id minted by node [origin]; never 0, never collides across
-    origins (for [n] below 2{^24}). *)
-
 val origin_of : int -> int
-(** The node that minted an id made by {!make}. *)
+(** The node that minted an id. Ids never collide across origins (for
+    fewer than 2{^24} mints per origin) and are never 0. *)
 
 val group_stride : int
 (** 4096: plain origins below it and namespaced origins at or above it are

@@ -26,5 +26,3 @@ let succ_for b ~leader =
   else { round = b.round + 1; leader }
 
 let pp ppf b = Format.fprintf ppf "%d.%d" b.round b.leader
-
-let to_string b = Printf.sprintf "%d.%d" b.round b.leader

@@ -28,5 +28,3 @@ val succ_for : t -> leader:int -> t
     greater than [b] — what a candidate picks when it has observed [b]. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

@@ -62,6 +62,10 @@ let add_main t m =
         aux_pool = List.filter (fun x -> x <> m) t.aux_pool;
       }
 
+let machine_ids t ~spare_mains =
+  let top = List.fold_left max (-1) (t.mains @ t.aux_pool) in
+  (t.mains @ List.init spare_mains (fun i -> top + 1 + i), t.aux_pool)
+
 let pp ppf t =
   Format.fprintf ppf "cfg#%d{mains=%a; aux=%a}" t.epoch
     Fmt.(brackets (list ~sep:comma int))

@@ -38,8 +38,6 @@ val acceptors : t -> int list
 
 val is_main : t -> int -> bool
 
-val is_active_aux : t -> int -> bool
-
 val is_acceptor : t -> int -> bool
 
 val quorum_size : t -> int
@@ -59,6 +57,11 @@ val remove_main : t -> int -> t option
 val add_main : t -> int -> t option
 (** Re-admit a (repaired) machine as a main. [None] if already a main.
     If the machine is in the aux pool it is promoted out of it. *)
+
+val machine_ids : t -> spare_mains:int -> int list * int list
+(** The machine universe of a cluster started from [t]: its mains followed
+    by [spare_mains] spare main ids numbered past every machine of [t], and
+    its auxiliary pool. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -14,12 +14,6 @@ type t = {
   mutable next_client : int;
 }
 
-let machine_ids (initial : Config.t) ~spare_mains =
-  let base = initial.Config.mains @ initial.Config.aux_pool in
-  let top = List.fold_left max (-1) base in
-  let spares = List.init spare_mains (fun i -> top + 1 + i) in
-  (initial.Config.mains @ spares, initial.Config.aux_pool, spares)
-
 let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.default)
     ?proc_time ?(spare_mains = 0) ?(obs = true) ?storage ~policy
     ~initial ~app () =
@@ -34,7 +28,7 @@ let create ?(seed = 1) ?(net = Cp_sim.Netmodel.lan) ?(params = Cp_engine.Params.
     Engine.create ~seed ~net ?proc_time ~obs ~fresh_trace ?storage
       ~kinds:Types.kinds ~kind_index:Types.kind_index ~size_of:Types.size_of ()
   in
-  let universe_mains, universe_auxes, _ = machine_ids initial ~spare_mains in
+  let universe_mains, universe_auxes = Config.machine_ids initial ~spare_mains in
   let t =
     {
       eng;

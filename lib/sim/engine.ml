@@ -151,8 +151,6 @@ let push t time kind =
 
 let at t time f = push t (max time t.time) (Action f)
 
-let after t delay f = at t (t.time +. delay) f
-
 let is_up t id = (find_node t id).handlers <> None
 
 let node_counters t m =

@@ -118,9 +118,6 @@ val at : 'm t -> float -> (unit -> unit) -> unit
 (** Schedule an engine action (fault injection, probe) at an absolute time.
     Actions run after message/timer events scheduled at the same instant. *)
 
-val after : 'm t -> float -> (unit -> unit) -> unit
-(** Relative form of {!at}. *)
-
 val set_reachable : 'm t -> (int -> int -> bool) -> unit
 (** Install a partition predicate [reachable src dst]; checked at send and at
     delivery, so healing a partition does not resurrect in-flight messages.

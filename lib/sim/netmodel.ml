@@ -21,7 +21,3 @@ let sample_delay t rng =
   end
 
 let sample_duplicate t rng = t.dup_prob > 0. && Cp_util.Rng.bool rng t.dup_prob
-
-let pp ppf t =
-  Format.fprintf ppf "net{lat=%.2gs jit=%.2gs drop=%.2g dup=%.2g}" t.base_latency
-    t.jitter t.drop_prob t.dup_prob

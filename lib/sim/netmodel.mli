@@ -27,5 +27,3 @@ val sample_delay : t -> Cp_util.Rng.t -> float option
 (** [None] = dropped; [Some d] = deliver after [d] seconds. *)
 
 val sample_duplicate : t -> Cp_util.Rng.t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -5,8 +5,7 @@ module Metrics = Cp_sim.Metrics
 type t = {
   ctx : Types.msg Engine.ctx;
   mains : int array;
-  timeout : float; (* base retry delay *)
-  max_backoff : float; (* cap on the un-jittered retry delay *)
+  timeout : float; (* base retry delay; 16x it caps the un-jittered delay *)
   think : float;
   ops : int -> string option;
   is_read : string -> bool;
@@ -48,7 +47,7 @@ let send_current t =
       (if t.is_read op then Types.ClientRead cmd else Types.ClientReq cmd);
     cancel_retry t;
     let delay =
-      retry_delay ~base:t.timeout ~cap:t.max_backoff ~attempt:t.attempts
+      retry_delay ~base:t.timeout ~cap:(16. *. t.timeout) ~attempt:t.attempts
         ~jitter:(Cp_util.Rng.float t.ctx.Engine.rng 1.)
     in
     t.retry_timer <- Some (t.ctx.Engine.set_timer ~tag:"retry" delay)
@@ -117,17 +116,15 @@ let on_retry t =
     send_current t
   end
 
-let create ctx ~mains ~timeout ?max_backoff ?(think = 0.) ?(is_read = fun _ -> false)
+let create ctx ~mains ~timeout ?(think = 0.) ?(is_read = fun _ -> false)
     ~ops () =
   if mains = [] then invalid_arg "Client.create: empty contact list";
   if timeout <= 0. then invalid_arg "Client.create: timeout must be positive";
-  let max_backoff = Option.value max_backoff ~default:(16. *. timeout) in
   let t =
     {
       ctx;
       mains = Array.of_list mains;
       timeout;
-      max_backoff;
       think;
       ops;
       is_read;

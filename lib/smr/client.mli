@@ -16,7 +16,6 @@ val create :
   Types.msg Cp_sim.Engine.ctx ->
   mains:int list ->
   timeout:float ->
-  ?max_backoff:float ->
   ?think:float ->
   ?is_read:(string -> bool) ->
   ops:(int -> string option) ->
@@ -29,7 +28,7 @@ val create :
     the log otherwise; such operations must not mutate application state.
 
     Retransmissions back off exponentially from [timeout] up to
-    [max_backoff] (default [16 *. timeout]), with multiplicative jitter;
+    [16 *. timeout], with multiplicative jitter;
     the backoff resets when a response arrives. A redirect naming the node
     we last contacted triggers one immediate resend per retry window
     (counter ["client_fast_resends"]) instead of waiting out the delay. *)

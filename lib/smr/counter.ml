@@ -21,5 +21,3 @@ let restore str : state = ref (int_of_string str)
 let inc n = "INC " ^ string_of_int n
 
 let get = "GET"
-
-let parse = int_of_string

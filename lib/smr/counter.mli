@@ -7,5 +7,3 @@ include Cp_proto.Appi.S
 val inc : int -> string
 
 val get : string
-
-val parse : string -> int

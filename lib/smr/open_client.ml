@@ -20,6 +20,8 @@ type t = {
   mutable exhausted : bool;
   outstanding : (int, inflight) Hashtbl.t;
   mutable hint : int;
+  mutable heard : float;
+      (* when the contact last replied or redirected, or became the contact *)
   mutable completed : int;
 }
 
@@ -62,11 +64,20 @@ let on_response t ~seq =
     Metrics.observe t.ctx.Engine.metrics "done_at" (now t);
     Metrics.incr t.ctx.Engine.metrics "ops_done"
 
+let set_contact t i =
+  t.hint <- i;
+  t.heard <- now t
+
+(* Move to the next main only when the contact has been silent for a full
+   timeout: with many operations in flight, a retry of one of them says
+   little about a contact that is answering the others, or that a redirect
+   has just named. *)
 let on_retry t seq =
   match Hashtbl.find_opt t.outstanding seq with
   | None -> ()
   | Some fl ->
-    t.hint <- (t.hint + 1) mod Array.length t.mains;
+    if now t -. t.heard >= t.timeout then
+      set_contact t ((t.hint + 1) mod Array.length t.mains);
     Metrics.incr t.ctx.Engine.metrics "client_retries";
     send_op t seq fl
 
@@ -85,6 +96,7 @@ let create ctx ~mains ~timeout ~rate ?(max_outstanding = 64) ~ops () =
       exhausted = false;
       outstanding = Hashtbl.create 64;
       hint = 0;
+      heard = ctx.Engine.now ();
       completed = 0;
     }
   in
@@ -92,13 +104,14 @@ let create ctx ~mains ~timeout ~rate ?(max_outstanding = 64) ~ops () =
   t
 
 let handlers t =
-  let on_message ~src:_ msg =
+  let on_message ~src msg =
+    if src = t.mains.(t.hint) then t.heard <- now t;
     match (msg : Types.msg) with
     | Types.ClientResp { seq; _ } -> on_response t ~seq
     | Types.Redirect { leader_hint } ->
       let idx = ref None in
       Array.iteri (fun i m -> if m = leader_hint then idx := Some i) t.mains;
-      (match !idx with Some i -> t.hint <- i | None -> ())
+      (match !idx with Some i when i <> t.hint -> set_contact t i | _ -> ())
     | _ -> ()
   in
   let on_timer ~tid:_ ~tag =

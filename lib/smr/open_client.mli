@@ -5,7 +5,10 @@
     (experiment E13).
 
     Each in-flight operation gets its own sequence number and is retried on
-    timeout; completions are recorded like {!Client}'s (metrics series
+    timeout. A retry moves to the next main only when the current contact
+    has sent nothing (no reply, no redirect) for a full timeout since it
+    became the contact, so a leader named by a redirect keeps the traffic.
+    Completions are recorded like {!Client}'s (metrics series
     ["latency"]/["done_at"], counter ["ops_done"]). The number of distinct
     outstanding operations is capped to keep overload runs bounded. *)
 

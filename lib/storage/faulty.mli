@@ -42,7 +42,5 @@ module View : Storage.S
 
 type t = View.t
 
-val wrap : plan -> Storage.t -> t
-
 val store : plan -> Storage.t -> Storage.t
 (** Op-level injector around an existing packed store. *)

@@ -29,8 +29,6 @@ type view_counters = { mutable vc_writes : int; mutable vc_bytes : int }
     resolved prefix so that re-deriving a view with the same name returns
     the same cell (counters survive re-derivation). *)
 
-val fresh_view_counters : unit -> view_counters
-
 val register_view : (string, view_counters) Hashtbl.t -> prefix:string -> view_counters
 
 val check_view_name : string -> unit

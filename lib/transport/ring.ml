@@ -26,7 +26,6 @@ type link = {
 }
 
 type t = {
-  ring_capacity : int;
   seed : int;
   links : (int * int, link) Hashtbl.t;
   mutable order : link list;
@@ -38,10 +37,11 @@ type t = {
   mutable time : float;
 }
 
-let create ?(ring_capacity = 65536) ?(seed = 1) ?(storage = fun _ -> Cp_storage.Mem.store ())
-    () =
+(* The most a link's byte ring grows to. *)
+let ring_capacity = 65536
+
+let create ?(seed = 1) ?(storage = fun _ -> Cp_storage.Mem.store ()) () =
   {
-    ring_capacity;
     seed;
     links = Hashtbl.create 16;
     order = [];
@@ -61,7 +61,7 @@ let link fab ~src ~dst =
       {
         l_src = src;
         l_dst = dst;
-        l_ring = Bytering.create ~capacity:fab.ring_capacity ();
+        l_ring = Bytering.create ~capacity:ring_capacity ();
         l_limit = 0;
       }
     in
@@ -206,7 +206,8 @@ let commit fab =
    started (a count, so a ring that grows mid-pass keeps its limit), so
    whatever a handler (message, timer or [build]) writes waits for the
    next pass, and the commit at its entry. A link created mid-pass is not
-   in this pass's (immutable) snapshot of [fab.order]. *)
+   in this pass's (immutable) snapshot of [fab.order]. Returns the number
+   of messages delivered (0 = quiescent). *)
 let pump fab =
   commit fab;
   let pass = fab.order in

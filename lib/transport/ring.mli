@@ -5,8 +5,8 @@
     the UDP node), for replicas co-hosted in one process: each (src, dst)
     pair gets a {!Bytering} on demand, sends serialize {e zero-copy} into
     the ring ({!Cp_proto.Codec.encode_into} straight into the ring's backing
-    bytes — no intermediate string, no syscall at all), and {!pump} reads
-    every ring in deterministic order, decoding records in place with the
+    bytes — no intermediate string, no syscall at all), and each pump pass
+    reads every ring in deterministic order, decoding records in place with the
     same {!Cp_proto.Codec.decode_frames} the UDP node uses and dispatching to
     the destination's handlers. Timers ride a {!Cp_fleet.Wheel} under the
     fabric's virtual clock, so a run is a pure function of the endpoints'
@@ -19,12 +19,11 @@
 type t
 (** The fabric: links, clock, timer wheel, endpoints. *)
 
-val create :
-  ?ring_capacity:int -> ?seed:int -> ?storage:(int -> Cp_storage.Storage.t) -> unit -> t
-(** [ring_capacity] (default 65536) bounds each link's byte ring: a link
-    starts at 1 KiB and doubles when a send does not fit, so memory follows
-    each link's traffic while the largest frame a link accepts stays that
-    of a [ring_capacity] ring ({!Bytering.max_record}); [seed]
+val create : ?seed:int -> ?storage:(int -> Cp_storage.Storage.t) -> unit -> t
+(** Each link's byte ring is bounded at 64 KiB: a link starts at 1 KiB and
+    doubles when a send does not fit, so memory follows each link's traffic
+    while the largest frame a link accepts stays that of a 64 KiB ring
+    ({!Bytering.max_record}). [seed]
     (default 1) roots every endpoint's RNG stream. [storage] supplies each
     endpoint's stable store at {!add_node} time, keyed by endpoint id
     (default: a fresh in-memory store per endpoint). *)
@@ -41,13 +40,17 @@ val add_node :
 
 val now : t -> float
 
-val pump : t -> int
-(** One pass: read every link in ascending (src, dst) order, each only up
-    to the records it held when the pass started (even if it grows during
-    the pass), and dispatch each record at
-    the current virtual time. Returns the number of messages delivered
-    (0 = quiescent). A record that does not decode is dropped and counted
-    in the destination's [wire_decode_errors].
+val run : ?until:float -> t -> unit
+(** Advance the fabric: alternate pump passes with firing due timers,
+    moving the virtual clock from deadline to deadline, until both the
+    rings and the wheel are quiescent (or the clock would pass [until],
+    default 60 virtual seconds — a livelock guard).
+
+    A pass reads every link in ascending (src, dst) order, each only up to
+    the records it held when the pass started (even if it grows during the
+    pass), and dispatches each record at the current virtual time. A record
+    that does not decode is dropped and counted in the destination's
+    [wire_decode_errors].
 
     Group commit: a pass starts by flushing every endpoint's store once, so
     everything a handler (message, timer or [build]) put since the last
@@ -61,12 +64,6 @@ val pump : t -> int
     its unread outgoing records (all written since its last flush) are
     discarded, and it runs no handler again; records discarded this way and
     every record later addressed to it count in its [fenced_drops]. *)
-
-val run : ?until:float -> t -> unit
-(** Advance the fabric: alternate {!pump} passes with firing due timers,
-    moving the virtual clock from deadline to deadline, until both the
-    rings and the wheel are quiescent (or the clock would pass [until],
-    default 60 virtual seconds — a livelock guard). *)
 
 val link : t -> src:int -> dst:int -> Bytering.t
 (** The ring carrying [src]'s records to [dst], created on demand — exposed

@@ -237,7 +237,7 @@ let test_default_params_batch_behind_pipeline () =
   let cmd seq = { Types.client; seq; op = Printf.sprintf "c%d" seq } in
   let lone params =
     let t, _, _ = Test_roles.elect ~params () in
-    snd (Leader.step t ~now:0.2 (Leader.Client_req (cmd 1)))
+    snd (Test_roles.step t ~now:0.2 (fun t -> Leader.on_client_req t (cmd 1)))
   in
   let effs = lone p in
   Alcotest.(check bool)
@@ -251,7 +251,6 @@ let test_default_params_batch_behind_pipeline () =
          | _ -> false)
        (Test_roles.sends_to 1 effs));
   let t, ballot, _ = Test_roles.elect () in
-  let step t now input = Leader.step t ~now input in
   let p2as effs =
     List.filter_map
       (function Types.P2a { instance; entry; _ } -> Some (instance, entry) | _ -> None)
@@ -264,7 +263,9 @@ let test_default_params_batch_behind_pipeline () =
   in
   let t = ref t in
   let submit seq =
-    let t', effs = step !t 0.2 (Leader.Client_req (cmd seq)) in
+    let t', effs =
+      Test_roles.step !t ~now:0.2 (fun t -> Leader.on_client_req t (cmd seq))
+    in
     t := t';
     p2as effs
   in
@@ -282,7 +283,9 @@ let test_default_params_batch_behind_pipeline () =
       (List.length (submit seq))
   done;
   let ack instance =
-    let t', effs = step !t 0.3 (Leader.P2b { from = 1; ballot; instance }) in
+    let t', effs =
+      Test_roles.step !t ~now:0.3 (fun t -> Leader.on_p2b t ~from:1 ~ballot ~instance)
+    in
     t := t';
     effs
   in

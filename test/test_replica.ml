@@ -517,6 +517,32 @@ let test_snapshot_bytes_identity () =
     (!compared > 10);
   assert_safe c
 
+(* A pipelined client keeps its sends on the leader: a retry of one of 16
+   operations in flight must not push the contact off a leader that is
+   answering the others, or that a redirect has just named. Main 1 is cut
+   off for 0.2 s. Arrivals end at about 0.5 s; a client that moves its
+   contact on every retry resolves its last operations only after 1.8 s,
+   and sheds most arrivals behind slow ones. *)
+let test_open_client_stays_on_leader () =
+  let cluster = cheap_cluster ~seed:17 ~net:Cp_sim.Netmodel.lossy () in
+  let n = 2000 in
+  let id, client =
+    Cluster.add_open_client cluster ~rate:4000. ~max_outstanding:16
+      ~ops:(fun seq -> if seq <= n then Some (Counter.inc 1) else None)
+      ()
+  in
+  Faults.schedule cluster
+    [ (0.05, Faults.Partition [ [ 1 ]; [ 0; 2; id ] ]); (0.25, Faults.Heal) ];
+  Alcotest.(check bool) "every operation answered or shed by 1 s" true
+    (Cluster.run_until cluster ~deadline:1. (fun () -> Cp_smr.Open_client.is_finished client));
+  let answered = Cp_smr.Open_client.done_count client in
+  Alcotest.(check int) "answered + shed = generated" n
+    (answered + Cluster.metric cluster id "shed");
+  Alcotest.(check bool)
+    (Printf.sprintf "more than a quarter answered (%d of %d)" answered n)
+    true (answered > n / 4);
+  assert_safe cluster
+
 let suite =
   [
     Alcotest.test_case "initial leader is min main" `Quick test_initial_leader_is_min_main;
@@ -545,4 +571,5 @@ let suite =
     Alcotest.test_case "latency sanity" `Quick test_latency_is_two_rtt_ish;
     Alcotest.test_case "snapshot bytes: decode, re-encode, live sessions" `Quick
       test_snapshot_bytes_identity;
+    Alcotest.test_case "open client stays on the leader" `Quick test_open_client_stays_on_leader;
   ]

@@ -1,6 +1,7 @@
 (* Unit tests for the sans-IO role modules: each case builds a pure core via
-   [Core.create] (no engine, no IO), drives one role's [step] with a crafted
-   input, and asserts on the returned effect list and the mutated state. *)
+   [Core.create] (no engine, no IO), calls one role's handler through [step]
+   with crafted arguments, and asserts on the returned effect list and the
+   mutated state. *)
 
 open Cp_proto
 module State = Cp_engine.State
@@ -46,6 +47,14 @@ let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) ?(policy = po
     ~universe_mains:initial.Config.mains ~universe_auxes:initial.Config.aux_pool ~app
     ~recovery:State.fresh_boot
 
+(* Run one role handler at [now], the way [Core.step] runs a whole input:
+   returns the state and every effect the handler produced, in emission
+   order. *)
+let step t ~now f =
+  t.State.clock <- now;
+  f t;
+  (t, State.drain t)
+
 let sends_to dst effects =
   Effect.sends effects |> List.filter_map (fun (d, m) -> if d = dst then Some m else None)
 
@@ -72,8 +81,8 @@ let with_votes ?(self = 2) ?(role = State.Aux) ?params n =
   let t = ref t in
   for i = 0 to n - 1 do
     let t', _ =
-      Acceptor_core.step !t ~now:0.1
-        (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = i; entry = entry_n i })
+      step !t ~now:0.1 (fun t ->
+          Acceptor_core.on_p2a t ~src:0 ~ballot:ballot0 ~instance:i ~entry:(entry_n i))
     in
     t := t'
   done;
@@ -83,7 +92,9 @@ let with_votes ?(self = 2) ?(role = State.Aux) ?params n =
 
 let test_acceptor_promise () =
   let t, _ = mk ~self:1 () in
-  let t, effs = Acceptor_core.step t ~now:0.1 (Acceptor_core.P1a { src = 0; ballot = ballot0; low = 0 }) in
+  let t, effs =
+    step t ~now:0.1 (fun t -> Acceptor_core.on_p1a t ~src:0 ~ballot:ballot0 ~low:0)
+  in
   (match sends_to 0 effs with
   | [ Types.P1b { ballot; from; votes; compacted_upto } ] ->
     Alcotest.(check bool) "same ballot" true (Ballot.equal ballot ballot0);
@@ -99,8 +110,10 @@ let test_acceptor_promise () =
 let test_acceptor_stale_nack () =
   let t, _ = mk ~self:1 () in
   let high = Ballot.succ_for ballot0 ~leader:1 in
-  let t, _ = Acceptor_core.step t ~now:0.1 (Acceptor_core.P1a { src = 1; ballot = high; low = 0 }) in
-  let _, effs = Acceptor_core.step t ~now:0.2 (Acceptor_core.P1a { src = 0; ballot = ballot0; low = 0 }) in
+  let t, _ = step t ~now:0.1 (fun t -> Acceptor_core.on_p1a t ~src:1 ~ballot:high ~low:0) in
+  let _, effs =
+    step t ~now:0.2 (fun t -> Acceptor_core.on_p1a t ~src:0 ~ballot:ballot0 ~low:0)
+  in
   match sends_to 0 effs with
   | [ Types.P1Nack { promised; _ } ] ->
     Alcotest.(check bool) "nack carries the higher promise" true (Ballot.equal promised high)
@@ -111,7 +124,8 @@ let test_acceptor_p2a_accept () =
   let t, _ = mk ~self:2 ~role:State.Aux () in
   let entry = entry_n 0 in
   let _, effs =
-    Acceptor_core.step t ~now:0.1 (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = 0; entry })
+    step t ~now:0.1 (fun t ->
+        Acceptor_core.on_p2a t ~src:0 ~ballot:ballot0 ~instance:0 ~entry)
   in
   (match sends_to 0 effs with
   | [ Types.P2b { instance = 0; from = 2; _ } ] -> ()
@@ -128,8 +142,8 @@ let test_acceptor_p2a_vote_only () =
      many votes the acceptor holds. *)
   let t = with_votes 5 in
   let _, effs =
-    Acceptor_core.step t ~now:0.2
-      (Acceptor_core.P2a { src = 0; ballot = ballot0; instance = 5; entry = entry_n 5 })
+    step t ~now:0.2 (fun t ->
+        Acceptor_core.on_p2a t ~src:0 ~ballot:ballot0 ~instance:5 ~entry:(entry_n 5))
   in
   match persists effs with
   | [ Effect.Persist_vote (5, _) ] -> ()
@@ -137,7 +151,7 @@ let test_acceptor_p2a_vote_only () =
 
 let test_acceptor_compaction_drops () =
   let t = with_votes 4 in
-  let t, effs = Acceptor_core.step t ~now:0.2 (Acceptor_core.Commit_floor { upto = 2 }) in
+  let t, effs = step t ~now:0.2 (fun t -> Acceptor_core.on_commit_floor t ~upto:2) in
   (match persists effs with
   | [ Effect.Persist_header (b, 2); Effect.Drop_vote 0; Effect.Drop_vote 1 ]
     when Ballot.equal b ballot0 ->
@@ -145,7 +159,7 @@ let test_acceptor_compaction_drops () =
   | p -> Alcotest.fail ("expected the header, then one drop per vote: " ^ pp_persists p));
   Alcotest.(check int) "votes at and above the floor kept" 2
     (Cp_engine.Acceptor.vote_count t.State.acceptor);
-  let _, effs = Acceptor_core.step t ~now:0.3 (Acceptor_core.Commit_floor { upto = 2 }) in
+  let _, effs = step t ~now:0.3 (fun t -> Acceptor_core.on_commit_floor t ~upto:2) in
   Alcotest.(check int) "a repeated floor writes nothing" 0 (List.length (persists effs))
 
 let test_learner_snapshot_drops_votes () =
@@ -154,10 +168,10 @@ let test_learner_snapshot_drops_votes () =
   let params = { Params.default with Params.snapshot_every = 3 } in
   let t = ref (with_votes ~self:1 ~role:State.Main ~params 3) in
   for i = 0 to 1 do
-    let t', _ = Learner.step !t ~now:0.2 (Learner.Learn { instance = i; entry = entry_n i }) in
+    let t', _ = step !t ~now:0.2 (fun t -> ignore (Learner.learn t i (entry_n i))) in
     t := t'
   done;
-  let t, effs = Learner.step !t ~now:0.2 (Learner.Learn { instance = 2; entry = entry_n 2 }) in
+  let t, effs = step !t ~now:0.2 (fun t -> ignore (Learner.learn t 2 (entry_n 2))) in
   (match persists effs with
   | [
    Effect.Persist_log (2, _);
@@ -193,7 +207,7 @@ let elect ?params ?app () =
     | _ -> assert false
   in
   let t, effs =
-    Leader.step t ~now:0.1 (Leader.P1b { from = 1; ballot; votes = []; compacted = 0 })
+    step t ~now:0.1 (fun t -> Leader.on_p1b t ~from:1 ~ballot ~votes:[] ~compacted:0)
   in
   (t, ballot, effs)
 
@@ -212,7 +226,7 @@ let test_leader_election () =
 let test_leader_propose_and_choose () =
   let t, ballot, _ = elect () in
   let cmd = { Types.client = 1000; seq = 1; op = "w" } in
-  let t, effs = Leader.step t ~now:0.2 (Leader.Client_req cmd) in
+  let t, effs = step t ~now:0.2 (fun t -> Leader.on_client_req t cmd) in
   (match sends_to 1 effs with
   | sends ->
     Alcotest.(check bool)
@@ -221,7 +235,7 @@ let test_leader_propose_and_choose () =
   Alcotest.(check bool)
     "nothing to the auxiliary on the fast path" true
     (sends_to 2 effs |> List.for_all (function Types.P2a _ -> false | _ -> true));
-  let t, effs = Leader.step t ~now:0.3 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  let t, effs = step t ~now:0.3 (fun t -> Leader.on_p2b t ~from:1 ~ballot ~instance:0) in
   Alcotest.(check int) "chosen and executed" 1 t.State.executed_;
   Alcotest.(check bool)
     "commit broadcast to the other main" true
@@ -233,7 +247,7 @@ let test_leader_propose_and_choose () =
 let test_leader_redirect_when_follower () =
   let t, _ = mk ~self:1 () in
   let cmd = { Types.client = 1000; seq = 1; op = "w" } in
-  let _, effs = Leader.step t ~now:0.1 (Leader.Client_req cmd) in
+  let _, effs = step t ~now:0.1 (fun t -> Leader.on_client_req t cmd) in
   match sends_to 1000 effs with
   | [ Types.Redirect { leader_hint = 0 } ] -> ()
   | _ -> Alcotest.fail "follower should redirect to its leader hint"
@@ -243,7 +257,7 @@ let test_leader_redirect_when_follower () =
 let test_learner_learn_executes () =
   let t, _ = mk ~self:1 () in
   let entry = Types.App { Types.client = 9; seq = 1; op = "a" } in
-  let t, effs = Learner.step t ~now:0.1 (Learner.Learn { instance = 0; entry }) in
+  let t, effs = step t ~now:0.1 (fun t -> ignore (Learner.learn t 0 entry)) in
   Alcotest.(check int) "executed through the entry" 1 t.State.executed_;
   Alcotest.(check bool)
     "chosen entry persisted" true
@@ -259,9 +273,9 @@ let test_learner_learn_executes () =
 let test_learner_gap_blocks_execution () =
   let t, _ = mk ~self:1 () in
   let entry = Types.App { Types.client = 9; seq = 1; op = "a" } in
-  let t, _ = Learner.step t ~now:0.1 (Learner.Learn { instance = 1; entry }) in
+  let t, _ = step t ~now:0.1 (fun t -> ignore (Learner.learn t 1 entry)) in
   Alcotest.(check int) "gap at 0 blocks execution" 0 t.State.executed_;
-  let t, _ = Learner.step t ~now:0.2 (Learner.Learn { instance = 0; entry = Types.Noop }) in
+  let t, _ = step t ~now:0.2 (fun t -> ignore (Learner.learn t 0 Types.Noop)) in
   Alcotest.(check int) "filling the gap executes both" 2 t.State.executed_
 
 (* A leader's learner executing a chosen prefix of KV commands under
@@ -316,7 +330,7 @@ let test_learner_session_dedup () =
     let t, effs =
       List.fold_left
         (fun (t, acc) i ->
-          let t, effs = Learner.step t ~now:0.2 (Learner.Learn { instance = i; entry = prefix.(i) }) in
+          let t, effs = step t ~now:0.2 (fun t -> ignore (Learner.learn t i prefix.(i))) in
           (t, acc @ effs))
         (t, []) order
     in
@@ -333,9 +347,8 @@ let learn_n t n =
   let t = ref t in
   for i = 0 to n - 1 do
     let t', _ =
-      Learner.step !t ~now:0.1
-        (Learner.Learn
-           { instance = i; entry = Types.App { Types.client = 9; seq = i + 1; op = "a" } })
+      step !t ~now:0.1 (fun t ->
+          ignore (Learner.learn t i (Types.App { Types.client = 9; seq = i + 1; op = "a" })))
     in
     t := t'
   done;
@@ -343,7 +356,9 @@ let learn_n t n =
 
 let test_catchup_serves_range () =
   let t = learn_n (fst (mk ~self:1 ())) 3 in
-  let _, effs = Catchup.step t ~now:0.5 (Catchup.Catchup_req { src = 0; from_instance = 0 }) in
+  let _, effs =
+    step t ~now:0.5 (fun t -> Catchup.on_catchup_req t ~src:0 ~from_instance:0)
+  in
   match sends_to 0 effs with
   | [ Types.CatchupResp { entries; snapshot = None } ] ->
     Alcotest.(check int) "all three chosen entries served" 3 (List.length entries)
@@ -357,13 +372,13 @@ let test_catchup_bounded_by_datagram () =
   let n = 300 in
   for i = 0 to n - 1 do
     let entry = Test_codec.full_batch ~seq:(1 + (64 * i)) in
-    t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = i; entry }))
+    t := fst (step !t ~now:0.1 (fun t -> ignore (Learner.learn t i entry)))
   done;
   let rec serve from responses =
     if from >= n then responses
     else
       let _, effs =
-        Catchup.step !t ~now:0.5 (Catchup.Catchup_req { src = 0; from_instance = from })
+        step !t ~now:0.5 (fun t -> Catchup.on_catchup_req t ~src:0 ~from_instance:from)
       in
       match sends_to 0 effs with
       | [
@@ -382,10 +397,10 @@ let test_catchup_bounded_by_datagram () =
     true (responses > 1);
   (* An entry larger than any datagram is still served, alone. *)
   let huge = Types.App { Types.client = 7; seq = 1; op = String.make 70_000 'x' } in
-  t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = n; entry = huge }));
-  t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = n + 1; entry = huge }));
+  t := fst (step !t ~now:0.1 (fun t -> ignore (Learner.learn t n huge)));
+  t := fst (step !t ~now:0.1 (fun t -> ignore (Learner.learn t (n + 1) huge)));
   let _, effs =
-    Catchup.step !t ~now:0.5 (Catchup.Catchup_req { src = 0; from_instance = n })
+    step !t ~now:0.5 (fun t -> Catchup.on_catchup_req t ~src:0 ~from_instance:n)
   in
   match sends_to 0 effs with
   | [ Types.CatchupResp { entries = [ (i, _) ]; snapshot = None } ] ->
@@ -395,7 +410,7 @@ let test_catchup_bounded_by_datagram () =
 let test_catchup_commit_learns () =
   let t, _ = mk ~self:1 () in
   let t, _ =
-    Catchup.step t ~now:0.1 (Catchup.Commit { instance = 0; entry = Types.Noop })
+    step t ~now:0.1 (fun t -> Catchup.on_commit t ~instance:0 ~entry:Types.Noop)
   in
   Alcotest.(check int) "commit advanced the prefix" 1 (Log.prefix t.State.log)
 
@@ -404,7 +419,7 @@ let test_catchup_gap_triggers_request () =
   let t, _ = mk ~self:1 ~params () in
   (* A commit far beyond the prefix overruns gap_threshold = 2. *)
   let _, effs =
-    Catchup.step t ~now:0.1 (Catchup.Commit { instance = 10; entry = Types.Noop })
+    step t ~now:0.1 (fun t -> Catchup.on_commit t ~instance:10 ~entry:Types.Noop)
   in
   Alcotest.(check bool)
     "catch-up requested from the other main" true
@@ -414,7 +429,7 @@ let test_catchup_respects_gap_threshold () =
   let params = { Params.default with Params.gap_threshold = 50 } in
   let t, _ = mk ~self:1 ~params () in
   let _, effs =
-    Catchup.step t ~now:0.1 (Catchup.Commit { instance = 10; entry = Types.Noop })
+    step t ~now:0.1 (fun t -> Catchup.on_commit t ~instance:10 ~entry:Types.Noop)
   in
   Alcotest.(check bool)
     "no catch-up inside the threshold" true
@@ -425,8 +440,8 @@ let test_catchup_respects_gap_threshold () =
 let test_lease_heartbeat_acked () =
   let t, _ = mk ~self:1 () in
   let t, effs =
-    Lease.step t ~now:0.4
-      (Lease.Heartbeat { src = 0; ballot = ballot0; commit_floor = 0; sent_at = 0.35 })
+    step t ~now:0.4 (fun t ->
+        Lease.on_heartbeat t ~src:0 ~ballot:ballot0 ~commit_floor:0 ~sent_at:0.35)
   in
   (match sends_to 0 effs with
   | [ Types.HeartbeatAck { from = 1; echo; _ } ] ->
@@ -437,10 +452,10 @@ let test_lease_heartbeat_acked () =
 let test_lease_stale_heartbeat_ignored () =
   let t, _ = mk ~self:1 () in
   let high = Ballot.succ_for ballot0 ~leader:1 in
-  let t, _ = Acceptor_core.step t ~now:0.1 (Acceptor_core.P1a { src = 1; ballot = high; low = 0 }) in
+  let t, _ = step t ~now:0.1 (fun t -> Acceptor_core.on_p1a t ~src:1 ~ballot:high ~low:0) in
   let _, effs =
-    Lease.step t ~now:0.2
-      (Lease.Heartbeat { src = 0; ballot = ballot0; commit_floor = 0; sent_at = 0.15 })
+    step t ~now:0.2 (fun t ->
+        Lease.on_heartbeat t ~src:0 ~ballot:ballot0 ~commit_floor:0 ~sent_at:0.15)
   in
   Alcotest.(check int) "stale heartbeat produces nothing" 0 (List.length (Effect.sends effs))
 
@@ -574,7 +589,7 @@ let leading ?params ?app () =
     match t.State.state with State.Candidate c -> c.State.c_ballot | _ -> assert false
   in
   let t, _ =
-    Leader.step t ~now:0.1 (Leader.P1b { from = 1; ballot; votes = []; compacted = 0 })
+    step t ~now:0.1 (fun t -> Leader.on_p1b t ~from:1 ~ballot ~votes:[] ~compacted:0)
   in
   match t.State.state with
   | State.Leader lead -> (t, lead, ballot)
@@ -598,13 +613,13 @@ let has_metric name effs =
 let leader_with_parked_read () =
   let t, lead, ballot = leading ~params:lease_on ~app:(module Cp_smr.Kv : Appi.S) () in
   let t, _ =
-    Leader.step t ~now:0.1 (Leader.Heartbeat_ack { from = 1; ballot; prefix = 0; echo = 0.1 })
+    step t ~now:0.1 (fun t -> Leader.on_heartbeat_ack t ~from:1 ~ballot ~prefix:0 ~echo:0.1)
   in
   Alcotest.(check bool) "lease held" true lead.State.l_lease_held;
   let put = { Types.client; seq = 1; op = Cp_smr.Kv.put "k" "v1" } in
-  let t, _ = Leader.step t ~now:0.101 (Leader.Client_req put) in
+  let t, _ = step t ~now:0.101 (fun t -> Leader.on_client_req t put) in
   let get = { Types.client; seq = 2; op = Cp_smr.Kv.get "k" } in
-  let t, effs = Leader.step t ~now:0.102 (Leader.Client_read get) in
+  let t, effs = step t ~now:0.102 (fun t -> Leader.on_client_read t get) in
   Alcotest.(check bool) "the read is deferred" true (has_metric "lease_reads_deferred" effs);
   Alcotest.(check int) "and not answered" 0 (List.length (replies effs));
   Alcotest.(check int) "one parked read" 1 (Queue.length lead.State.l_reads);
@@ -612,7 +627,7 @@ let leader_with_parked_read () =
 
 let test_deferred_read_served_at_apply () =
   let t, lead, ballot = leader_with_parked_read () in
-  let _, effs = Leader.step t ~now:0.103 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  let _, effs = step t ~now:0.103 (fun t -> Leader.on_p2b t ~from:1 ~ballot ~instance:0) in
   Alcotest.(check (list (pair int string)))
     "the write's reply, then the read's, which sees the write" [ (1, "OK"); (2, "v1") ]
     (replies effs);
@@ -621,11 +636,11 @@ let test_deferred_read_served_at_apply () =
 let test_deferred_read_lapsed_lease_falls_back () =
   let t, lead, ballot = leader_with_parked_read () in
   (* The echo of 0.1 is older than (1 - lease_margin) * lease_guard at 0.125. *)
-  let t, effs = Leader.step t ~now:0.125 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  let t, effs = step t ~now:0.125 (fun t -> Leader.on_p2b t ~from:1 ~ballot ~instance:0) in
   Alcotest.(check (list (pair int string))) "only the write is answered" [ (1, "OK") ]
     (replies effs);
   Alcotest.(check int) "the read stays parked" 1 (Queue.length lead.State.l_reads);
-  let _, effs = Leader.step t ~now:0.126 Leader.Tick in
+  let _, effs = step t ~now:0.126 Leader.on_tick in
   Alcotest.(check bool) "the tick counts a fallback" true
     (has_metric "lease_read_fallbacks" effs);
   Alcotest.(check int) "nothing left parked" 0 (Queue.length lead.State.l_reads);
@@ -643,16 +658,16 @@ let test_deferred_read_waits_for_every_earlier_write () =
   (* A second PUT (client, 3) lands at instance 1; the GET (client, 2) is
      not behind it, but a GET (client, 4) is behind both. *)
   let put = { Types.client; seq = 3; op = Cp_smr.Kv.put "k" "v3" } in
-  let t, _ = Leader.step t ~now:0.1025 (Leader.Client_req put) in
+  let t, _ = step t ~now:0.1025 (fun t -> Leader.on_client_req t put) in
   let get = { Types.client; seq = 4; op = Cp_smr.Kv.get "k" } in
-  let t, _ = Leader.step t ~now:0.1026 (Leader.Client_read get) in
+  let t, _ = step t ~now:0.1026 (fun t -> Leader.on_client_read t get) in
   Alcotest.(check int) "two parked reads" 2 (Queue.length lead.State.l_reads);
-  let t, effs = Leader.step t ~now:0.103 (Leader.P2b { from = 1; ballot; instance = 0 }) in
+  let t, effs = step t ~now:0.103 (fun t -> Leader.on_p2b t ~from:1 ~ballot ~instance:0) in
   Alcotest.(check (list (pair int string)))
     "instance 0 releases only the read behind it" [ (1, "OK"); (2, "v1") ] (replies effs);
   Alcotest.(check int) "the read behind instance 1 stays parked" 1
     (Queue.length lead.State.l_reads);
-  let _, effs = Leader.step t ~now:0.104 (Leader.P2b { from = 1; ballot; instance = 1 }) in
+  let _, effs = step t ~now:0.104 (fun t -> Leader.on_p2b t ~from:1 ~ballot ~instance:1) in
   Alcotest.(check (list (pair int string))) "instance 1 releases it" [ (3, "OK"); (4, "v3") ]
     (replies effs)
 
@@ -715,7 +730,7 @@ let prop_lease_valid =
       let t, lead, _ = leading ~params:lease_on () in
       let t = ref t in
       for i = 0 to learned - 1 do
-        t := fst (Learner.step !t ~now:0.1 (Learner.Learn { instance = i; entry = Types.Noop }))
+        t := fst (step !t ~now:0.1 (fun t -> ignore (Learner.learn t i Types.Noop)))
       done;
       let t = !t in
       List.iteri
