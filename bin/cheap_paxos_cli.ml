@@ -274,7 +274,9 @@ let demo_cmd =
       value
       & opt float Cp_engine.Params.default.Cp_engine.Params.batch_linger
       & info [ "linger" ] ~docv:"SECONDS"
-          ~doc:"How long the leader may hold a non-full batch open for more commands.")
+          ~doc:
+            "How long an idle leader may hold a non-full batch open for more commands \
+             (while an instance is in flight a non-full batch waits for it anyway).")
   in
   let read_ratio =
     Arg.(

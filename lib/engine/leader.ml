@@ -178,22 +178,32 @@ and pump t lead =
               match Queue.take_opt lead.l_queue with
               | None -> List.rev acc
               | Some cmd ->
+                let size = Types.command_size cmd in
+                lead.l_queued_bytes <- lead.l_queued_bytes - size;
                 if fresh cmd then begin
                   Hashtbl.replace lead.l_inflight_cmds (cmd.Types.client, cmd.Types.seq) ();
-                  take (n - 1) (bytes + Types.command_size cmd) (cmd :: acc)
+                  take (n - 1) (bytes + size) (cmd :: acc)
                 end
                 else begin
                   progress := true;
                   take n bytes acc
                 end
           in
-          (* Linger: a sub-maximal batch may be held open briefly so more
-             commands can join; the periodic tick re-runs [pump], so a
+          (* Self-clocking (Nagle's rule for proposals): a full batch leaves
+             as soon as the window has room, but a partial one waits while
+             any instance is in flight — [check_chosen] re-runs [pump] when
+             the last one is chosen, by which time more commands may have
+             joined. Linger: on an idle leader a partial batch may also be
+             held open briefly; the periodic tick re-runs [pump], so a
              lingering batch flushes within [batch_linger + tick]. *)
+          let full =
+            Queue.length lead.l_queue >= max_cmds || lead.l_queued_bytes >= max_bytes
+          in
           let flush_now =
-            t.params.Params.batch_linger <= 0.
-            || Queue.length lead.l_queue >= max_cmds
-            || now t -. lead.l_queue_since >= t.params.Params.batch_linger
+            full
+            || Hashtbl.length lead.l_pending = 0
+               && (t.params.Params.batch_linger <= 0.
+                  || now t -. lead.l_queue_since >= t.params.Params.batch_linger)
           in
           if flush_now then begin
             let cmds = take max_cmds 0 [] in
@@ -318,6 +328,7 @@ let become_leader t (c : candidate) =
       l_next = start;
       l_queue = Queue.create ();
       l_queue_since = infinity;
+      l_queued_bytes = 0;
       l_inflight_cmds = Hashtbl.create 32;
       l_backlog = Hashtbl.create 32;
       l_recover_hi = stop;
@@ -348,6 +359,9 @@ let become_leader t (c : candidate) =
   Hashtbl.iter
     (fun i (v : Types.vote) -> if i >= start then Hashtbl.replace lead.l_backlog i v.Types.ventry)
     c.c_votes;
+  Queue.iter
+    (fun cmd -> lead.l_queued_bytes <- lead.l_queued_bytes + Types.command_size cmd)
+    t.pre_queue;
   Queue.transfer t.pre_queue lead.l_queue;
   if not (Queue.is_empty lead.l_queue) then lead.l_queue_since <- now t;
   t.state <- Leader lead;
@@ -486,6 +500,7 @@ let on_client_req t (cmd : Types.command) =
           push t (Effect.Span_submitted { client = cmd.client; seq = cmd.seq; at = now t });
           if Queue.is_empty lead.l_queue then lead.l_queue_since <- now t;
           Queue.push cmd lead.l_queue;
+          lead.l_queued_bytes <- lead.l_queued_bytes + Types.command_size cmd;
           pump t lead
         end
       end

@@ -46,9 +46,10 @@ type t = {
   batch_max_cmds : int;
       (** maximum client commands packed into one log instance (1 = no
           batching). Batching divides per-command consensus cost by the
-          achieved batch size. Default 64: with [batch_linger = 0] a batch
-          only forms from commands that queued while the pipeline was full,
-          so the cap rarely binds before [batch_max_bytes] does. *)
+          achieved batch size. A batch of this many commands (or of
+          [batch_max_bytes]) is full and leaves as soon as [pipeline_window]
+          has room; a partial one waits while any instance is in flight.
+          Default 64: the cap rarely binds before [batch_max_bytes] does. *)
   batch_max_bytes : int;
       (** byte budget per batch entry: the leader stops adding commands to a
           batch once their accumulated {!Cp_proto.Types.command_size}
@@ -59,21 +60,23 @@ type t = {
           65,507-byte datagram where 64 KiB batches never could. *)
   batch_linger : float;
       (** how long the leader may hold a sub-[batch_max_cmds] batch open
-          waiting for more commands. 0 (default) proposes immediately, so an
-          idle leader still proposes a lone command at once as [App] and
-          batches form only behind a full pipeline; a positive linger trades
-          that much latency for bigger batches. Flushes are driven by
-          [tick], so the effective linger is quantized to it. *)
+          waiting for more commands when no instance is in flight (while
+          one is, a partial batch waits for it to be chosen whatever the
+          linger; a full batch never waits). 0 (default) proposes
+          immediately, so an idle leader still proposes a lone command at
+          once as [App]; a positive linger trades that much latency for
+          bigger batches. Flushes are driven by [tick], so the effective
+          linger is quantized to it. *)
   session_window : int;
       (** cached replies retained per client session for at-most-once
           replay answers; must exceed any client's pipelining depth *)
   pipeline_window : int;
       (** maximum concurrently-pending (proposed, not yet chosen) instances.
-          Lowering it makes commands queue behind in-flight instances, which
-          is what lets batches form; the α-window still caps the pipeline
-          regardless. Default 4: under load, commands that arrive while 4
-          instances are unchosen queue, and leave together as one [Batch]
-          when the first of them is chosen. *)
+          Only full batches use more than one slot: a partial batch waits
+          while any instance is in flight and leaves when the last is
+          chosen, so the pipeline holds at most one partial batch. The
+          α-window still caps the pipeline regardless. Default 4: under
+          load, up to 4 full batches are in flight at once. *)
   queue_limit : int;
       (** backpressure: the leader's command queue is capped at this many
           waiting commands; further client submissions are dropped (counted

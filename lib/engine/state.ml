@@ -46,6 +46,9 @@ type lead = {
   mutable l_queue_since : float;
       (* when the oldest currently-queued command arrived ([infinity] while
          the queue is empty); the batch-linger clock *)
+  mutable l_queued_bytes : int;
+      (* sum of [Types.command_size] over [l_queue]: whether the queue holds
+         a full batch, in O(1) *)
   l_inflight_cmds : (int * int, unit) Hashtbl.t; (* (client, seq) proposed, unexecuted *)
   l_backlog : (int, Types.entry) Hashtbl.t;
       (* phase-1 recovered votes not yet re-proposed: they must wait for the

@@ -1011,7 +1011,8 @@ let e11_run ~quick =
             {
               Scenario.per_command_params with
               Cp_engine.Params.batch_max_cmds = batch;
-              (* A shallow pipeline is what lets batches accumulate. *)
+              (* A partial batch waits while any instance is in flight; a
+                 shallow pipeline holds full ones back too. *)
               pipeline_window =
                 (if batch > 1 then 2
                  else Scenario.per_command_params.Cp_engine.Params.pipeline_window);

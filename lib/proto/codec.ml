@@ -305,6 +305,8 @@ let put_bytes c src ~pos ~len =
   Bytes.blit src pos c.cbuf c.cpos len;
   c.cpos <- c.cpos + len
 
+let put_string = XW.string_
+
 let put_reply c seq reply =
   XW.varint c seq;
   XW.string_ c reply
@@ -313,9 +315,11 @@ let varint_size n =
   let rec go z k = if z land lnot 0x7f = 0 then k else go (z lsr 7) (k + 1) in
   go ((n lsl 1) lxor (n asr 62)) 1
 
-let reply_size seq reply =
-  let n = String.length reply in
-  varint_size seq + varint_size n + n
+let string_size s =
+  let n = String.length s in
+  varint_size n + n
+
+let reply_size seq reply = varint_size seq + string_size reply
 
 (* --- reading ------------------------------------------------------------ *)
 

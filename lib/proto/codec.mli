@@ -62,7 +62,8 @@ val decode_frames : ?pos:int -> ?len:int -> string -> (framed list, string) resu
 (** {1 Sized writing}
 
     For a caller that keeps part of a record already encoded and splices it
-    in later (a session's cached replies, see {!encode_stable_snapshot_with}):
+    in later (a session's cached replies, see {!encode_stable_snapshot_with}),
+    or that sizes a record before writing it once (an app's table snapshot):
     exact sizes, and a cursor that writes into the caller's own bytes. *)
 
 type cursor
@@ -79,11 +80,17 @@ val put_varint : cursor -> int -> unit
 val put_bytes : cursor -> Bytes.t -> pos:int -> len:int -> unit
 (** Copy [len] bytes of the source from [pos]. *)
 
+val put_string : cursor -> string -> unit
+(** Length-prefixed, as {!write_string}. *)
+
 val put_reply : cursor -> int -> string -> unit
 (** One cached reply of a snapshot session, [varint seq | string reply]. *)
 
 val varint_size : int -> int
 (** Bytes {!put_varint} writes for this value. *)
+
+val string_size : string -> int
+(** Bytes {!put_string} writes for this string. *)
 
 val reply_size : int -> string -> int
 (** Bytes {!put_reply} writes for this seq and reply. *)

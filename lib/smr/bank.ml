@@ -42,7 +42,7 @@ let read_only op =
   | [ "BALANCE"; _ ] | [ "TOTAL" ] -> true
   | _ -> false
 
-let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_si s
+let snapshot (s : state) = Snap.table_snapshot Snap.int_value s
 
 let restore str : state = Snap.table_restore ~app:name Snap.read_pair_si ~size:16 str
 

@@ -25,7 +25,7 @@ let apply (s : state) op =
 let read_only op =
   match String.split_on_char ' ' op with [ "GET"; _ ] -> true | _ -> false
 
-let snapshot (s : state) = Snap.table_snapshot Snap.write_pair_ss s
+let snapshot (s : state) = Snap.table_snapshot Snap.string_value s
 
 let restore str : state = Snap.table_restore ~app:name Snap.read_pair_ss ~size:64 str
 

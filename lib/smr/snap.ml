@@ -43,25 +43,42 @@ let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let write_pair_ss buf (k, v) =
-  Codec.write_string buf k;
-  Codec.write_string buf v
-
 let read_pair_ss s ~pos =
   let* k, pos = Codec.read_string s ~pos in
   let* v, pos = Codec.read_string s ~pos in
   Ok ((k, v), pos)
-
-let write_pair_si buf (k, v) =
-  Codec.write_string buf k;
-  Codec.write_varint buf v
 
 let read_pair_si s ~pos =
   let* k, pos = Codec.read_string s ~pos in
   let* v, pos = Codec.read_varint s ~pos in
   Ok ((k, v), pos)
 
-let table_snapshot write tbl = to_string (fun buf -> write_list buf write (sorted_bindings tbl))
+type 'v value = { size : 'v -> int; put : Codec.cursor -> 'v -> unit }
+
+let string_value = { size = Codec.string_size; put = Codec.put_string }
+
+let int_value = { size = Codec.varint_size; put = Codec.put_varint }
+
+(* [varint count | (string key, value)*], keys ascending: the bytes
+   [write_list] of the sorted bindings would give, sized first and written
+   once into bytes of exactly that size (no growing buffer, no copy out). *)
+let table_snapshot value tbl =
+  let pairs = sorted_bindings tbl in
+  let count = List.length pairs in
+  let size =
+    List.fold_left
+      (fun acc (k, v) -> acc + Codec.string_size k + value.size v)
+      (Codec.varint_size count) pairs
+  in
+  let bytes = Bytes.create size in
+  let c = Codec.cursor bytes ~pos:0 in
+  Codec.put_varint c count;
+  List.iter
+    (fun (k, v) ->
+      Codec.put_string c k;
+      value.put c v)
+    pairs;
+  Bytes.unsafe_to_string bytes
 
 let table_restore ~app read ~size str =
   let pairs = of_string ~app (read_list read) str in

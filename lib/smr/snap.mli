@@ -22,16 +22,22 @@ val read_list :
 
 val sorted_bindings : (string, 'v) Hashtbl.t -> (string * 'v) list
 
-val write_pair_ss : Buffer.t -> string * string -> unit
-
 val read_pair_ss : string -> pos:int -> ((string * string) * int, string) result
-
-val write_pair_si : Buffer.t -> string * int -> unit
 
 val read_pair_si : string -> pos:int -> ((string * int) * int, string) result
 
-val table_snapshot :
-  (Buffer.t -> string * 'v -> unit) -> (string, 'v) Hashtbl.t -> string
+type 'v value = { size : 'v -> int; put : Cp_proto.Codec.cursor -> 'v -> unit }
+(** A table value's encoding: its exact size and how to write it. *)
+
+val string_value : string value
+(** Length-prefixed, as {!Cp_proto.Codec.write_string}. *)
+
+val int_value : int value
+(** A zig-zag varint, as {!Cp_proto.Codec.write_varint}. *)
+
+val table_snapshot : 'v value -> (string, 'v) Hashtbl.t -> string
+(** [write_list] of the bindings sorted by key, each a length-prefixed key
+    then its value; sized first, then written once. *)
 
 val table_restore :
   app:string ->

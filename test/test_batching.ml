@@ -227,14 +227,14 @@ let test_linger_delays_flush () =
 
 (* [Params.default], nothing overridden, at the sans-IO core: an idle leader
    proposes a lone command at once, exactly as with one command per
-   instance; commands that arrive while the pipeline holds 4 unchosen
-   instances wait, and leave as one [Batch] as soon as the first of those
-   is chosen. *)
-let test_default_params_batch_behind_pipeline () =
+   instance; commands that arrive while an instance is in flight wait, and
+   leave as one [Batch] when it is chosen; a full batch (here: by bytes)
+   leaves at once, even beside an instance in flight. *)
+let test_default_params_partial_batch_waits () =
   let module Leader = Cp_engine.Leader in
   let p = Cp_engine.Params.default in
   let client = 1000 in
-  let cmd seq = { Types.client; seq; op = Printf.sprintf "c%d" seq } in
+  let cmd ?(op = "") seq = { Types.client; seq; op = Printf.sprintf "c%d%s" seq op } in
   let lone params =
     let t, _, _ = Test_roles.elect ~params () in
     snd (Test_roles.step t ~now:0.2 (fun t -> Leader.on_client_req t (cmd 1)))
@@ -261,26 +261,21 @@ let test_default_params_batch_behind_pipeline () =
       (function Types.ClientResp { seq; _ } -> Some seq | _ -> None)
       (Test_roles.sends_to client effs)
   in
+  let seqs cmds = List.map (fun c -> c.Types.seq) cmds in
   let t = ref t in
-  let submit seq =
-    let t', effs =
-      Test_roles.step !t ~now:0.2 (fun t -> Leader.on_client_req t (cmd seq))
-    in
+  let submit c =
+    let t', effs = Test_roles.step !t ~now:0.2 (fun t -> Leader.on_client_req t c) in
     t := t';
     p2as effs
   in
-  let window = p.pipeline_window in
-  for seq = 1 to window do
-    match submit seq with
-    | [ (i, Types.App { seq = s; _ }) ] when i = seq - 1 && s = seq -> ()
-    | _ -> Alcotest.failf "command %d should be proposed alone at instance %d" seq (seq - 1)
-  done;
-  let queued = 6 in
-  for seq = window + 1 to window + queued do
+  (match submit (cmd 1) with
+  | [ (0, Types.App { seq = 1; _ }) ] -> ()
+  | _ -> Alcotest.fail "command 1 should be proposed alone at instance 0");
+  for seq = 2 to 7 do
     Alcotest.(check int)
-      (Printf.sprintf "command %d waits" seq)
+      (Printf.sprintf "command %d waits behind instance 0" seq)
       0
-      (List.length (submit seq))
+      (List.length (submit (cmd seq)))
   done;
   let ack instance =
     let t', effs =
@@ -292,18 +287,37 @@ let test_default_params_batch_behind_pipeline () =
   let effs = ack 0 in
   Alcotest.(check (list int)) "instance 0 answers its command" [ 1 ] (resps effs);
   (match p2as effs with
-  | [ (i, Types.Batch cmds) ] when i = window ->
+  | [ (1, Types.Batch cmds) ] ->
     Alcotest.(check (list int))
-      "the queued commands leave together, in order"
-      (List.init queued (fun k -> window + 1 + k))
-      (List.map (fun c -> c.Types.seq) cmds)
-  | _ -> Alcotest.fail "expected one Batch proposal when instance 0 is chosen");
-  let later =
-    List.concat_map (fun i -> resps (ack i)) (List.init window (fun k -> k + 1))
+      "the held commands leave together at instance 1, in order" [ 2; 3; 4; 5; 6; 7 ]
+      (seqs cmds)
+  | _ -> Alcotest.fail "expected one Batch proposal at instance 1 when instance 0 is chosen");
+  (* Instance 1 is in flight: commands of 200 bytes wait until their bytes
+     reach [batch_max_bytes], then leave at once as one full batch. *)
+  let big seq = cmd ~op:(String.make 200 'x') seq in
+  let rec fill seq bytes =
+    let bytes = bytes + Types.command_size (big seq) in
+    let sent = submit (big seq) in
+    if bytes < p.batch_max_bytes then begin
+      Alcotest.(check int) (Printf.sprintf "partial batch: command %d waits" seq) 0
+        (List.length sent);
+      fill (seq + 1) bytes
+    end
+    else (seq, sent)
   in
+  let last, sent = fill 8 0 in
+  Alcotest.(check bool) "a full batch takes more than one command" true (last > 8);
+  (match sent with
+  | [ (2, Types.Batch cmds) ] ->
+    Alcotest.(check (list int))
+      "a full batch leaves at once beside instance 1"
+      (List.init (last - 7) (fun k -> 8 + k))
+      (seqs cmds)
+  | _ -> Alcotest.failf "command %d fills the batch: expected one Batch at instance 2" last);
+  let later = List.concat_map (fun i -> resps (ack i)) [ 1; 2 ] in
   Alcotest.(check (list int))
     "one ClientResp per command, in order"
-    (List.init (window - 1 + queued) (fun k -> k + 2))
+    (List.init (last - 1) (fun k -> k + 2))
     later
 
 let suite =
@@ -319,6 +333,6 @@ let suite =
       test_per_command_spans_in_batches;
     Alcotest.test_case "byte cap bounds batches" `Quick test_batch_byte_cap;
     Alcotest.test_case "linger delays flush" `Quick test_linger_delays_flush;
-    Alcotest.test_case "defaults: batch behind a full pipeline" `Quick
-      test_default_params_batch_behind_pipeline;
+    Alcotest.test_case "defaults: partial batch waits in flight" `Quick
+      test_default_params_partial_batch_waits;
   ]

@@ -239,6 +239,65 @@ let prop_kv_deterministic =
       let b = Appi.instantiate (module Kv) in
       List.for_all (fun op -> a.Appi.apply op = b.Appi.apply op) ops)
 
+(* --- table snapshots ------------------------------------------------------ *)
+
+module Codec = Cp_proto.Codec
+module Snap = Cp_smr.Snap
+
+(* A table snapshot as first written, through a [Buffer] grown from 256 B:
+   the reference the sized writer must match byte for byte. *)
+let buffer_snapshot write_value tbl =
+  Snap.to_string (fun buf ->
+      Snap.write_list buf
+        (fun buf (k, v) ->
+          Codec.write_string buf k;
+          write_value buf v)
+        (Snap.sorted_bindings tbl))
+
+let table_of pairs =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) pairs;
+  tbl
+
+(* Keys without spaces (usable in app ops), long enough to cross the one-
+   byte varint length. *)
+let word = QCheck.(string_gen_of_size Gen.(int_range 1 200) Gen.(char_range 'a' 'z'))
+
+let prop_table_snapshot_bytes =
+  QCheck.Test.make ~name:"table snapshot = Buffer encoding, string and int values" ~count:200
+    QCheck.(pair (list (pair word string)) (list (pair word int)))
+    (fun (strings, ints) ->
+      let s = table_of strings and i = table_of ints in
+      Snap.table_snapshot Snap.string_value s = buffer_snapshot Codec.write_string s
+      && Snap.table_snapshot Snap.int_value i = buffer_snapshot Codec.write_varint i)
+
+(* KV, Bank and Lock, driven by ops, snapshot the table the ops built (a
+   shadow kept here) exactly as the reference encodes it. *)
+let prop_app_snapshot_bytes =
+  QCheck.Test.make ~name:"kv, bank and lock snapshots = Buffer encoding" ~count:100
+    QCheck.(triple (list (pair word word)) (list (pair word small_nat)) (list (pair word word)))
+    (fun (puts, opens, acquires) ->
+      let run (module A : Appi.S) ops =
+        let inst = Appi.instantiate (module A) in
+        List.iter (fun op -> ignore (inst.Appi.apply op)) ops;
+        inst.Appi.snapshot ()
+      in
+      (* OPEN and ACQUIRE keep the first binding of a key. *)
+      let first pairs = table_of (List.rev pairs) in
+      let deleted = List.filteri (fun n _ -> n mod 3 = 0) puts |> List.map fst in
+      let kv = table_of puts in
+      List.iter (Hashtbl.remove kv) deleted;
+      run (module Kv)
+        (List.map (fun (k, v) -> Kv.put k v) puts @ List.map Kv.del deleted)
+      = buffer_snapshot Codec.write_string kv
+      && run (module Bank)
+           (List.map (fun (a, n) -> Printf.sprintf "OPEN %s %d" a n) opens)
+         = buffer_snapshot Codec.write_varint (first opens)
+      && run (module Lock)
+           (List.map (fun (owner, lock) -> Printf.sprintf "ACQUIRE %s %s" owner lock) acquires)
+         = buffer_snapshot Codec.write_string
+             (first (List.map (fun (owner, lock) -> (lock, owner)) acquires)))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let suite =
@@ -255,4 +314,11 @@ let suite =
       test_snapshot_insertion_order_independent;
     Alcotest.test_case "restore rejects garbage" `Quick test_snapshot_rejects_garbage;
   ]
-  @ qsuite [ prop_bank_conservation; prop_fifo_order; prop_kv_deterministic ]
+  @ qsuite
+      [
+        prop_bank_conservation;
+        prop_fifo_order;
+        prop_kv_deterministic;
+        prop_table_snapshot_bytes;
+        prop_app_snapshot_bytes;
+      ]

@@ -422,6 +422,75 @@ let test_ring_corrupt_record () =
     (Cp_sim.Metrics.get (Ring.metrics fab 0) "wire_decode_errors");
   check_commits run
 
+(* Instances per command under [Params.default]: three replicas, a KV and 32
+   closed-loop clients of 250 PUTs each (the ring_mem load) on a fresh
+   fabric. While an instance is in flight the requests that arrive fill one
+   batch, so 8,000 commands take at most 2,000 proposals (1,240 here).
+   Ring runs are deterministic, so the count repeats exactly. *)
+let test_ring_instances_per_command () =
+  let clients = 32 and per_client = 250 in
+  let mains = [ 0; 1 ] and auxes = [ 2 ] in
+  let fab = Ring.create ~seed:7 () in
+  let replicas =
+    List.map
+      (fun id ->
+        let cell = ref None in
+        Ring.add_node fab ~id ~build:(fun ctx ->
+            let r =
+              Replica.create ctx
+                ~role:(if List.mem id mains then Replica.Main else Replica.Aux)
+                ~policy:Cheap_paxos.Cheap.policy ~params:Cp_engine.Params.default
+                ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
+                ~universe_mains:mains ~universe_auxes:auxes ~app:(module Cp_smr.Kv)
+            in
+            cell := Some r;
+            Replica.handlers r);
+        (id, cell))
+      (mains @ auxes)
+  in
+  let put client seq =
+    let key = Printf.sprintf "k%d" (((client * 7919) + (seq * 31)) mod 1024) in
+    Cp_smr.Kv.put key (Printf.sprintf "%s=%d.%d.%s" key client seq (String.make 48 'v'))
+  in
+  let handles =
+    List.init clients (fun k ->
+        let id = 1000 + k and cell = ref None in
+        Ring.add_node fab ~id ~build:(fun ctx ->
+            let c =
+              Client.create ctx ~mains ~timeout:Cp_engine.Params.default.client_timeout
+                ~ops:(fun seq -> if seq <= per_client then Some (put id seq) else None)
+                ()
+            in
+            cell := Some c;
+            Client.handlers c);
+        cell)
+  in
+  let finished () = List.for_all (fun c -> Client.is_finished (Option.get !c)) handles in
+  while (not (finished ())) && Ring.now fab < 60. do
+    Ring.run ~until:(Ring.now fab +. 2e-3) fab
+  done;
+  Alcotest.(check bool) "every client finished" true (finished ());
+  let replica id = Option.get !(List.assoc id replicas) in
+  let leaders = List.filter (fun id -> Replica.is_leader (replica id)) mains in
+  Alcotest.(check (list int)) "main 0 leads throughout" [ 0 ] leaders;
+  let proposed = Cp_sim.Metrics.get (Ring.metrics fab 0) "proposed" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d proposals for %d commands (at most 2,000)" proposed
+       (clients * per_client))
+    true (proposed <= 2_000);
+  let dumps =
+    List.map
+      (fun id ->
+        let r = replica id in
+        {
+          Cp_checker.Consistency.node = id;
+          base = Replica.log_base r;
+          entries = Replica.log_range r ~lo:(Replica.log_base r) ~hi:max_int;
+        })
+      mains
+  in
+  match Cp_checker.Consistency.agreement dumps with Ok () -> () | Error e -> Alcotest.fail e
+
 (* --- group commit and fencing -------------------------------------------- *)
 
 module Storage = Cp_storage.Storage
@@ -588,6 +657,8 @@ let suite =
     Alcotest.test_case "ring fabric: counters match the committed dump" `Quick
       test_ring_counters_golden;
     Alcotest.test_case "ring fabric: corrupt record counted" `Slow test_ring_corrupt_record;
+    Alcotest.test_case "ring fabric: instances per command under defaults" `Quick
+      test_ring_instances_per_command;
     Alcotest.test_case "ring fabric: fenced endpoint's send never arrives" `Quick
       test_ring_fenced_send;
     Alcotest.test_case "ring fabric: follower crash at burst flush exposes no ack" `Slow
