@@ -347,21 +347,20 @@ let run_node id f base_port admin_port storage =
       Stdlib.exit 2
     end
   in
-  (* A real process keeps its own WAL root per machine, one subdirectory per
-     hosted group (the node's storage factory is keyed by group id): a node
-     restarted on the same --storage wal:DIR replays its promises, votes,
-     and snapshot instead of rejoining amnesiac. *)
+  (* A real process keeps its own WAL root per machine, at m<id>/g0 (the
+     node hosts group 0): a node restarted on the same --storage wal:DIR
+     replays its promises, votes, and snapshot instead of rejoining
+     amnesiac. *)
   let node_storage =
     match storage with
     | `Mem -> None
     | `Wal dir ->
       Some
-        (fun gid ->
+        (fun _ ->
           Cp_storage.Wal.store
-            (Filename.concat dir (Filename.concat (Printf.sprintf "m%d" id)
-                                    (Printf.sprintf "g%d" gid))))
+            (Filename.concat dir (Filename.concat (Printf.sprintf "m%d" id) "g0")))
   in
-  let node =
+  let (_ : Cp_netio.Node.t) =
     Cp_netio.Node.create ?admin_port ?storage:node_storage
       ~port_of:(fun i -> base_port + i)
       ~id_of_port:(fun p -> p - base_port)
@@ -386,7 +385,7 @@ let run_node id f base_port admin_port storage =
   | `Wal dir ->
     Printf.printf "durable storage: wal at %s/m%d (replayed on restart)\n%!" dir id);
   let rec forever () =
-    Cp_netio.Node.run_for node 3600.;
+    Thread.delay 3600.;
     forever ()
   in
   forever ()
@@ -408,7 +407,7 @@ let node_cmd =
     Term.(
       const run_node
       $ id $ f_arg $ base_port_arg $ admin_port
-      $ storage_arg ~unit_:"hosted group")
+      $ storage_arg ~unit_:"machine")
 
 let run_client_op f base_port op =
   let universe_mains = List.init (f + 1) Fun.id in

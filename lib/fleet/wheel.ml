@@ -1,10 +1,7 @@
 (* Hierarchical timer wheel.
 
-   Both runtimes used to keep per-node timers in an ordered structure — the
-   sim engine pushes every timer into the global event heap, the UDP node
-   keeps a sorted list — so hosting N replica groups behind one node made
-   timer maintenance O(N) per operation (every group re-arms its tick and
-   retransmit timers constantly). The wheel makes [add] and [cancel] O(1):
+   A node hosting N replica groups re-arms every group's tick and
+   retransmit timers constantly. The wheel makes [add] and [cancel] O(1):
    timers hash into fixed-size slot rings, one ring per power-of-[slots]
    granularity level, and time advances by draining level-0 slots and
    cascading a higher-level slot down each time a lower ring wraps.

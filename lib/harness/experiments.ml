@@ -1591,7 +1591,7 @@ let e17_run ~quick =
           (fun dst ->
             for j = 0 to frames_per_peer - 1 do
               match
-                Cp_transport.Outbox.append outbox ~dst ~gid:0 ~tid:(s land 0xffff)
+                Cp_transport.Outbox.append outbox ~dst ~tid:(s land 0xffff)
                   (msg ((s * frames_per_peer) + j))
               with
               | (_ : int) -> ()

@@ -8,21 +8,23 @@
     thread, [now] is wall-clock time, and a receiver thread decodes
     datagrams and dispatches the handlers.
 
-    Handlers run as tasks, one group at a time: every invocation of a
-    group's handlers holds that group's lock (run-to-completion, as in the
+    The node hosts one replica group, group 0 ({!Cp_fleet.Group_mux} is
+    how a machine hosts many); a frame for any other group is counted
+    ([mux_unknown_group]) and dropped. Handlers run as tasks: every
+    invocation holds the node's lock (run-to-completion, as in the
     simulator), and the burst it sends leaves as one datagram per
-    destination when it returns. A task (one datagram's frames for one
-    group, or one timer) runs on the receiver or timer thread that picked
-    it up, and is one delivery burst: the group's store is flushed once
-    when it ends, before its datagrams leave, and every transmit flushes
-    the store first, so no ack leaves before what it acknowledges is
-    durable. If a flush raises, the group is fenced:
-    [storage_flush_errors] counts it, its pending datagrams are dropped,
-    and from then on it transmits nothing and runs no handler; the frames
-    and timers it refuses count in [fenced_drops]. Wire-path health is
-    observable via the [wire_syscalls], [wire_bytes], [wire_copies],
-    [send_retries], and [send_drops] counters, and input that does not
-    decode is counted in [wire_decode_errors].
+    destination when it returns. A task (one datagram's frames, or one
+    timer) runs on the receiver or timer thread that picked it up, and is
+    one delivery burst: the store is flushed once when it ends, before its
+    datagrams leave, and every transmit flushes the store first, so no ack
+    leaves before what it acknowledges is durable. If a flush raises, the
+    node is fenced: [storage_flush_errors] counts it, its pending datagrams
+    are dropped, and from then on it transmits nothing and runs no handler;
+    the frames and timers it refuses count in [fenced_drops]. Wire-path
+    health is observable via the [wire_syscalls], [wire_bytes],
+    [wire_copies], [send_retries], and [send_drops] counters (a destination
+    [port_of] rejects is a drop too), and input that does not decode is
+    counted in [wire_decode_errors].
 
     UDP gives exactly the failure model the protocol is built for: loss,
     duplication, reordering. Nodes address each other by node id through a
@@ -46,17 +48,15 @@ val create :
 (** Bind [host:port_of id] (default host 127.0.0.1) and start the receiver
     and timer threads. [id_of_port] inverts [port_of] so that the [src]
     passed to handlers is a node id (datagrams carry no explicit sender
-    field). [build] receives the capability record of group 0; its stable
-    storage comes from [storage gid] (default: a fresh in-memory store per
-    group — pass a {!Cp_storage.Wal} factory for durable disks; {!shutdown}
-    closes every store, and storage counters appear in {!metrics_text} and
-    the admin [/metrics], namespaced [g<gid>_] for groups other than 0),
+    field). [build] receives the node's capability record; its stable
+    storage is [storage 0] (default: a fresh in-memory store — pass a
+    {!Cp_storage.Wal} factory for a durable disk; {!shutdown} closes it,
+    and its counters appear in {!metrics_text} and the admin [/metrics]),
     its RNG is seeded from [seed] and [id], its [emit] records into a
     bounded per-node trace ring of {!Cp_obs.Trace.default_capacity}
     entries.
 
-    Timers of every hosted group share one {!Cp_fleet.Wheel} behind the
-    timer thread — O(1) add/cancel regardless of group count — quantized
+    Timers live in one {!Cp_fleet.Wheel} behind the timer thread, quantized
     to 1 ms.
 
     Every frame carries its sender's ambient causal trace id
@@ -66,62 +66,37 @@ val create :
     on [host:admin_port] serving a minimal HTTP endpoint — see
     {!admin_response}. *)
 
-val add_group : t -> gid:int -> build:(Cp_proto.Types.msg Cp_sim.Engine.ctx -> Cp_proto.Types.msg Cp_sim.Engine.handlers) -> unit
-(** Host an additional replica group on this node's socket, timer wheel,
-    and trace ring. The primary [build] of {!create} is group 0; groups
-    added here must have [gid > 0] and exchange frames with the same [gid]
-    on their peers. Each group gets its own lock, metrics, outbox, RNG
-    stream, stable store, and a namespaced trace-id origin
-    ({!Cp_obs.Traceid.namespace}), so {!Cp_obs.Timeline} joins distinguish
-    co-hosted groups. Datagrams for group ids never added are counted
-    ([mux_unknown_group]) and dropped. *)
-
-val run_for : t -> float -> unit
-(** Block the calling thread for that many wall-clock seconds while the
-    node keeps serving. *)
-
 val shutdown : t -> unit
 (** Stop threads and close the socket. Idempotent. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
-(** Run [f] under group 0's lock — excluding group 0's handlers on both
-    the receiver and the timer thread — for inspecting protocol state owned by the node (e.g.
-    a client handle) without racing its threads. Anything [f] sends through
-    group 0's ctx leaves when [f] returns. Other groups' handlers keep
-    running; use {!with_group} for them. *)
-
-val with_group : t -> gid:int -> (unit -> 'a) -> 'a
-(** {!with_lock} for group [gid]. Raises [Invalid_argument] for a gid never
-    added. *)
+(** Run [f] under the node's lock — excluding the handlers on both the
+    receiver and the timer thread — for inspecting protocol state owned by
+    the node (e.g. a client handle) without racing its threads. Anything
+    [f] sends through the ctx leaves when [f] returns. *)
 
 val metrics : t -> Cp_sim.Metrics.t
-(** Group 0's metric store. The runtime feeds the same counters as the
+(** The node's metric store. The runtime feeds the same counters as the
     simulator's delivery path ([msgs_sent], [msgs_recv], [bytes_*],
-    [sent.<kind>], [recv.<kind>]); protocol code adds its own through the
-    ctx. Take {!with_lock} before reading while threads are live. Use
-    {!counter} for node-wide totals, which include the other groups and
-    the receive thread's drop counters. *)
+    [sent.<kind>], [recv.<kind>]) and the receive thread's drop counters
+    ([wire_decode_errors], [mux_unknown_group], unmapped-port
+    [handler_errors]); protocol code adds its own through the ctx. Take
+    {!with_lock} before reading while threads are live. *)
 
 val counter : t -> string -> int
-(** One counter's node-wide total: every group's store, the receive
-    thread's drop counters ([wire_decode_errors], [mux_unknown_group],
-    unmapped-port [handler_errors]). *)
+(** One counter's value, the store's counters included ([storage_fsyncs],
+    ...); 0 if never bumped. Takes the lock. *)
 
-val group_metrics : t -> int -> Cp_sim.Metrics.t
-(** Group [gid]'s metric store. Take {!with_group} before reading while
-    threads are live. *)
-
-val trace : t -> Cp_obs.Trace.t
-(** The node's bounded event-trace ring, shared by every group, fed by the
-    ctx [emit] and by a [Msg_recv] record per delivered frame. *)
+val trace_records : t -> Cp_obs.Trace.record list
+(** A copy, taken under the lock, of the node's bounded event-trace ring,
+    fed by the ctx [emit] and by a [Msg_recv] record per delivered frame. *)
 
 val metrics_text : t -> string
-(** Prometheus text-exposition snapshot of the node-wide counters (as
-    {!counter}) and of every group's observation series (group 0's bare,
-    the others prefixed [g<gid>_]) as summaries with p50/p90/p99
-    quantiles, followed by the pipeline-profile comment block
-    ({!Cp_obs.Prof.render}). Takes each group's lock in turn, so never call
-    it from a handler or inside {!with_lock}. *)
+(** Prometheus text-exposition snapshot of the counters (as {!counter})
+    and of the observation series as summaries with p50/p90/p99 quantiles,
+    followed by the pipeline-profile comment block ({!Cp_obs.Prof.render}).
+    Takes the lock, so never call it from a handler or inside
+    {!with_lock}. *)
 
 val admin_response : t -> string -> int * string * string
 (** [(status, content_type, body)] for an admin request path — the pure

@@ -49,9 +49,9 @@ let flush t =
    [when] guard and Overflow propagates to the caller; the dirty entry for
    [dst] may linger across the flush — harmless, [flush] of an empty buffer
    sends nothing. *)
-let rec append t ~dst ~gid ~tid msg =
+let rec append t ~dst ~tid msg =
   let b = buf_for t dst in
-  match Codec.encode_into b.b_buf ~pos:b.b_len ~gid ~tid msg with
+  match Codec.encode_into b.b_buf ~pos:b.b_len ~gid:0 ~tid msg with
   | stop ->
     if b.b_len = 0 then t.dirty <- dst :: t.dirty;
     let n = stop - b.b_len in
@@ -59,7 +59,7 @@ let rec append t ~dst ~gid ~tid msg =
     n
   | exception Codec.Overflow when b.b_len > 0 ->
     flush_buf t dst b;
-    append t ~dst ~gid ~tid msg
+    append t ~dst ~tid msg
 
 let clear t =
   Hashtbl.iter (fun _ b -> b.b_len <- 0) t.bufs;

@@ -11,7 +11,7 @@
     out in the same layout as a burst.
 
     Every datagram leaves through [send], from {!flush} or from an {!append}
-    that finds its buffer full. The UDP node's [send] flushes the group's
+    that finds its buffer full. The UDP node's [send] flushes the node's
     store before each transmit, so nothing leaves before the storage writes
     it may acknowledge are durable, wherever in a handler it is sent from.
 
@@ -24,12 +24,12 @@ val create : ?capacity:int -> send:(dst:int -> Bytes.t -> off:int -> len:int -> 
     datagram; 65507 is the maximum UDP payload. [send] transmits one wire
     datagram; it must not re-enter the outbox for the same destination. *)
 
-val append : t -> dst:int -> gid:int -> tid:int -> Cp_proto.Types.msg -> int
-(** Serialize one frame into [dst]'s buffer and return the bytes it took
-    (length header included). If the buffer is full, it is flushed first
-    and the frame retried into the empty buffer; a frame too large even for
-    an empty buffer raises {!Cp_proto.Codec.Overflow} (the caller falls back
-    to its own path and accounts the copy). *)
+val append : t -> dst:int -> tid:int -> Cp_proto.Types.msg -> int
+(** Serialize one group-0 frame into [dst]'s buffer and return the bytes
+    it took (length header included). If the buffer is full, it is flushed
+    first and the frame retried into the empty buffer; a frame too large
+    even for an empty buffer raises {!Cp_proto.Codec.Overflow} (the caller
+    falls back to its own path and accounts the copy). *)
 
 val flush : t -> unit
 (** Transmit every destination buffer with pending frames, in ascending

@@ -399,7 +399,7 @@ let prop_frame_roundtrip =
       | Error _ -> false)
 
 (* A burst through a small outbox: every datagram it flushes decodes, and
-   their frames, concatenated, are the burst in order. *)
+   their frames, concatenated, are the burst in order, all for group 0. *)
 let prop_outbox_datagrams_roundtrip =
   QCheck.Test.make ~name:"outbox datagrams roundtrip a burst" ~count:200
     (QCheck.list_of_size (QCheck.Gen.int_range 1 40) arb_frame)
@@ -410,7 +410,7 @@ let prop_outbox_datagrams_roundtrip =
           ~send:(fun ~dst:_ buf ~off ~len -> sent := Bytes.sub_string buf off len :: !sent)
           ()
       in
-      List.iter (fun (gid, tid, msg) -> ignore (Cp_transport.Outbox.append ob ~dst:1 ~gid ~tid msg)) burst;
+      List.iter (fun (_, tid, msg) -> ignore (Cp_transport.Outbox.append ob ~dst:1 ~tid msg)) burst;
       Cp_transport.Outbox.flush ob;
       let frames =
         List.concat_map
@@ -419,8 +419,8 @@ let prop_outbox_datagrams_roundtrip =
       in
       List.length frames = List.length burst
       && List.for_all2
-           (fun (gid, tid, msg) (f : Codec.framed) ->
-             f.f_gid = gid && f.f_tid = tid && msg_equal f.f_msg msg)
+           (fun (_, tid, msg) (f : Codec.framed) ->
+             f.f_gid = 0 && f.f_tid = tid && msg_equal f.f_msg msg)
            burst frames)
 
 let prop_decode_frames_total =

@@ -94,7 +94,7 @@ let test_udp_cluster_commits () =
       (List.filter
          (fun (r : Cp_obs.Trace.record) ->
            match r.Cp_obs.Trace.ev with Cp_obs.Event.Msg_recv _ -> true | _ -> false)
-         (Cp_obs.Trace.records (Node.trace aux_node)))
+         (Node.trace_records aux_node))
   in
   let aux_metric_recvs =
     Node.with_lock aux_node (fun () -> Cp_sim.Metrics.get (Node.metrics aux_node) "msgs_recv")
@@ -103,7 +103,7 @@ let test_udp_cluster_commits () =
     List.exists
       (fun (r : Cp_obs.Trace.record) ->
         match r.Cp_obs.Trace.ev with Cp_obs.Event.Ballot_won _ -> true | _ -> false)
-      (Cp_obs.Trace.records (Node.trace (List.hd nodes)))
+      (Node.trace_records (List.hd nodes))
   in
   List.iter Node.shutdown (client_node :: nodes);
   Alcotest.(check bool) "client finished over real UDP" true finished;

@@ -17,6 +17,20 @@ let port_of id = base + id
 
 let id_of_port p = p - base
 
+let wait_until p =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec go () =
+    if p () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+let quiet = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) }
+
 let test_timers_fire_in_order () =
   let fired = ref [] in
   let lock = Mutex.create () in
@@ -36,7 +50,7 @@ let test_timers_fire_in_order () =
         })
       ()
   in
-  Node.run_for node 0.4;
+  Thread.delay 0.4;
   Node.shutdown node;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !fired)
 
@@ -54,7 +68,7 @@ let test_timer_cancel () =
         })
       ()
   in
-  Node.run_for node 0.3;
+  Thread.delay 0.3;
   Node.shutdown node;
   Alcotest.(check int) "only the uncancelled timer" 1 !fired
 
@@ -217,7 +231,7 @@ let test_trace_id_propagates_over_udp () =
     Thread.delay 0.01
   done;
   let traced_recv node ~from =
-    Node.with_lock node (fun () -> Cp_obs.Trace.records (Node.trace node))
+    Node.trace_records node
     |> List.exists (fun (r : Cp_obs.Trace.record) ->
            match r.Cp_obs.Trace.ev with
            | Cp_obs.Event.Msg_recv _ ->
@@ -323,88 +337,37 @@ let test_admin_large_response () =
   Alcotest.(check int) "body length intact" (String.length expected) (String.length body);
   Alcotest.(check bool) "body bytes intact" true (String.equal expected body)
 
-let test_multi_group_udp () =
-  (* Two groups per node share one UDP socket; frames dispatch by group id,
-     and frames for a group a node does not host are counted and dropped. *)
-  let got_g0 = ref 0 and got_g1 = ref (-1) and reply_g1 = ref (-1) in
+let test_other_group_dropped () =
+  (* The node hosts group 0 only: of one datagram holding a group 1 frame
+     and a group 0 frame, the handler sees the second, and the first is
+     counted and dropped. *)
+  let got = ref [] in
   let recv =
     Node.create ~port_of ~id_of_port ~id:16 ~seed:1
-      ~build:(fun _ ->
-        {
-          Engine.on_message = (fun ~src:_ _ -> incr got_g0);
-          on_timer = (fun ~tid:_ ~tag:_ -> ());
-        })
+      ~build:(fun _ -> { quiet with Engine.on_message = (fun ~src msg -> got := (src, msg) :: !got) })
       ()
   in
-  Node.add_group recv ~gid:1
-    ~build:(fun ctx ->
-      {
-        Engine.on_message =
-          (fun ~src msg ->
-            match msg with
-            | Types.CommitFloor { upto } ->
-              got_g1 := upto;
-              ctx.Engine.send src (Types.CommitFloor { upto = upto + 1 })
-            | _ -> ());
-        on_timer = (fun ~tid:_ ~tag:_ -> ());
-      })
-  ;
-  let sender =
-    Node.create ~port_of ~id_of_port ~id:17 ~seed:2
-      ~build:(fun _ ->
-        { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) })
-      ()
-  in
-  Node.add_group sender ~gid:1
-    ~build:(fun ctx ->
-      ctx.Engine.send 16 (Types.CommitFloor { upto = 5 });
-      {
-        Engine.on_message =
-          (fun ~src:_ msg ->
-            match msg with Types.CommitFloor { upto } -> reply_g1 := upto | _ -> ());
-        on_timer = (fun ~tid:_ ~tag:_ -> ());
-      });
-  (* A group the receiver does not host: dropped and counted. *)
-  Node.add_group sender ~gid:2
-    ~build:(fun ctx ->
-      ctx.Engine.send 16 (Types.CommitFloor { upto = 99 });
-      { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) });
-  let unknown () = Node.counter recv "mux_unknown_group" in
-  let deadline = Unix.gettimeofday () +. 5. in
-  while (!reply_g1 < 0 || unknown () < 1) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  let unknown_count = unknown () in
+  let buf = Bytes.create 256 in
+  let pos = Cp_proto.Codec.encode_into buf ~pos:0 ~gid:1 ~tid:0 (Types.CommitFloor { upto = 1 }) in
+  let len = Cp_proto.Codec.encode_into buf ~pos ~gid:0 ~tid:0 (Types.CommitFloor { upto = 2 }) in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port_of 17));
+  ignore (Unix.sendto sock buf 0 len [] (Unix.ADDR_INET (Unix.inet_addr_loopback, port_of 16)));
+  Unix.close sock;
+  ignore (wait_until (fun () -> Node.with_lock recv (fun () -> !got <> [])));
+  let unknown = Node.counter recv "mux_unknown_group" in
+  let got = Node.with_lock recv (fun () -> !got) in
   Node.shutdown recv;
-  Node.shutdown sender;
-  Alcotest.(check int) "group 1 payload delivered to group 1" 5 !got_g1;
-  Alcotest.(check int) "group 1 reply routed back" 6 !reply_g1;
-  Alcotest.(check int) "group 0 saw nothing" 0 !got_g0;
-  Alcotest.(check bool)
-    (Printf.sprintf "unknown group counted (%d)" unknown_count)
-    true (unknown_count >= 1)
+  Alcotest.(check bool) "the handler saw the group 0 frame alone" true
+    (match got with [ (17, Types.CommitFloor { upto = 2 }) ] -> true | _ -> false);
+  Alcotest.(check int) "the group 1 frame counted" 1 unknown
 
-let wait_until p =
-  let deadline = Unix.gettimeofday () +. 5. in
-  let rec go () =
-    if p () then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.01;
-      go ()
-    end
-  in
-  go ()
-
-let quiet = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) }
-
-(* The node contract the end-to-end benchmark leans on: [with_lock] excludes group 0's handlers; a send made inside it
-   leaves when it returns; a handler error in group 0 shows in [metrics];
-   and group 1's handlers do not wait for [with_lock]. Node [a] hosts
-   groups 0 and 1; node [b] drives it. *)
+(* The node contract the end-to-end benchmark leans on: [with_lock]
+   excludes the handlers; a send made inside it leaves when it returns; and
+   a handler error shows in [metrics]. Node [b] drives node [a]. *)
 let test_node_contract ~a_id () =
   let b_id = a_id + 1 in
-  let g0_seen = Atomic.make 0 and g1_seen = Atomic.make 0 and b_got = Atomic.make 0 in
+  let seen = Atomic.make 0 and b_got = Atomic.make 0 in
   let a_ctx = ref None in
   let a =
     Node.create ~port_of ~id_of_port ~id:a_id ~seed:1
@@ -416,49 +379,40 @@ let test_node_contract ~a_id () =
             (fun ~src:_ msg ->
               match msg with
               | Types.CommitFloor { upto = 0 } -> failwith "poisoned message"
-              | _ -> Atomic.incr g0_seen);
+              | _ -> Atomic.incr seen);
         })
       ()
   in
-  Node.add_group a ~gid:1 ~build:(fun _ ->
-      { quiet with Engine.on_message = (fun ~src:_ _ -> Atomic.incr g1_seen) });
-  let b_ctx = Hashtbl.create 2 in
+  let b_ctx = ref None in
   let b =
     Node.create ~port_of ~id_of_port ~id:b_id ~seed:2
       ~build:(fun ctx ->
-        Hashtbl.replace b_ctx 0 ctx;
+        b_ctx := Some ctx;
         { quiet with Engine.on_message = (fun ~src:_ _ -> Atomic.incr b_got) })
       ()
   in
-  Node.add_group b ~gid:1 ~build:(fun ctx ->
-      Hashtbl.replace b_ctx 1 ctx;
-      quiet);
-  let b_sends gid upto =
-    Node.with_group b ~gid (fun () ->
-        (Hashtbl.find b_ctx gid).Engine.send a_id (Types.CommitFloor { upto }))
+  let b_sends upto =
+    Node.with_lock b (fun () -> (Option.get !b_ctx).Engine.send a_id (Types.CommitFloor { upto }))
   in
-  let g1_ran, g0_inside, b_inside =
+  let inside, b_inside =
     Node.with_lock a (fun () ->
-        b_sends 1 1;
-        let g1_ran = wait_until (fun () -> Atomic.get g1_seen = 1) in
-        b_sends 0 1;
+        b_sends 1;
         (Option.get !a_ctx).Engine.send b_id (Types.CommitFloor { upto = 7 });
         Thread.delay 0.2;
-        (g1_ran, Atomic.get g0_seen, Atomic.get b_got))
+        (Atomic.get seen, Atomic.get b_got))
   in
-  let g0_after = wait_until (fun () -> Atomic.get g0_seen = 1) in
+  let after = wait_until (fun () -> Atomic.get seen = 1) in
   let b_after = wait_until (fun () -> Atomic.get b_got = 1) in
-  b_sends 0 0;
+  b_sends 0;
   let errors () = Node.with_lock a (fun () -> Cp_sim.Metrics.get (Node.metrics a) "handler_errors") in
   let error_seen = wait_until (fun () -> errors () >= 1) in
   Node.shutdown a;
   Node.shutdown b;
-  Alcotest.(check bool) "group 1 ran while group 0 was held" true g1_ran;
-  Alcotest.(check int) "group 0 handler excluded by with_lock" 0 g0_inside;
-  Alcotest.(check bool) "group 0 handler ran after release" true g0_after;
+  Alcotest.(check int) "handler excluded by with_lock" 0 inside;
+  Alcotest.(check bool) "handler ran after release" true after;
   Alcotest.(check int) "send inside with_lock held back" 0 b_inside;
   Alcotest.(check bool) "send inside with_lock left on exit" true b_after;
-  Alcotest.(check bool) "group 0 handler error in Node.metrics" true error_seen
+  Alcotest.(check bool) "handler error in Node.metrics" true error_seen
 
 (* A store whose [nth] flush raises and every other one succeeds: an
    fsync that fails once (EIO) and works when retried. *)
@@ -698,68 +652,100 @@ let test_counter_handles () =
     (get "bytes_sent" > 0 && get "bytes_sent" = get "encoded_bytes");
   Alcotest.(check bool) "bytes_recv counted" true (get "bytes_recv" > 0)
 
-(* Group handlers run on two threads: messages on the receive thread,
-   timers on the timer thread. Only the group's lock keeps the two out of
-   each other's handlers. Node [a] hosts groups 0 and 1, each re-arming a
-   1 ms timer, while node [b] floods both groups with datagrams. Every
-   handler marks its group busy and sleeps inside, so a missing lock shows
-   as an overlap within a group; the two groups, which hold different
-   locks, must still overlap each other. *)
+(* The handlers run on two threads: messages on the receive thread, timers
+   on the timer thread. Only the node's lock keeps the two out of each
+   other. Node [a] re-arms a 1 ms timer while node [b] floods it with
+   datagrams. Every handler marks the node busy and sleeps inside, so a
+   missing lock shows as an overlap. *)
 let test_group_handlers_exclusive () =
   let a_id = 50 and b_id = 51 in
-  let busy = Array.init 2 (fun _ -> Atomic.make false)
-  and overlaps = Array.init 2 (fun _ -> Atomic.make 0)
-  and timer_runs = Array.init 2 (fun _ -> Atomic.make 0)
-  and msg_runs = Array.init 2 (fun _ -> Atomic.make 0)
-  and cross = Atomic.make 0 in
-  let handler gid runs =
-    if Atomic.exchange busy.(gid) true then Atomic.incr overlaps.(gid);
-    if Atomic.get busy.(1 - gid) then Atomic.incr cross;
-    Atomic.incr runs.(gid);
+  let busy = Atomic.make false
+  and overlaps = Atomic.make 0
+  and timer_runs = Atomic.make 0
+  and msg_runs = Atomic.make 0 in
+  let handler runs =
+    if Atomic.exchange busy true then Atomic.incr overlaps;
+    Atomic.incr runs;
     Thread.delay 2e-4;
-    Atomic.set busy.(gid) false
+    Atomic.set busy false
   in
-  let build gid (ctx : Types.msg Engine.ctx) =
-    ignore (ctx.Engine.set_timer 1e-3);
-    {
-      Engine.on_message = (fun ~src:_ _ -> handler gid msg_runs);
-      on_timer =
-        (fun ~tid:_ ~tag:_ ->
-          handler gid timer_runs;
-          ignore (ctx.Engine.set_timer 1e-3));
-    }
+  let a =
+    Node.create ~port_of ~id_of_port ~id:a_id ~seed:1
+      ~build:(fun ctx ->
+        ignore (ctx.Engine.set_timer 1e-3);
+        {
+          Engine.on_message = (fun ~src:_ _ -> handler msg_runs);
+          on_timer =
+            (fun ~tid:_ ~tag:_ ->
+              handler timer_runs;
+              ignore (ctx.Engine.set_timer 1e-3));
+        })
+      ()
   in
-  let a = Node.create ~port_of ~id_of_port ~id:a_id ~seed:1 ~build:(build 0) () in
-  Node.add_group a ~gid:1 ~build:(build 1);
-  let b_ctx = Hashtbl.create 2 in
+  let b_ctx = ref None in
   let b =
     Node.create ~port_of ~id_of_port ~id:b_id ~seed:2
       ~build:(fun ctx ->
-        Hashtbl.replace b_ctx 0 ctx;
+        b_ctx := Some ctx;
         quiet)
       ()
   in
-  Node.add_group b ~gid:1 ~build:(fun ctx ->
-      Hashtbl.replace b_ctx 1 ctx;
-      quiet);
   let stop = Unix.gettimeofday () +. 0.5 in
   while Unix.gettimeofday () < stop do
-    for gid = 0 to 1 do
-      Node.with_group b ~gid (fun () ->
-          (Hashtbl.find b_ctx gid).Engine.send a_id (Types.CommitFloor { upto = 1 }))
-    done;
+    Node.with_lock b (fun () ->
+        (Option.get !b_ctx).Engine.send a_id (Types.CommitFloor { upto = 1 }));
     Thread.delay 5e-4
   done;
   Node.shutdown a;
   Node.shutdown b;
-  for gid = 0 to 1 do
-    let name what = Printf.sprintf "group %d %s" gid what in
-    Alcotest.(check int) (name "handlers never overlapped") 0 (Atomic.get overlaps.(gid));
-    Alcotest.(check bool) (name "timer ran >= 100 times") true (Atomic.get timer_runs.(gid) >= 100);
-    Alcotest.(check bool) (name "message handler ran >= 100 times") true
-      (Atomic.get msg_runs.(gid) >= 100)
-  done;
-  Alcotest.(check bool) "the two groups overlapped each other" true (Atomic.get cross >= 1)
+  Alcotest.(check int) "handlers never overlapped" 0 (Atomic.get overlaps);
+  Alcotest.(check bool) "timer ran >= 100 times" true (Atomic.get timer_runs >= 100);
+  Alcotest.(check bool) "message handler ran >= 100 times" true (Atomic.get msg_runs >= 100)
+
+(* [port_of] is user-supplied, like [id_of_port]: a send to a destination
+   it rejects is a dropped send. It must not escape [with_lock] with the
+   node's lock held, which would wedge every later task, nor cost another
+   peer its datagram (the outbox flushes in ascending destination order,
+   so the rejected one goes first). *)
+let test_unmapped_destination_dropped () =
+  let a_id = 60 and unmapped = 61 and b_id = 62 in
+  let got = Atomic.make 0 in
+  let b =
+    Node.create ~port_of ~id_of_port ~id:b_id ~seed:2
+      ~build:(fun _ -> { quiet with Engine.on_message = (fun ~src:_ _ -> Atomic.incr got) })
+      ()
+  in
+  let strict_port_of id = if id = unmapped then raise Not_found else port_of id in
+  let a_ctx = ref None in
+  let a =
+    Node.create ~port_of:strict_port_of ~id_of_port ~id:a_id ~seed:1
+      ~build:(fun ctx ->
+        a_ctx := Some ctx;
+        quiet)
+      ()
+  in
+  let send dst = (Option.get !a_ctx).Engine.send dst (Types.CommitFloor { upto = 1 }) in
+  (try
+     Node.with_lock a (fun () ->
+         send unmapped;
+         send b_id)
+   with _ -> ());
+  let returned = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Node.with_lock a ignore;
+         Atomic.set returned true)
+       ());
+  let unwedged = wait_until (fun () -> Atomic.get returned) in
+  let delivered = wait_until (fun () -> Atomic.get got = 1) in
+  (* [counter] takes the lock: read it only if the lock is free. *)
+  let drops = if unwedged then Node.counter a "send_drops" else -1 in
+  Node.shutdown a;
+  Node.shutdown b;
+  Alcotest.(check bool) "a later with_lock returns" true unwedged;
+  Alcotest.(check bool) "the other peer got its datagram" true delivered;
+  Alcotest.(check int) "the rejected send counted" 1 drops
 
 let suite =
   [
@@ -772,7 +758,8 @@ let suite =
       test_trace_id_propagates_over_udp;
     Alcotest.test_case "admin endpoint" `Slow test_admin_endpoint;
     Alcotest.test_case "admin large response" `Slow test_admin_large_response;
-    Alcotest.test_case "multi group udp" `Slow test_multi_group_udp;
+    Alcotest.test_case "a frame for another group is counted and dropped" `Slow
+      test_other_group_dropped;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "node contract (inline dispatch)" `Slow (test_node_contract ~a_id:20);
     Alcotest.test_case "oversize send waits for the flush (inline dispatch)" `Slow
@@ -782,4 +769,6 @@ let suite =
       test_group_handlers_exclusive;
     Alcotest.test_case "a datagram of 8 P2as costs one fsync" `Slow
       test_datagram_of_p2as_one_fsync;
+    Alcotest.test_case "a destination port_of rejects is a dropped send" `Slow
+      test_unmapped_destination_dropped;
   ]

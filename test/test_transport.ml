@@ -176,8 +176,6 @@ let hb i =
   Types.Heartbeat
     { ballot = Cp_proto.Ballot.make ~round:i ~leader:0; commit_floor = i; sent_at = 0.5 }
 
-let append_traced ob ~dst ~tid msg = Outbox.append ob ~dst ~gid:0 ~tid msg
-
 let frame ~tid msg =
   let buf = Bytes.create 4096 in
   Bytes.sub_string buf 0 (Codec.encode_into buf ~pos:0 ~gid:0 ~tid msg)
@@ -185,7 +183,7 @@ let frame ~tid msg =
 let test_outbox_single_frame () =
   let sent, send = mk_capture () in
   let ob = Outbox.create ~send () in
-  let n = append_traced ob ~dst:4 ~tid:9 (hb 1) in
+  let n = Outbox.append ob ~dst:4 ~tid:9 (hb 1) in
   Alcotest.(check int) "append returns frame length" (String.length (frame ~tid:9 (hb 1))) n;
   Alcotest.(check int) "pending before flush" 1 (Outbox.pending ob);
   Outbox.flush ob;
@@ -200,10 +198,10 @@ let test_outbox_single_frame () =
 let test_outbox_packs_per_destination () =
   let sent, send = mk_capture () in
   let ob = Outbox.create ~send () in
-  ignore (append_traced ob ~dst:7 ~tid:1 (hb 1));
-  ignore (append_traced ob ~dst:7 ~tid:2 (hb 2));
-  ignore (append_traced ob ~dst:7 ~tid:3 (hb 3));
-  ignore (append_traced ob ~dst:5 ~tid:4 (hb 4));
+  ignore (Outbox.append ob ~dst:7 ~tid:1 (hb 1));
+  ignore (Outbox.append ob ~dst:7 ~tid:2 (hb 2));
+  ignore (Outbox.append ob ~dst:7 ~tid:3 (hb 3));
+  ignore (Outbox.append ob ~dst:5 ~tid:4 (hb 4));
   Alcotest.(check int) "two dirty destinations" 2 (Outbox.pending ob);
   Outbox.flush ob;
   (match List.rev !sent with
@@ -235,7 +233,7 @@ let test_outbox_overflow_flush_retry () =
   let msg i = Types.ClientResp { client = 1; seq = i; result = String.make 100 'p' } in
   let total = 9 in
   for i = 1 to total do
-    ignore (append_traced ob ~dst:2 ~tid:i (msg i))
+    ignore (Outbox.append ob ~dst:2 ~tid:i (msg i))
   done;
   Outbox.flush ob;
   Alcotest.(check bool) "capacity forced interim datagrams" true (List.length !sent >= 2);
@@ -263,11 +261,11 @@ let test_outbox_giant_frame_overflows () =
   let ob = Outbox.create ~capacity:512 ~send () in
   let giant = Types.ClientResp { client = 1; seq = 1; result = String.make 4096 'g' } in
   (try
-     ignore (append_traced ob ~dst:1 ~tid:0 giant);
+     ignore (Outbox.append ob ~dst:1 ~tid:0 giant);
      Alcotest.fail "Overflow expected"
    with Codec.Overflow -> ());
   (* The outbox stays usable for normal frames afterwards. *)
-  ignore (append_traced ob ~dst:1 ~tid:0 (hb 1));
+  ignore (Outbox.append ob ~dst:1 ~tid:0 (hb 1));
   Outbox.flush ob;
   Alcotest.(check int) "normal frame still goes out" 1 (List.length !sent)
 
