@@ -420,14 +420,16 @@ let test_ring_corrupt_record () =
     (Cp_sim.Metrics.get (Ring.metrics fab 0) "wire_decode_errors");
   check_commits run
 
-(* Instances per command under [Params.default]: three replicas, a KV and 32
-   closed-loop clients of 250 PUTs each (the ring_mem load) on a fresh
-   fabric. While an instance is in flight the requests that arrive fill one
-   batch, so 8,000 commands take at most 2,000 proposals (1,240 here).
-   Ring runs are deterministic, so the count repeats exactly. *)
-let test_ring_instances_per_command () =
+(* The ring_mem load under [Params.default]: a KV replica per machine of
+   [initial] (plus any [absent] main, which never starts), 32 closed-loop
+   clients of 250 PUTs each, on a fresh fabric. Returns whether every
+   client finished, the machines that lead at the end, the leader's
+   proposal count, and the agreement check over the running mains' logs.
+   Ring runs are deterministic, so the counts repeat exactly. *)
+let ring_load_under_defaults ?(absent = []) (initial : Cp_proto.Config.t) =
   let clients = 32 and per_client = 250 in
-  let mains = [ 0; 1 ] and auxes = [ 2 ] in
+  let mains = initial.Cp_proto.Config.mains and auxes = initial.Cp_proto.Config.aux_pool in
+  let universe_mains = List.sort compare (absent @ mains) in
   let fab = Ring.create ~seed:7 () in
   let replicas =
     List.map
@@ -437,9 +439,8 @@ let test_ring_instances_per_command () =
             let r =
               Replica.create ctx
                 ~role:(if List.mem id mains then Replica.Main else Replica.Aux)
-                ~policy:Cheap_paxos.Cheap.policy ~params:Cp_engine.Params.default
-                ~initial:(Cheap_paxos.Cheap.initial_config ~f:1)
-                ~universe_mains:mains ~universe_auxes:auxes ~app:(module Cp_smr.Kv)
+                ~policy:Cheap_paxos.Cheap.policy ~params:Cp_engine.Params.default ~initial
+                ~universe_mains ~universe_auxes:auxes ~app:(module Cp_smr.Kv)
             in
             cell := Some r;
             Replica.handlers r);
@@ -467,15 +468,11 @@ let test_ring_instances_per_command () =
   while (not (finished ())) && Ring.now fab < 60. do
     Ring.run ~until:(Ring.now fab +. 2e-3) fab
   done;
-  Alcotest.(check bool) "every client finished" true (finished ());
   let replica id = Option.get !(List.assoc id replicas) in
   let leaders = List.filter (fun id -> Replica.is_leader (replica id)) mains in
-  Alcotest.(check (list int)) "main 0 leads throughout" [ 0 ] leaders;
-  let proposed = Cp_sim.Metrics.get (Ring.metrics fab 0) "proposed" in
-  Alcotest.(check bool)
-    (Printf.sprintf "%d proposals for %d commands (at most 2,000)" proposed
-       (clients * per_client))
-    true (proposed <= 2_000);
+  let proposed =
+    List.fold_left (fun acc id -> acc + Cp_sim.Metrics.get (Ring.metrics fab id) "proposed") 0 leaders
+  in
   let dumps =
     List.map
       (fun id ->
@@ -487,7 +484,38 @@ let test_ring_instances_per_command () =
         })
       mains
   in
-  match Cp_checker.Consistency.agreement dumps with Ok () -> () | Error e -> Alcotest.fail e
+  (finished (), clients * per_client, leaders, proposed, Cp_checker.Consistency.agreement dumps)
+
+(* Two mains: while an instance is in flight the requests that arrive fill
+   one batch, so 8,000 commands take at most 2,000 proposals. *)
+let test_ring_instances_per_command () =
+  let finished, commands, leaders, proposed, agreement =
+    ring_load_under_defaults (Cheap_paxos.Cheap.initial_config ~f:1)
+  in
+  Alcotest.(check bool) "every client finished" true finished;
+  Alcotest.(check (list int)) "main 0 leads throughout" [ 0 ] leaders;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d proposals for %d commands (at most 2,000)" proposed commands)
+    true (proposed <= 2_000);
+  match agreement with Ok () -> () | Error e -> Alcotest.fail e
+
+(* The configuration [Remove_main 0] leaves at f = 1: main 1 is the whole
+   acceptor set and chooses each instance in the step that proposes it, so
+   no instance is ever in flight. The requests of one delivery burst still
+   leave as one batch: at most one proposal per four commands. *)
+let test_ring_lone_main_batches () =
+  let initial = Cp_proto.Config.make ~epoch:1 ~mains:[ 1 ] ~aux_pool:[ 2 ] in
+  let finished, commands, leaders, proposed, agreement =
+    ring_load_under_defaults ~absent:[ 0 ] initial
+  in
+  Alcotest.(check bool) "every client finished" true finished;
+  Alcotest.(check (list int)) "main 1 leads" [ 1 ] leaders;
+  let per_command = float_of_int proposed /. float_of_int commands in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d proposals for %d commands (%.3f per command, at most 0.25)" proposed
+       commands per_command)
+    true (per_command <= 0.25);
+  match agreement with Ok () -> () | Error e -> Alcotest.fail e
 
 (* --- group commit and fencing -------------------------------------------- *)
 
@@ -657,6 +685,8 @@ let suite =
     Alcotest.test_case "ring fabric: corrupt record counted" `Slow test_ring_corrupt_record;
     Alcotest.test_case "ring fabric: instances per command under defaults" `Quick
       test_ring_instances_per_command;
+    Alcotest.test_case "ring fabric: a lone main batches under defaults" `Quick
+      test_ring_lone_main_batches;
     Alcotest.test_case "ring fabric: fenced endpoint's send never arrives" `Quick
       test_ring_fenced_send;
     Alcotest.test_case "ring fabric: follower crash at burst flush exposes no ack" `Slow
