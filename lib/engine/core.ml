@@ -53,6 +53,7 @@ let on_timer t ~tag =
       push t (Effect.Set_timer ("tick", t.params.Params.tick));
       Leader.on_tick t
     end
+  | tag when tag = Leader.burst_end_tag -> Leader.on_burst_end t
   | _ -> ()
 
 let handle t = function
@@ -65,6 +66,23 @@ let step t ~now:clock input =
   t.clock <- clock;
   handle t input;
   (t, drain t)
+
+let burst_end_requests effects =
+  List.filter_map (function Effect.At_burst_end tag -> Some tag | _ -> None) effects
+
+(* For a caller that steps the core without a runtime under it (the model
+   checker, the role tests): answer the burst-end requests in [effects] as
+   a runtime does at the end of the burst — one [Timer] step per request,
+   in the order made, a request made by such a step included. Returns
+   [effects] followed by the effects of those steps. *)
+let end_burst t effects =
+  let rec go acc = function
+    | [] -> List.concat (List.rev acc)
+    | tag :: rest ->
+      let _, more = step t ~now:t.clock (Timer { tag }) in
+      go (more :: acc) (rest @ burst_end_requests more)
+  in
+  go [ effects ] (burst_end_requests effects)
 
 (* ------------------------------------------------------------------ *)
 (* Construction and recovery                                           *)

@@ -27,6 +27,9 @@ type t =
           its {!Codec.encode_stable_snapshot} encoding *)
   | Drop_log of int  (** drop the durable copy of one log entry *)
   | Set_timer of string * float  (** arm a named timer after a delay *)
+  | At_burst_end of string
+      (** step [Timer { tag }] once, after every input of the current
+          delivery burst and before its flush ({!Cp_sim.Engine.ctx}) *)
   | Emit of Cp_obs.Event.t  (** typed observability event *)
   | Metric of string * int  (** bump a counter by [n] *)
   | Observe of string * float  (** record a summary observation *)
@@ -56,7 +59,7 @@ let stage = function
   | Persist_header _ | Persist_vote _ | Drop_vote _ | Persist_log _ | Persist_snapshot _
   | Drop_log _ ->
     stage_persist
-  | Set_timer _ -> stage_timer
+  | Set_timer _ | At_burst_end _ -> stage_timer
   | Emit _ -> stage_emit
   | Metric _ | Observe _ -> stage_metric
   | Span_submitted _ | Span_chosen _ | Span_executed _ | Span_reset -> stage_span
@@ -73,6 +76,7 @@ let pp ppf = function
   | Persist_snapshot { at; _ } -> Format.fprintf ppf "persist_snapshot(at=%d)" at
   | Drop_log i -> Format.fprintf ppf "drop_log(%d)" i
   | Set_timer (tag, d) -> Format.fprintf ppf "set_timer(%s,%.4f)" tag d
+  | At_burst_end tag -> Format.fprintf ppf "at_burst_end(%s)" tag
   | Emit ev -> Format.fprintf ppf "emit(%a)" Cp_obs.Event.pp ev
   | Metric (name, by) -> Format.fprintf ppf "metric(%s,+%d)" name by
   | Observe (name, v) -> Format.fprintf ppf "observe(%s,%g)" name v

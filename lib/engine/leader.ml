@@ -14,6 +14,10 @@ open State
 
 let active_auxes_for t i = Config.active_auxes (Configs.config_for t.configs i)
 
+(* The timer tag of the step an idle leader asks for at the end of a
+   delivery burst ({!Effect.At_burst_end}). *)
+let burst_end_tag = "burst_end"
+
 (* Mark the leadership aux-engaged through [instance], emitting the
    engagement event only on the idle→engaged flip. *)
 let engage t lead ~instance =
@@ -105,7 +109,7 @@ let rec check_chosen t lead i =
       if Learner.learn t i p.p_entry then drain_deferred_reads t lead ~lapsed:ignore;
       List.iter
         (fun m -> if m <> t.self then send t m (Types.Commit { instance = i; entry = p.p_entry }))
-        t.universe_mains;
+        cfg.Config.mains;
       update_aux_floor t lead;
       (* The prefix may have advanced: slide the proposal window. *)
       pump t lead
@@ -141,8 +145,9 @@ and propose_at t lead i entry =
    (Noop for gaps), then client commands — always strictly inside the
    α-window, so the configuration of every proposed instance is already
    fixed by the executed prefix. Re-entrant calls (a proposal choosing
-   instantly and re-triggering) are flattened by the guard. *)
-and pump t lead =
+   instantly and re-triggering) are flattened by the guard. [burst_end]
+   is set only by [on_burst_end]: a partial batch may leave. *)
+and pump ?(burst_end = false) t lead =
   if (not lead.l_pumping) && not lead.l_abdicate then begin
     lead.l_pumping <- true;
     let progress = ref true in
@@ -190,21 +195,33 @@ and pump t lead =
                 end
           in
           (* Self-clocking (Nagle's rule for proposals): a full batch leaves
-             as soon as the window has room, but a partial one waits while
-             any instance is in flight — [check_chosen] re-runs [pump] when
-             the last one is chosen, by which time more commands may have
-             joined. Linger: on an idle leader a partial batch may also be
-             held open briefly; the periodic tick re-runs [pump], so a
+             as soon as the window has room. A partial one waits while any
+             instance is in flight ([check_chosen] re-runs [pump] when the
+             last one is chosen), and then until the end of the delivery
+             burst: an idle leader asks once for [on_burst_end], which runs
+             after the burst's last input, so every command the burst
+             brought joins the batch. A lone main, which chooses an instance
+             in the step that proposes it and so never has one in flight,
+             batches too. Linger: the burst end may also hold a partial
+             batch open briefly; the periodic tick re-runs [pump], so a
              lingering batch flushes within [batch_linger + tick]. *)
           let full =
             Queue.length lead.l_queue >= max_cmds || lead.l_queued_bytes >= max_bytes
           in
+          let idle = Hashtbl.length lead.l_pending = 0 in
           let flush_now =
             full
-            || Hashtbl.length lead.l_pending = 0
+            || idle && burst_end
                && (t.params.Params.batch_linger <= 0.
                   || now t -. lead.l_queue_since >= t.params.Params.batch_linger)
           in
+          if
+            idle && (not flush_now) && (not burst_end) && (not lead.l_burst_asked)
+            && not (Queue.is_empty lead.l_queue)
+          then begin
+            lead.l_burst_asked <- true;
+            push t (Effect.At_burst_end burst_end_tag)
+          end;
           if flush_now then begin
             let cmds = take max_cmds 0 [] in
             if Queue.is_empty lead.l_queue then lead.l_queue_since <- infinity
@@ -228,6 +245,14 @@ and pump t lead =
     done;
     lead.l_pumping <- false
   end
+
+(* The step [pump] asked for at the end of a delivery burst. *)
+let on_burst_end t =
+  match t.state with
+  | Leader lead ->
+    lead.l_burst_asked <- false;
+    pump ~burst_end:true t lead
+  | Candidate _ | Follower -> ()
 
 (* Propose a protocol-generated entry (reconfig) at the next free slot, if
    the window allows; returns whether it was proposed. *)
@@ -329,6 +354,7 @@ let become_leader t (c : candidate) =
       l_queue = Queue.create ();
       l_queue_since = infinity;
       l_queued_bytes = 0;
+      l_burst_asked = false;
       l_inflight_cmds = Hashtbl.create 32;
       l_backlog = Hashtbl.create 32;
       l_recover_hi = stop;

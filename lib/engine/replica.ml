@@ -54,6 +54,7 @@ let interpret_one t (eff : Effect.t) =
   | Effect.Persist_snapshot { bytes; _ } -> Storage.put t.ctx.Engine.stable "snapshot" bytes
   | Effect.Drop_log i -> Storage.remove t.ctx.Engine.stable (log_key i)
   | Effect.Set_timer (tag, delay) -> ignore (t.ctx.Engine.set_timer ~tag delay)
+  | Effect.At_burst_end tag -> t.ctx.Engine.at_burst_end tag
   | Effect.Emit ev -> t.ctx.Engine.emit ev
   | Effect.Metric (name, by) -> Metrics.incr t.ctx.Engine.metrics ~by name
   | Effect.Observe (name, v) -> Metrics.observe t.ctx.Engine.metrics name v

@@ -49,6 +49,9 @@ type lead = {
   mutable l_queued_bytes : int;
       (* sum of [Types.command_size] over [l_queue]: whether the queue holds
          a full batch, in O(1) *)
+  mutable l_burst_asked : bool;
+      (* a burst-end step is asked for and has not run yet
+         ([Leader.on_burst_end]): ask once per burst *)
   l_inflight_cmds : (int * int, unit) Hashtbl.t; (* (client, seq) proposed, unexecuted *)
   l_backlog : (int, Types.entry) Hashtbl.t;
       (* phase-1 recovered votes not yet re-proposed: they must wait for the
@@ -421,6 +424,7 @@ let fingerprint t =
         l.l_next,
         queue_list l.l_queue,
         l.l_queue_since,
+        l.l_burst_asked,
         sorted_bindings l.l_inflight_cmds,
         sorted_bindings l.l_backlog,
         l.l_recover_hi );

@@ -130,6 +130,7 @@ let client_ctx router_ (outer : (int * Types.msg) Engine.ctx) : Types.msg Engine
     metrics = outer.Engine.metrics;
     emit = outer.Engine.emit;
     tctx = outer.Engine.tctx;
+    at_burst_end = outer.Engine.at_burst_end;
   }
 
 let wrap_client_handlers (h : Types.msg Engine.handlers) :

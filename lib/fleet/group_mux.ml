@@ -10,6 +10,9 @@
    - timers go into one shared {!Wheel}; the mux keeps at most ONE timer
      registered with the engine (armed at the wheel's next deadline), so
      engine-side timer load is O(1) in the group count instead of O(N);
+   - burst-end requests are queued with the asking group's id behind one
+     request of the node's ([burst_tag]), so each reaches the group that
+     made it;
    - stable storage is a {!Cp_storage.Storage.sub} view ("g<gid>"), so all
      groups share the machine's disk and its crash/restart lifetime;
    - timer-driven causal chains are minted from a per-group namespaced
@@ -42,8 +45,12 @@ type t = {
   ctx : (int * Types.msg) Engine.ctx;
   wheel : (int * string) Wheel.t;
   mutable armed : (int * float) option; (* engine timer id and its deadline *)
+  burst_end : (int * string) Queue.t; (* (gid, tag) asked since the node's last burst end *)
   mutable groups : group array;
 }
+
+(* The node's own burst-end tag; the wheel's engine timer is any other. *)
+let burst_tag = "mux.burst_end"
 
 let replica t gid = t.groups.(gid).replica
 
@@ -103,6 +110,10 @@ let make_group_ctx t ~gid =
     metrics = Metrics.create ();
     emit = outer.Engine.emit;
     tctx = Obs.Traceid.create ~origin:(Obs.Traceid.namespace ~node:outer.Engine.self ~group:gid);
+    at_burst_end =
+      (fun tag ->
+        if Queue.is_empty t.burst_end then outer.Engine.at_burst_end burst_tag;
+        Queue.push (gid, tag) t.burst_end);
   }
 
 (* The timer wheel's quantum: how late a protocol timer can fire. *)
@@ -116,6 +127,7 @@ let create ctx ~groups ~role ~policy ~params
       ctx;
       wheel = Wheel.create ~tick:wheel_tick ~now:(ctx.Engine.now ()) ();
       armed = None;
+      burst_end = Queue.create ();
       groups = [||];
     }
   in
@@ -148,10 +160,18 @@ let handlers t =
       g.handlers.Engine.on_message ~src msg
     end
   in
-  let on_timer ~tid:_ ~tag:_ =
-    t.armed <- None;
-    Wheel.advance t.wheel ~now:(t.ctx.Engine.now ()) ~fire:(fun wid payload ->
-        fire t wid payload);
-    rearm t
+  let on_timer ~tid ~tag =
+    if tag = burst_tag then begin
+      (* A group asking again from here queues behind a new request. *)
+      let asked = Queue.create () in
+      Queue.transfer t.burst_end asked;
+      Queue.iter (fun (gid, tag) -> t.groups.(gid).handlers.Engine.on_timer ~tid ~tag) asked
+    end
+    else begin
+      t.armed <- None;
+      Wheel.advance t.wheel ~now:(t.ctx.Engine.now ()) ~fire:(fun wid payload ->
+          fire t wid payload);
+      rearm t
+    end
   in
   { Engine.on_message; on_timer }

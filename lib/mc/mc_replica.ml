@@ -11,8 +11,9 @@
 
    This is exactly what the sans-IO split buys: [Core.step] is a pure
    function of (state, clock, input) returning effects as data, so the
-   checker can clone a node ({!State.clone}), step it, fold the [Send]
-   effects back into the soup, and canonically fingerprint the result
+   checker can clone a node ({!State.clone}), step it, answer its
+   burst-end requests as a runtime does ({!Core.end_burst}: one delivery or
+   tick is one burst), fold the [Send] effects back into the soup, and canonically fingerprint the result
    ({!State.fingerprint}) — no engine, no timers, no IO.
 
    Model: f = 1 — mains {0, 1}, auxiliary {2} — with [n_commands] client
@@ -189,6 +190,7 @@ let deliver w (src, dst, msg) =
     let node = State.clone node in
     (try
        let _, effects = Core.step node ~now:w.clock (Core.Deliver { src; msg }) in
+       let effects = Core.end_burst node effects in
        Some (absorb (replace_node w dst node) ~src:dst effects)
      with Log.Conflict i ->
        raise (Conflict_found (Printf.sprintf "conflicting chosen entry at instance %d on node %d" i dst)))
@@ -199,6 +201,7 @@ let tick w (id, node) =
     let node = State.clone node in
     let clock = w.clock +. tick_delta in
     let _, effects = Core.step node ~now:clock (Core.Timer { tag = "tick" }) in
+    let effects = Core.end_burst node effects in
     let w = { (replace_node w id node) with clock; ticks = w.ticks + 1 } in
     Some (absorb w ~src:id effects)
   end

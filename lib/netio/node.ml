@@ -31,6 +31,7 @@ type t = {
   store : Storage.t;
   fenced : bool ref; (* shared with [transmit], built before the node *)
   mutable handlers : Types.msg Engine.handlers; (* set once [build] returns *)
+  burst_end : string Queue.t; (* tags asked for at the end of this task *)
   trace_ : Obs.Trace.t;
   wheel_mu : Mutex.t; (* guards [wheel] and [armed] *)
   cond : Condition.t; (* with [wheel_mu]: wakes the timer thread *)
@@ -94,11 +95,26 @@ let record t ~tid ev =
 
 let emit t ev = record t ~tid:(Obs.Traceid.current t.tctx) ev
 
-(* Group commit at the end of a task: flush the store once for everything
-   the task's handlers put, then send the outbox, one datagram per
-   destination. A fenced node's pending datagrams may ack what is not
-   durable: drop them. *)
+(* An exception escaping a protocol handler must not kill the thread
+   running it: count it and carry on. Caller holds the lock. *)
+let guard t ~where f =
+  try f ()
+  with exn ->
+    Metrics.incr t.metrics "handler_errors";
+    emit t (Obs.Event.Debug (Printf.sprintf "%s raised: %s" (where ()) (Printexc.to_string exn)))
+
+(* Group commit at the end of a task: run the [on_timer] calls the task
+   asked for at its end (one asked by such a call runs here too; a fenced
+   node runs none), then flush the store once for everything the task put,
+   then send the outbox, one datagram per destination. A fenced node's
+   pending datagrams may ack what is not durable: drop them. *)
 let commit t =
+  while not (Queue.is_empty t.burst_end) do
+    let tag = Queue.pop t.burst_end in
+    if not !(t.fenced) then
+      guard t ~where:(fun () -> Printf.sprintf "on_timer %S" tag) (fun () ->
+          t.handlers.Engine.on_timer ~tid:(-1) ~tag)
+  done;
   if flush_store ~store:t.store ~fenced:t.fenced ~metrics:t.metrics then Outbox.flush t.outbox
   else Outbox.clear t.outbox
 
@@ -117,14 +133,6 @@ let with_lock t f =
     commit t;
     Mutex.unlock t.lock;
     raise exn
-
-(* An exception escaping a protocol handler must not kill the thread
-   running it: count it and carry on. Caller holds the lock. *)
-let guard t ~where f =
-  try f ()
-  with exn ->
-    Metrics.incr t.metrics "handler_errors";
-    emit t (Obs.Event.Debug (Printf.sprintf "%s raised: %s" (where ()) (Printexc.to_string exn)))
 
 (* The zero-copy send path: serialize the frame directly into the outbox
    buffer for [dst] — no intermediate string, no per-send copy, no syscall
@@ -388,6 +396,7 @@ let ctx_of t =
     metrics = t.metrics;
     emit = (fun ev -> emit t ev);
     tctx = t.tctx;
+    at_burst_end = (fun tag -> Queue.push tag t.burst_end);
   }
 
 (* The timer wheel's quantum: every timer is rounded to it. *)
@@ -447,6 +456,7 @@ let create ?(host = "127.0.0.1") ?admin_port
       store;
       fenced;
       handlers = { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) };
+      burst_end = Queue.create ();
       trace_ = Obs.Trace.create ();
       wheel_mu = Mutex.create ();
       cond = Condition.create ();

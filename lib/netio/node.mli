@@ -15,8 +15,9 @@
     simulator), and the burst it sends leaves as one datagram per
     destination when it returns. A task (one datagram's frames, or one
     timer) runs on the receiver or timer thread that picked it up, and is
-    one delivery burst: the store is flushed once when it ends, before its
-    datagrams leave, and every transmit flushes the store first, so no ack
+    one delivery burst: the [on_timer] calls it asked for with
+    [at_burst_end] run when it ends (never on a fenced node), then the
+    store is flushed once, before its datagrams leave, and every transmit flushes the store first, so no ack
     leaves before what it acknowledges is durable. If a flush raises, the
     node is fenced: [storage_flush_errors] counts it, its pending datagrams
     are dropped, and from then on it transmits nothing and runs no handler;
@@ -72,8 +73,8 @@ val shutdown : t -> unit
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Run [f] under the node's lock — excluding the handlers on both the
     receiver and the timer thread — for inspecting protocol state owned by
-    the node (e.g. a client handle) without racing its threads. Anything
-    [f] sends through the ctx leaves when [f] returns. *)
+    the node (e.g. a client handle) without racing its threads. [f] is a
+    task: anything it sends through the ctx leaves when it returns. *)
 
 val metrics : t -> Cp_sim.Metrics.t
 (** The node's metric store. The runtime feeds the same counters as the

@@ -13,6 +13,7 @@ type 'm ctx = {
   metrics : Metrics.t;
   emit : Obs.Event.t -> unit;
   tctx : Obs.Traceid.t;
+  at_burst_end : string -> unit;
 }
 
 type 'm handlers = {
@@ -33,6 +34,7 @@ type 'm node = {
   node_counters : counters;
   node_trace : Obs.Trace.t;
   node_tctx : Obs.Traceid.t; (* ambient trace id; survives restarts *)
+  burst_end : string Queue.t; (* tags asked for at the end of this burst *)
   mutable ctx : 'm ctx option;
 }
 
@@ -215,11 +217,19 @@ let make_ctx t node =
     metrics = node.node_metrics;
     emit = (fun ev -> emit_event t node ev);
     tctx = node.node_tctx;
+    at_burst_end = (fun tag -> Queue.push tag node.burst_end);
   }
 
-(* A delivery burst here is one handler invocation. Its sends are queued
+(* A delivery burst here is one handler invocation. Its burst-end requests
+   run first, in the order asked (one asked by such a call runs in the same
+   loop), each continuing the burst's causal chain. Its sends are queued
    events with a delay >= 0, so they are delivered after this flush. *)
-let commit node = Cp_storage.Storage.flush node.node_stable
+let commit node =
+  while not (Queue.is_empty node.burst_end) do
+    let tag = Queue.pop node.burst_end in
+    Option.iter (fun h -> h.on_timer ~tid:(-1) ~tag) node.handlers
+  done;
+  Cp_storage.Storage.flush node.node_stable
 
 let start_node t node =
   let ctx =
@@ -251,6 +261,7 @@ let add_node t ~id builder =
       node_counters = node_counters t metrics;
       node_trace = Obs.Trace.create ~capacity:t.trace_capacity ();
       node_tctx = Obs.Traceid.create ~origin:id;
+      burst_end = Queue.create ();
       ctx = None;
     }
   in

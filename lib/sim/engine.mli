@@ -26,7 +26,17 @@ type 'm t
     the flush raises, those sends must not get out, and nor may any later
     one: the ring fences the endpoint, the UDP node fences the group (both
     drop what is pending and run no handler again), and here the exception
-    ends {!run}. *)
+    ends {!run}.
+
+    [at_burst_end] is the one hook into that boundary: a node that wants to
+    act once the burst's inputs are all in (the leader sending a partial
+    batch) asks for it, and the runtime calls the node's own
+    [on_timer ~tid:(-1) ~tag] once per request, after the burst's last
+    input and before its flush, so what that call puts is durable in the
+    same flush and what it sends leaves with the burst. Requests run in the
+    order made; one made by such a call runs in the same burst end. The
+    call continues the causal chain of the burst's last input. A fenced
+    node gets none. *)
 type 'm ctx = {
   self : int;
   now : unit -> float;
@@ -46,6 +56,9 @@ type 'm ctx = {
           emissions and sends. Exposed so multiplexers hosting several
           protocol instances behind one node (the fleet's {!Group_mux}) can
           re-point chains minted by their sub-instances onto it. *)
+  at_burst_end : string -> unit;
+      (** [at_burst_end tag] calls [on_timer ~tid:(-1) ~tag] once at the end
+          of the current delivery burst (see above) *)
 }
 
 type 'm handlers = {

@@ -16,6 +16,7 @@ type endpoint = {
   e_stable : Storage.t;
   mutable e_handlers : Types.msg Engine.handlers;
   mutable e_fenced : bool; (* its store failed to flush: it takes part no more *)
+  e_burst_end : string Queue.t; (* tags asked for at the end of this pass *)
 }
 
 type link = {
@@ -127,6 +128,7 @@ let add_node fab ~id ~build =
       e_handlers =
         { Engine.on_message = (fun ~src:_ _ -> ()); on_timer = (fun ~tid:_ ~tag:_ -> ()) };
       e_fenced = false;
+      e_burst_end = Queue.create ();
     }
   in
   Hashtbl.replace fab.endpoints id ep;
@@ -145,6 +147,7 @@ let add_node fab ~id ~build =
         metrics = ep.e_metrics;
         emit = emit_ev fab ep;
         tctx = ep.e_tctx;
+        at_burst_end = (fun tag -> Queue.push tag ep.e_burst_end);
       }
 
 (* Deliver one ring record: decode its frames in place (the record is a
@@ -192,14 +195,25 @@ let fence fab ep exn =
         done)
     fab.order
 
-(* Group commit: flush every live endpoint's store before the pass reads
-   anything. A store with nothing new to sync flushes for free, so there is
-   no need to track which endpoints ran a handler. *)
+(* The end of an endpoint's burst: run the [on_timer] calls it asked for
+   (one asked by such a call runs here too). *)
+let end_burst fab ep =
+  while not (Queue.is_empty ep.e_burst_end) do
+    let tag = Queue.pop ep.e_burst_end in
+    guard fab ep ~where:(fun () -> Printf.sprintf "on_timer %S" tag) (fun () ->
+        ep.e_handlers.Engine.on_timer ~tid:(-1) ~tag)
+  done
+
+(* Group commit: end every live endpoint's burst and flush its store before
+   the pass reads anything. A store with nothing new to sync flushes for
+   free, so there is no need to track which endpoints ran a handler. *)
 let commit fab =
   Hashtbl.iter
     (fun _ ep ->
-      if not ep.e_fenced then
-        match Storage.flush ep.e_stable with () -> () | exception exn -> fence fab ep exn)
+      if not ep.e_fenced then begin
+        end_burst fab ep;
+        match Storage.flush ep.e_stable with () -> () | exception exn -> fence fab ep exn
+      end)
     fab.endpoints
 
 (* A pass reads each link only up to the records it held when the pass

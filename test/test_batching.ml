@@ -226,30 +226,45 @@ let test_linger_delays_flush () =
     (slow >= fast +. 0.1)
 
 (* [Params.default], nothing overridden, at the sans-IO core: an idle leader
-   proposes a lone command at once, exactly as with one command per
-   instance; commands that arrive while an instance is in flight wait, and
-   leave as one [Batch] when it is chosen; a full batch (here: by bytes)
-   leaves at once, even beside an instance in flight. *)
+   holds a partial batch to the end of the delivery burst, then proposes
+   it, so a lone command leaves at the burst end exactly as with one
+   command per instance, and the commands of one burst leave together;
+   commands that arrive while an instance is in flight wait, and leave as
+   one [Batch] at the end of the burst that chooses it; a full batch (here:
+   by bytes) leaves at once, even beside an instance in flight. *)
 let test_default_params_partial_batch_waits () =
   let module Leader = Cp_engine.Leader in
+  let module Effect = Cp_engine.Effect in
   let p = Cp_engine.Params.default in
   let client = 1000 in
   let cmd ?(op = "") seq = { Types.client; seq; op = Printf.sprintf "c%d%s" seq op } in
-  let lone params =
+  let burst params cmds =
     let t, _, _ = Test_roles.elect ~params () in
-    snd (Test_roles.step t ~now:0.2 (fun t -> Leader.on_client_req t (cmd 1)))
+    snd (Test_roles.step t ~now:0.2 (fun t -> List.iter (Leader.on_client_req t) cmds))
   in
-  let effs = lone p in
+  let asked = Effect.At_burst_end Leader.burst_end_tag in
+  let effs = burst p [ cmd 1 ] in
   Alcotest.(check bool)
-    "a lone command has the effects it has with one command per instance" true
-    (effs = lone Cp_harness.Scenario.per_command_params);
+    "a lone command asks for the burst end, and only that differs from one command per instance"
+    true
+    (List.mem asked effs
+    && List.filter (fun e -> e <> asked) effs = burst Cp_harness.Scenario.per_command_params [ cmd 1 ]);
   Alcotest.(check bool)
-    "a lone command is proposed at once as App" true
+    "a lone command is proposed at the burst end as App" true
     (List.exists
        (function
          | Types.P2a { instance = 0; entry = Types.App { seq = 1; _ }; _ } -> true
          | _ -> false)
        (Test_roles.sends_to 1 effs));
+  (match
+     List.filter_map
+       (function Types.P2a { instance; entry; _ } -> Some (instance, entry) | _ -> None)
+       (Test_roles.sends_to 1 (burst p [ cmd 1; cmd 2; cmd 3 ]))
+   with
+  | [ (0, Types.Batch [ c1; c2; c3 ]) ] ->
+    Alcotest.(check (list int)) "one burst's commands share instance 0, in order" [ 1; 2; 3 ]
+      (List.map (fun c -> c.Types.seq) [ c1; c2; c3 ])
+  | _ -> Alcotest.fail "expected the burst's three commands as one Batch at instance 0");
   let t, ballot, _ = Test_roles.elect () in
   let p2as effs =
     List.filter_map

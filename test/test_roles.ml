@@ -47,13 +47,14 @@ let mk ?(self = 0) ?(role = State.Main) ?(params = Params.default) ?(policy = po
     ~universe_mains:initial.Config.mains ~universe_auxes:initial.Config.aux_pool ~app
     ~recovery:State.fresh_boot
 
-(* Run one role handler at [now], the way [Core.step] runs a whole input:
-   returns the state and every effect the handler produced, in emission
-   order. *)
+(* Run one role handler at [now], the way [Core.step] runs a whole input,
+   as one delivery burst: returns the state and every effect the handler
+   produced, in emission order, followed by those of the burst-end steps it
+   asked for ({!Core.end_burst}). *)
 let step t ~now f =
   t.State.clock <- now;
   f t;
-  (t, State.drain t)
+  (t, Core.end_burst t (State.drain t))
 
 let sends_to dst effects =
   Effect.sends effects |> List.filter_map (fun (d, m) -> if d = dst then Some m else None)

@@ -496,6 +496,7 @@ let replica_on ?(params = Cp_engine.Params.default) ~self stable =
       metrics = Cp_sim.Metrics.create ();
       emit = ignore;
       tctx = Cp_obs.Traceid.create ~origin:self;
+      at_burst_end = ignore;
     }
   in
   let role =
