@@ -195,28 +195,32 @@ and pump ?(burst_end = false) t lead =
                 end
           in
           (* Self-clocking (Nagle's rule for proposals): a full batch leaves
-             as soon as the window has room. A partial one waits while any
-             instance is in flight ([check_chosen] re-runs [pump] when the
-             last one is chosen), and then until the end of the delivery
-             burst: an idle leader asks once for [on_burst_end], which runs
-             after the burst's last input, so every command the burst
-             brought joins the batch. A lone main, which chooses an instance
-             in the step that proposes it and so never has one in flight,
-             batches too. Linger: the burst end may also hold a partial
-             batch open briefly; the periodic tick re-runs [pump], so a
-             lingering batch flushes within [batch_linger + tick]. *)
+             as soon as the window has room, but a partial one waits while
+             any instance is in flight ([check_chosen] re-runs [pump] when
+             the last one is chosen). A leader whose own vote is a quorum
+             (the lone main [Remove_main] leaves at f = 1) chooses each
+             instance in the step that proposes it, so it never has one in
+             flight: it holds a partial batch until the end of the delivery
+             burst instead, asking once for [on_burst_end], which runs after
+             the burst's last input, so every command the burst brought
+             joins the batch. (Holding there with two mains too cost
+             udp_write throughput.) Linger: an idle leader may also hold a
+             partial batch open briefly; the periodic tick re-runs [pump],
+             so a lingering batch flushes within [batch_linger + tick]. *)
           let full =
             Queue.length lead.l_queue >= max_cmds || lead.l_queued_bytes >= max_bytes
           in
           let idle = Hashtbl.length lead.l_pending = 0 in
+          let solo = Config.is_quorum (Configs.config_for t.configs lead.l_next) [ t.self ] in
           let flush_now =
             full
-            || idle && burst_end
+            || idle
+               && (burst_end || not solo)
                && (t.params.Params.batch_linger <= 0.
                   || now t -. lead.l_queue_since >= t.params.Params.batch_linger)
           in
           if
-            idle && (not flush_now) && (not burst_end) && (not lead.l_burst_asked)
+            idle && solo && (not flush_now) && (not burst_end) && (not lead.l_burst_asked)
             && not (Queue.is_empty lead.l_queue)
           then begin
             lead.l_burst_asked <- true;

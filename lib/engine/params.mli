@@ -49,6 +49,9 @@ type t = {
           achieved batch size. A batch of this many commands (or of
           [batch_max_bytes]) is full and leaves as soon as [pipeline_window]
           has room; a partial one waits while any instance is in flight.
+          A leader whose own vote is a quorum (a lone main) never has one
+          in flight, so it holds a partial batch until the end of the
+          delivery burst instead ({!Cp_sim.Engine.ctx} [at_burst_end]).
           Default 64: the cap rarely binds before [batch_max_bytes] does. *)
   batch_max_bytes : int;
       (** byte budget per batch entry: the leader stops adding commands to a
@@ -62,11 +65,12 @@ type t = {
       (** how long the leader may hold a sub-[batch_max_cmds] batch open
           waiting for more commands when no instance is in flight (while
           one is, a partial batch waits for it to be chosen whatever the
-          linger; a full batch never waits). 0 (default) proposes
-          immediately, so an idle leader still proposes a lone command at
-          once as [App]; a positive linger trades that much latency for
-          bigger batches. Flushes are driven by [tick], so the effective
-          linger is quantized to it. *)
+          linger; a full batch never waits; a lone main checks it at the
+          end of the delivery burst). 0 (default) proposes immediately, so
+          an idle leader still proposes a lone command at once as [App]; a
+          positive linger trades that much latency for bigger batches.
+          Flushes are driven by [tick], so the effective linger is
+          quantized to it. *)
   session_window : int;
       (** cached replies retained per client session for at-most-once
           replay answers; must exceed any client's pipelining depth *)

@@ -13,7 +13,8 @@
    function of (state, clock, input) returning effects as data, so the
    checker can clone a node ({!State.clone}), step it, answer its
    burst-end requests as a runtime does ({!Core.end_burst}: one delivery or
-   tick is one burst), fold the [Send] effects back into the soup, and canonically fingerprint the result
+   tick is one burst), fold the [Send] effects back into the soup, and
+   canonically fingerprint the result
    ({!State.fingerprint}) — no engine, no timers, no IO.
 
    Model: f = 1 — mains {0, 1}, auxiliary {2} — with [n_commands] client

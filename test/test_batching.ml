@@ -226,45 +226,30 @@ let test_linger_delays_flush () =
     (slow >= fast +. 0.1)
 
 (* [Params.default], nothing overridden, at the sans-IO core: an idle leader
-   holds a partial batch to the end of the delivery burst, then proposes
-   it, so a lone command leaves at the burst end exactly as with one
-   command per instance, and the commands of one burst leave together;
-   commands that arrive while an instance is in flight wait, and leave as
-   one [Batch] at the end of the burst that chooses it; a full batch (here:
-   by bytes) leaves at once, even beside an instance in flight. *)
+   proposes a lone command at once, exactly as with one command per
+   instance; commands that arrive while an instance is in flight wait, and
+   leave as one [Batch] when it is chosen; a full batch (here: by bytes)
+   leaves at once, even beside an instance in flight. *)
 let test_default_params_partial_batch_waits () =
   let module Leader = Cp_engine.Leader in
-  let module Effect = Cp_engine.Effect in
   let p = Cp_engine.Params.default in
   let client = 1000 in
   let cmd ?(op = "") seq = { Types.client; seq; op = Printf.sprintf "c%d%s" seq op } in
-  let burst params cmds =
+  let lone params =
     let t, _, _ = Test_roles.elect ~params () in
-    snd (Test_roles.step t ~now:0.2 (fun t -> List.iter (Leader.on_client_req t) cmds))
+    snd (Test_roles.step t ~now:0.2 (fun t -> Leader.on_client_req t (cmd 1)))
   in
-  let asked = Effect.At_burst_end Leader.burst_end_tag in
-  let effs = burst p [ cmd 1 ] in
+  let effs = lone p in
   Alcotest.(check bool)
-    "a lone command asks for the burst end, and only that differs from one command per instance"
-    true
-    (List.mem asked effs
-    && List.filter (fun e -> e <> asked) effs = burst Cp_harness.Scenario.per_command_params [ cmd 1 ]);
+    "a lone command has the effects it has with one command per instance" true
+    (effs = lone Cp_harness.Scenario.per_command_params);
   Alcotest.(check bool)
-    "a lone command is proposed at the burst end as App" true
+    "a lone command is proposed at once as App" true
     (List.exists
        (function
          | Types.P2a { instance = 0; entry = Types.App { seq = 1; _ }; _ } -> true
          | _ -> false)
        (Test_roles.sends_to 1 effs));
-  (match
-     List.filter_map
-       (function Types.P2a { instance; entry; _ } -> Some (instance, entry) | _ -> None)
-       (Test_roles.sends_to 1 (burst p [ cmd 1; cmd 2; cmd 3 ]))
-   with
-  | [ (0, Types.Batch [ c1; c2; c3 ]) ] ->
-    Alcotest.(check (list int)) "one burst's commands share instance 0, in order" [ 1; 2; 3 ]
-      (List.map (fun c -> c.Types.seq) [ c1; c2; c3 ])
-  | _ -> Alcotest.fail "expected the burst's three commands as one Batch at instance 0");
   let t, ballot, _ = Test_roles.elect () in
   let p2as effs =
     List.filter_map
@@ -335,6 +320,51 @@ let test_default_params_partial_batch_waits () =
     (List.init (last - 1) (fun k -> k + 2))
     later
 
+(* [Params.default] at the sans-IO core of the lone main [Remove_main 0]
+   leaves at f = 1: its own vote is a quorum, so no instance is ever in
+   flight, and it holds a partial batch to the end of the delivery burst
+   instead. The burst's three commands leave as one [Batch], chosen and
+   answered in the burst-end step, and no [Commit] goes to the removed
+   main. *)
+let test_default_params_lone_main_holds_to_burst_end () =
+  let module Leader = Cp_engine.Leader in
+  let module Core = Cp_engine.Core in
+  let module Effect = Cp_engine.Effect in
+  let initial = Cp_proto.Config.make ~epoch:1 ~mains:[ 0 ] ~aux_pool:[ 2 ] in
+  let t, _ =
+    Core.create ~self:0 ~now:0. ~rng:(Cp_util.Rng.create 7) ~role:Cp_engine.State.Main
+      ~policy:Test_roles.policy ~params:Cp_engine.Params.default ~initial ~universe_mains:[ 0; 1 ]
+      ~universe_auxes:[ 2 ] ~app:(module Test_roles.Toy : Cp_proto.Appi.S)
+      ~recovery:Cp_engine.State.fresh_boot
+  in
+  let t, _ = Core.step t ~now:0.001 (Core.Timer { tag = "tick" }) in
+  Alcotest.(check bool) "main 0 leads alone" true (Cp_engine.State.is_leader t);
+  let client = 1000 in
+  let cmd seq = { Types.client; seq; op = Printf.sprintf "c%d" seq } in
+  let t, effs =
+    Test_roles.step t ~now:0.2 (fun t -> List.iter (fun c -> Leader.on_client_req t c) [ cmd 1; cmd 2; cmd 3 ])
+  in
+  let rec after_request = function
+    | Effect.At_burst_end tag :: rest when tag = Leader.burst_end_tag -> rest
+    | _ :: rest -> after_request rest
+    | [] -> Alcotest.fail "the first command should ask for the burst end"
+  in
+  let chosen =
+    List.filter_map
+      (function
+        | Effect.Emit (Cp_obs.Event.Command_chosen { instance; batch }) -> Some (instance, batch)
+        | _ -> None)
+      (after_request effs)
+  in
+  Alcotest.(check (list (pair int int))) "one instance, chosen at the burst end, holds all three"
+    [ (0, 3) ] chosen;
+  Alcotest.(check (list int)) "every command answered" [ 1; 2; 3 ]
+    (List.filter_map
+       (function Types.ClientResp { seq; _ } -> Some seq | _ -> None)
+       (Test_roles.sends_to client effs));
+  Alcotest.(check int) "nothing to the removed main" 0 (List.length (Test_roles.sends_to 1 effs));
+  Alcotest.(check int) "executed through instance 0" 1 t.Cp_engine.State.executed_
+
 let suite =
   [
     Alcotest.test_case "batching correct" `Quick test_batching_correct;
@@ -350,4 +380,6 @@ let suite =
     Alcotest.test_case "linger delays flush" `Quick test_linger_delays_flush;
     Alcotest.test_case "defaults: partial batch waits in flight" `Quick
       test_default_params_partial_batch_waits;
+    Alcotest.test_case "defaults: a lone main holds a partial batch to the burst end" `Quick
+      test_default_params_lone_main_holds_to_burst_end;
   ]

@@ -653,6 +653,242 @@ let test_ring_follower_crash_at_flush () =
   Alcotest.(check bool) "the auxiliary took part" true
     (Metrics.get (Ring.metrics fab 2) "msgs_recv" > 0)
 
+(* --- the burst end, on every runtime ------------------------------------ *)
+
+(* A store that logs into [log] each put ("put:<key>") and each flush. *)
+module Logged = struct
+  type t = { inner : Storage.t; log : string list ref }
+
+  let backend t = Storage.backend t.inner
+
+  let put t k v =
+    t.log := ("put:" ^ k) :: !(t.log);
+    Storage.put t.inner k v
+
+  let get t k = Storage.get t.inner k
+
+  let remove t k = Storage.remove t.inner k
+
+  let mem t k = Storage.mem t.inner k
+
+  let keys t = Storage.keys t.inner
+
+  let sub t ~name = { t with inner = Storage.sub t.inner ~name }
+
+  let flush t =
+    Storage.flush t.inner;
+    t.log := "flush" :: !(t.log)
+
+  let wipe t = Storage.wipe t.inner
+
+  let stats t = Storage.stats t.inner
+
+  let close t = Storage.close t.inner
+end
+
+let logged log inner = Storage.Packed ((module Logged), { Logged.inner; log })
+
+(* A node that logs "in:<n>" for each heartbeat (n its commit floor) and
+   asks for one burst-end call tagged n; the call logs "end:<tag>" and puts
+   key [tag]. *)
+let burst_node log (ctx : Types.msg Engine.ctx) =
+  {
+    Engine.on_message =
+      (fun ~src:_ msg ->
+        match msg with
+        | Types.Heartbeat { commit_floor = n; _ } ->
+          log := Printf.sprintf "in:%d" n :: !log;
+          ctx.Engine.at_burst_end (string_of_int n)
+        | _ -> ());
+    on_timer =
+      (fun ~tid ~tag ->
+        Alcotest.(check int) "a burst-end call carries tid -1" (-1) tid;
+        log := ("end:" ^ tag) :: !log;
+        Storage.put ctx.Engine.stable tag "v");
+  }
+
+(* Split the log into bursts at its flushes. Each burst must be its inputs,
+   then one call per input in the order asked, each followed by its put:
+   every request answered once, after the burst's last input, and its put
+   durable in that burst's flush. Returns the most inputs one burst held. *)
+let check_bursts ~runtime ~inputs log =
+  let rec split cur acc = function
+    | [] -> (List.rev cur, List.rev acc)
+    | "flush" :: rest -> split [] (List.rev cur :: acc) rest
+    | e :: rest -> split (e :: cur) acc rest
+  in
+  let tail, bursts = split [] [] (List.rev log) in
+  Alcotest.(check (list string)) (runtime ^ ": nothing after the last flush") [] tail;
+  let widest =
+    List.fold_left
+      (fun widest burst ->
+        let ins = List.filter_map (fun e -> Scanf.sscanf_opt e "in:%d%!" Fun.id) burst in
+        let expected =
+          List.map (Printf.sprintf "in:%d") ins
+          @ List.concat_map (fun n -> [ Printf.sprintf "end:%d" n; Printf.sprintf "put:%d" n ]) ins
+        in
+        Alcotest.(check (list string)) (runtime ^ ": inputs, then one call per request") expected
+          burst;
+        max widest (List.length ins))
+      0 bursts
+  in
+  let answered =
+    List.filter_map (fun e -> Scanf.sscanf_opt e "end:%d%!" Fun.id) log |> List.sort compare
+  in
+  Alcotest.(check (list int)) (runtime ^ ": every request answered once") inputs answered;
+  widest
+
+let burst_inputs = [ 1; 2; 3; 4; 5; 6 ]
+
+(* The driver sends the inputs to node 0 in bursts of three. *)
+let test_burst_end_sim () =
+  let log = ref [] in
+  let eng =
+    Engine.create ~net:Cp_sim.Netmodel.ideal ~size_of:Types.size_of ~kinds:Types.kinds
+      ~kind_index:Types.kind_index
+      ~storage:(fun id -> if id = 0 then logged log (Cp_storage.Mem.store ()) else Cp_storage.Mem.store ())
+      ()
+  in
+  Engine.add_node eng ~id:0 (burst_node log);
+  let dctx = ref None in
+  Engine.add_node eng ~id:9 (fun ctx ->
+      dctx := Some ctx;
+      quiet);
+  List.iteri
+    (fun k burst ->
+      Engine.at eng (0.01 *. float_of_int (k + 1)) (fun () ->
+          List.iter (fun n -> (Option.get !dctx).Engine.send 0 (hb n)) burst))
+    [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ];
+  Engine.run eng;
+  Alcotest.(check int) "sim: a burst is one handler" 1
+    (check_bursts ~runtime:"sim" ~inputs:burst_inputs !log)
+
+let test_burst_end_ring () =
+  let log = ref [] and plan = Faulty.plan () in
+  let fab =
+    Ring.create
+      ~storage:(fun id ->
+        if id = 0 then Faulty.store plan (logged log (Cp_storage.Mem.store ()))
+        else Cp_storage.Mem.store ())
+      ()
+  in
+  let rctx = ref None in
+  Ring.add_node fab ~id:0 ~build:(fun ctx ->
+      rctx := Some ctx;
+      burst_node log ctx);
+  let dctx = ref None in
+  Ring.add_node fab ~id:9 ~build:(fun ctx ->
+      dctx := Some ctx;
+      quiet);
+  List.iter
+    (fun burst ->
+      List.iter (fun n -> (Option.get !dctx).Engine.send 0 (hb n)) burst;
+      Ring.run fab)
+    [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ];
+  Alcotest.(check int) "ring: a pump pass is one burst" 3
+    (check_bursts ~runtime:"ring" ~inputs:burst_inputs !log);
+  (* Fence node 0 at its next flush, then ask from outside any handler. *)
+  plan.Faulty.crash_before_flush <- 0;
+  (Option.get !rctx).Engine.at_burst_end "7";
+  Ring.run fab;
+  Alcotest.(check int) "ring: node 0 fenced" 1 (Metrics.get (Ring.metrics fab 0) "storage_flush_errors");
+  (Option.get !rctx).Engine.at_burst_end "8";
+  (Option.get !dctx).Engine.send 0 (hb 9);
+  Ring.run fab;
+  Alcotest.(check bool) "ring: a fenced node gets no burst-end call" false
+    (List.mem "end:8" !log || List.mem "in:9" !log)
+
+(* Node 0 gets each burst of three as one datagram. *)
+let test_burst_end_udp () =
+  let base_port = 46300 in
+  let log = ref [] and plan = Faulty.plan () in
+  let rctx = ref None and dctx = ref None in
+  let mk id ~storage build =
+    Cp_netio.Node.create ~port_of:(fun i -> base_port + i) ~id_of_port:(fun p -> p - base_port)
+      ~id ~seed:1 ~storage ~build ()
+  in
+  let rnode =
+    mk 0
+      ~storage:(fun _ -> Faulty.store plan (logged log (Cp_storage.Mem.store ())))
+      (fun ctx ->
+        rctx := Some ctx;
+        burst_node log ctx)
+  in
+  let dnode =
+    mk 9 ~storage:(fun _ -> Cp_storage.Mem.store ()) (fun ctx ->
+        dctx := Some ctx;
+        quiet)
+  in
+  let locked f = Cp_netio.Node.with_lock rnode f in
+  let await n =
+    let deadline = Unix.gettimeofday () +. 5. in
+    while
+      locked (fun () -> List.length (List.filter (String.starts_with ~prefix:"end:") !log)) < n
+      && Unix.gettimeofday () < deadline
+    do
+      Thread.delay 0.005
+    done
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Cp_netio.Node.shutdown [ dnode; rnode ])
+    (fun () ->
+      List.iter
+        (fun burst ->
+          Cp_netio.Node.with_lock dnode (fun () ->
+              List.iter (fun n -> (Option.get !dctx).Engine.send 0 (hb n)) burst);
+          await (List.hd (List.rev burst)))
+        [ [ 1; 2; 3 ]; [ 4; 5; 6 ] ];
+      let log_now = locked (fun () -> !log) in
+      Alcotest.(check int) "udp: one datagram of three frames is one burst" 3
+        (check_bursts ~runtime:"udp" ~inputs:burst_inputs log_now);
+      (* The next task's flush fences node 0; a later task's request is not
+         answered. *)
+      locked (fun () -> plan.Faulty.crash_before_flush <- 0);
+      locked ignore;
+      Alcotest.(check int) "udp: node 0 fenced" 1 (Cp_netio.Node.counter rnode "storage_flush_errors");
+      locked (fun () -> (Option.get !rctx).Engine.at_burst_end "8");
+      Alcotest.(check bool) "udp: a fenced node gets no burst-end call" false
+        (locked (fun () -> List.mem "end:8" !log)))
+
+(* Three groups behind one node, keys routed to groups 1 and 2 only: each
+   leader's partial batch leaves only if its burst-end request reaches it,
+   not group 0, so the clients finish only if the mux routes them. *)
+let test_burst_end_group_mux () =
+  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
+  let fleet =
+    Cp_fleet.Fleet.create ~seed:5 ~groups:3 ~policy:Cheap_paxos.Cheap.policy ~initial
+      ~app:(module Cp_smr.Kv) ()
+  in
+  let router = Cp_fleet.Fleet.router fleet in
+  let key_in gid =
+    let rec find k =
+      let key = Printf.sprintf "k%d" k in
+      if Cp_fleet.Router.group_of_key router key = gid then key else find (k + 1)
+    in
+    find 0
+  in
+  let clients =
+    List.map
+      (fun gid ->
+        let key = key_in gid in
+        snd
+          (Cp_fleet.Fleet.add_client fleet
+             ~ops:(fun s -> if s <= 20 then Some (Cp_smr.Kv.put key (string_of_int s)) else None)
+             ()))
+      [ 1; 2; 1; 2 ]
+  in
+  Alcotest.(check bool) "every client finished" true
+    (Cp_fleet.Fleet.run_until fleet ~deadline:10. (fun () ->
+         List.for_all Client.is_finished clients));
+  List.iter
+    (fun gid ->
+      let proposed = Cp_fleet.Fleet.sum_group_metric fleet ~ids:(Cp_fleet.Fleet.mains fleet) ~gid "proposed" in
+      Alcotest.(check bool)
+        (Printf.sprintf "group %d proposed (%d)" gid proposed)
+        true
+        (if gid = 0 then proposed = 0 else proposed > 0))
+    [ 0; 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "bytering: write/read roundtrip" `Quick test_bytering_roundtrip;
@@ -691,4 +927,12 @@ let suite =
       test_ring_fenced_send;
     Alcotest.test_case "ring fabric: follower crash at burst flush exposes no ack" `Slow
       test_ring_follower_crash_at_flush;
+    Alcotest.test_case "burst end: sim, one call per request after the handler" `Quick
+      test_burst_end_sim;
+    Alcotest.test_case "burst end: ring, one pump pass, none when fenced" `Quick
+      test_burst_end_ring;
+    Alcotest.test_case "burst end: udp, one datagram of frames, none when fenced" `Quick
+      test_burst_end_udp;
+    Alcotest.test_case "burst end: Group_mux answers the group that asked" `Quick
+      test_burst_end_group_mux;
   ]
