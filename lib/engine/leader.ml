@@ -211,21 +211,21 @@ and pump ?(burst_end = false) t lead =
             Queue.length lead.l_queue >= max_cmds || lead.l_queued_bytes >= max_bytes
           in
           let idle = Hashtbl.length lead.l_pending = 0 in
-          let solo = Config.is_quorum (Configs.config_for t.configs lead.l_next) [ t.self ] in
-          let flush_now =
-            full
-            || idle
-               && (burst_end || not solo)
-               && (t.params.Params.batch_linger <= 0.
-                  || now t -. lead.l_queue_since >= t.params.Params.batch_linger)
+          let hold_to_burst_end =
+            idle && (not full) && (not burst_end)
+            && (not (Queue.is_empty lead.l_queue))
+            && Config.is_quorum (Configs.config_for t.configs lead.l_next) [ t.self ]
           in
-          if
-            idle && solo && (not flush_now) && (not burst_end) && (not lead.l_burst_asked)
-            && not (Queue.is_empty lead.l_queue)
-          then begin
+          if hold_to_burst_end && not lead.l_burst_asked then begin
             lead.l_burst_asked <- true;
             push t (Effect.At_burst_end burst_end_tag)
           end;
+          let flush_now =
+            full
+            || idle && (not hold_to_burst_end)
+               && (t.params.Params.batch_linger <= 0.
+                  || now t -. lead.l_queue_since >= t.params.Params.batch_linger)
+          in
           if flush_now then begin
             let cmds = take max_cmds 0 [] in
             if Queue.is_empty lead.l_queue then lead.l_queue_since <- infinity

@@ -17,8 +17,9 @@
     timer) runs on the receiver or timer thread that picked it up, and is
     one delivery burst: the [on_timer] calls it asked for with
     [at_burst_end] run when it ends (never on a fenced node), then the
-    store is flushed once, before its datagrams leave, and every transmit flushes the store first, so no ack
-    leaves before what it acknowledges is durable. If a flush raises, the
+    store is flushed once, before its datagrams leave, and every transmit
+    flushes the store first, so no ack leaves before what it acknowledges
+    is durable. If a flush raises, the
     node is fenced: [storage_flush_errors] counts it, its pending datagrams
     are dropped, and from then on it transmits nothing and runs no handler;
     the frames and timers it refuses count in [fenced_drops]. Wire-path

@@ -850,11 +850,12 @@ let test_burst_end_udp () =
       Alcotest.(check bool) "udp: a fenced node gets no burst-end call" false
         (locked (fun () -> List.mem "end:8" !log)))
 
-(* Three groups behind one node, keys routed to groups 1 and 2 only: each
-   leader's partial batch leaves only if its burst-end request reaches it,
-   not group 0, so the clients finish only if the mux routes them. *)
+(* Three groups behind one lone main (its own vote is a quorum, so each
+   leader holds a partial batch to the burst end), keys routed to groups 1
+   and 2 only: a group's batch leaves only if its burst-end request reaches
+   it, not group 0, so the clients finish only if the mux routes them. *)
 let test_burst_end_group_mux () =
-  let initial = Cheap_paxos.Cheap.initial_config ~f:1 in
+  let initial = Cp_proto.Config.make ~epoch:1 ~mains:[ 0 ] ~aux_pool:[ 1 ] in
   let fleet =
     Cp_fleet.Fleet.create ~seed:5 ~groups:3 ~policy:Cheap_paxos.Cheap.policy ~initial
       ~app:(module Cp_smr.Kv) ()
