@@ -740,7 +740,7 @@ let check_bursts ~runtime ~inputs log =
 
 let burst_inputs = [ 1; 2; 3; 4; 5; 6 ]
 
-(* The driver sends the inputs to node 0 in bursts of three. *)
+(* Node 9 sends the inputs to node 0 in bursts of three. *)
 let test_burst_end_sim () =
   let log = ref [] in
   let eng =
